@@ -9,6 +9,7 @@ mandatory in every report, defaulting to 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -35,8 +36,7 @@ def _load(path: str) -> SceneFile:
     sf = load_scene(path)
     env_box = os.environ.get(BOX_ENV)
     if env_box and "box" not in sf.raw:
-        scene = sf.scene
-        object.__setattr__(scene, "box", float(env_box))
+        sf.scene = dataclasses.replace(sf.scene, box=float(env_box))
     return sf
 
 
@@ -52,14 +52,8 @@ def cmd_validate(args) -> int:
     sf = _load(args.scene)
     scene = sf.scene
     problems = scene.validate()
-    for s in scene.strata:
-        if isinstance(s.cell, GraphCell):
-            try:
-                samples = geometry.stratum_samples(s.cell, 24, scene.box)
-                check_stratum_consistency(scene.fields[s.id], s.cell,
-                                          samples[:24])
-            except WhitneyError as exc:
-                problems.append(f"field consistency on {s.id!r}: {exc}")
+    problems.extend(f"field consistency on {sid!r}: {exc}"
+                    for sid, exc in _consistency_failures(scene))
     if problems:
         for p in problems:
             print(f"INVALID  {p}")
@@ -67,6 +61,21 @@ def cmd_validate(args) -> int:
     print(f"VALID    {args.scene}: {len(scene.strata)} strata, "
           f"n={scene.n} p={scene.p} q={scene.q}")
     return EXIT_OK
+
+
+def _consistency_failures(scene) -> list[tuple[str, WhitneyError]]:
+    """``(stratum id, error)`` for every graph stratum whose field fails
+    the sampled tangential compatibility check."""
+    out = []
+    for s in scene.strata:
+        if isinstance(s.cell, GraphCell):
+            try:
+                samples = geometry.stratum_samples(s.cell, 24, scene.box)
+                check_stratum_consistency(scene.fields[s.id], s.cell,
+                                          samples[:24])
+            except WhitneyError as exc:
+                out.append((s.id, exc))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +298,10 @@ def cmd_verify(args) -> int:
         verdicts["structure"] = not problems
         details["structure"] = problems
     if "consistency" in wanted:
-        ok = True
-        for s in scene.strata:
-            if isinstance(s.cell, GraphCell):
-                try:
-                    samples = geometry.stratum_samples(s.cell, 24, scene.box)
-                    check_stratum_consistency(scene.fields[s.id], s.cell,
-                                              samples[:24])
-                except WhitneyError as exc:
-                    ok = False
-                    details.setdefault("consistency", []).append(str(exc))
-        verdicts["consistency"] = ok
+        failures = _consistency_failures(scene)
+        verdicts["consistency"] = not failures
+        if failures:
+            details["consistency"] = [str(exc) for _, exc in failures]
     if "agreement" in wanted:
         tol = args.tol if args.tol is not None else plan.tolerance
         rep = verify.check_extension(f, scene, tol=tol,

@@ -9,11 +9,12 @@ is identically 1 on a smaller cone neighborhood, vanishes outside
 stay below ``C / d(x, Z)^{|a|}`` -- checked numerically, never proved.
 
 The construction composes a polynomial transition profile with the ratio
-of two *regularized* distances.  Points, balls and full spaces get exact
-smooth distance formulas; every other descriptor piece is replaced by a
-power-mean soft minimum over a parameter net clustered toward the piece's
-frontier, which is smooth away from the set and comparable to the true
-distance at the scales the cutoff transition lives on.
+of two *regularized* distances.  Points, balls, boxes and full spaces get
+the exact distance rules of :mod:`whitney.geometry`; every other
+descriptor piece is replaced by a power-mean soft minimum over a parameter
+net clustered toward the piece's frontier, which is smooth away from the
+set and comparable to the true distance at the scales the cutoff
+transition lives on.
 """
 from __future__ import annotations
 
@@ -26,8 +27,9 @@ import numpy as np
 
 from . import geometry
 from .errors import OnZ, SlackTooLarge, UnsupportedDescriptor
-from .geometry import Ball, GraphCell, PointCell, SetDescriptor, cell_param_net
+from .geometry import Ball, GraphCell, PointCell, SetDescriptor
 from .jets import multi_indices, mi_order
+from .verify import sampled_derivative_batch
 
 IN, OUT, INDETERMINATE = 1, 0, -1
 
@@ -114,6 +116,7 @@ class SmoothDistance:
     c1: float = 1.0
     c2: float = 1.0
     collar: float = 0.0
+    width: int = 1       # columns it contributes to a combined soft minimum
 
     def __call__(self, x):
         X = np.atleast_2d(np.asarray(x, dtype=float))
@@ -122,6 +125,9 @@ class SmoothDistance:
 
     def _eval(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def columns(self, X: np.ndarray) -> np.ndarray:
+        return self._eval(X)[:, None]
 
 
 class _ConstantDistance(SmoothDistance):
@@ -132,42 +138,24 @@ class _ConstantDistance(SmoothDistance):
         return np.full(len(X), self.value)
 
 
-class _PointDistance(SmoothDistance):
-    def __init__(self, point):
-        self.point = np.asarray([float(v) for v in point])
+class _ExactDistance(SmoothDistance):
+    """Exact distances to a descriptor's point, ball and box pieces, one
+    column per piece (:meth:`geometry.DistanceTable.exact`); standing
+    alone it is the distance to its single piece.  The box distance is
+    identically zero on the cell, so a cutoff plateau covers it exactly;
+    its second derivative jumps only across corner-extension planes, where
+    the surrounding cutoff is constant whenever the excluded set contains
+    the cell's boundary."""
+
+    def __init__(self, table: geometry.DistanceTable):
+        self.table = table
+        self.width = len(table.lows)
+
+    def columns(self, X):
+        return self.table.exact(X)
 
     def _eval(self, X):
-        return np.linalg.norm(X - self.point[None, :], axis=1)
-
-
-class _BallDistance(SmoothDistance):
-    def __init__(self, ball: Ball):
-        self.center = np.asarray([float(v) for v in ball.center])
-        self.radius = float(ball.radius)
-
-    def _eval(self, X):
-        d = np.linalg.norm(X - self.center[None, :], axis=1)
-        return np.maximum(0.0, d - self.radius)
-
-
-class _BoxDistance(SmoothDistance):
-    """Exact clamp distance to the closure of a constant-wall
-    full-dimensional cell (in its internal axis order).  Identically zero
-    on the cell, so a cutoff plateau covers it exactly; the second
-    derivative jumps only across corner-extension planes, where the
-    surrounding cutoff is constant whenever the excluded set contains the
-    cell's boundary."""
-
-    def __init__(self, bounds, perm):
-        self.lo = np.asarray([b[0] for b in bounds])
-        self.hi = np.asarray([b[1] for b in bounds])
-        self.perm = list(perm)
-
-    def _eval(self, X):
-        Y = X[:, self.perm]
-        excess = np.maximum(self.lo[None, :] - Y, 0.0) \
-            + np.maximum(Y - self.hi[None, :], 0.0)
-        return np.linalg.norm(excess, axis=1)
+        return self.table.exact(X)[:, 0]
 
 
 class _NetSoftmin(SmoothDistance):
@@ -201,13 +189,13 @@ class _CombinedDistance(SmoothDistance):
     def __init__(self, parts: list[SmoothDistance], exponent: int):
         self.parts = parts
         self.exponent = exponent
-        k = len(parts)
+        k = sum(p.width for p in parts)
         self.c1 = min(p.c1 for p in parts) * k ** (-1.0 / exponent)
         self.c2 = max(p.c2 for p in parts)
         self.collar = max(p.collar for p in parts)
 
     def _eval(self, X):
-        vals = np.stack([p._eval(X) for p in self.parts], axis=1)
+        vals = np.concatenate([p.columns(X) for p in self.parts], axis=1)
         m = vals.min(axis=1)
         safe = np.where(m > 0.0, m, 1.0)
         ratios = np.minimum(safe[:, None] / vals.clip(1e-300), 1.0)
@@ -215,134 +203,41 @@ class _CombinedDistance(SmoothDistance):
         return np.where(m > 0.0, m * s ** (-1.0 / self.exponent), 0.0)
 
 
-def _is_full_space(cell: GraphCell) -> bool:
-    if cell.graph:
-        return False
-    base = cell.base
-    while isinstance(base, geometry.Slab):
-        if base.lower is not None or base.upper is not None:
-            return False
-        base = base.base
-    return base.lower is None and base.upper is None
-
-
-def regularized_distance(desc: SetDescriptor, q: int = 2,
-                         box: float = geometry.DEFAULT_BOX_HALFWIDTH,
-                         net_ratio: float = 0.94) -> SmoothDistance:
+def regularized_distance(desc: SetDescriptor,
+                         box: float = geometry.DEFAULT_BOX_HALFWIDTH
+                         ) -> SmoothDistance:
     """Smooth evaluable surrogate for ``d(x, desc)``.
 
-    Points, balls and the full space are exact.  Cell closures become a
-    soft minimum over a frontier-clustered net; ``net_ratio`` is the
-    geometric spacing toward the frontier (the smoothing scale selector:
-    closer to 1 means a finer, more faithful surrogate).  The combination
+    Points, balls, boxes and the full space are exact.  Every graph cell
+    (constant graphs included) and every other cell closure becomes a soft
+    minimum over its cached frontier-clustered net.  The combination
     exponent is chosen from the total net size so the comparability ratio
     ``c2/c1`` stays near or below 2.
     """
     if desc.is_empty:
         return _ConstantDistance(1.0)
-    parts: list[SmoothDistance] = []
-    nets: list[np.ndarray] = []
-    collar = 0.0
+    exact, nets = [], []
     for piece in desc.pieces:
-        if isinstance(piece, PointCell):
-            parts.append(_PointDistance(piece.point))
-        elif isinstance(piece, Ball):
-            parts.append(_BallDistance(piece))
-        elif isinstance(piece, GraphCell):
-            if _is_full_space(piece):
+        if isinstance(piece, GraphCell):
+            if geometry._is_full_space(piece):
                 return _ConstantDistance(0.0)
-            bounds = (geometry._as_box(piece.base, box)
-                      if not piece.graph else None)
-            if bounds is not None:
-                parts.append(_BoxDistance(bounds, piece.perm))
+            if piece.graph or geometry.closed_form_box(piece, box) is None:
+                nets.append(geometry.piece_net(piece, box,
+                                               geometry.DEFAULT_COARSE))
                 continue
-            net, cov = cell_param_net(piece.base, box, refine_ratio=net_ratio)
-            pts = np.empty((len(net), piece.ambient_dim))
-            for j, u in enumerate(net):
-                pts[j] = piece.embed(tuple(u))
-            nets.append(pts)
-            collar = max(collar, float(np.median(cov)))
-        else:
-            raise UnsupportedDescriptor(
-                f"no smooth surrogate for {type(piece).__name__}")
-    total = sum(len(p) for p in nets) + len(parts)
+        exact.append(piece)
+    parts: list[SmoothDistance] = []
+    if exact:
+        table = geometry.distance_table(SetDescriptor(tuple(exact)), box,
+                                        geometry.DEFAULT_COARSE)
+        parts.append(_ExactDistance(table))
+    total = sum(len(net.points) for net in nets) + len(exact)
     exponent = max(12, 3 * math.ceil(math.log2(total + 2)))
-    for pts in nets:
-        parts.append(_NetSoftmin(pts, exponent, collar))
-    if len(parts) == 1:
+    collar = max((float(np.median(net.cov)) for net in nets), default=0.0)
+    parts.extend(_NetSoftmin(net.points, exponent, collar) for net in nets)
+    if len(exact) + len(nets) == 1:
         return parts[0]
     return _CombinedDistance(parts, exponent)
-
-
-# ---------------------------------------------------------------------------
-# batched bracketed distances (for membership certificates at volume)
-
-
-class _BatchBracket:
-    """Vectorized lower/upper distance brackets to a descriptor."""
-
-    def __init__(self, desc: SetDescriptor,
-                 box: float = geometry.DEFAULT_BOX_HALFWIDTH):
-        self.desc = desc
-        self.exact: list = []
-        self.nets: list[tuple[np.ndarray, float]] = []
-        for piece in desc.pieces:
-            if isinstance(piece, (PointCell, Ball)):
-                self.exact.append(piece)
-            elif isinstance(piece, GraphCell):
-                if _is_full_space(piece):
-                    self.exact.append(None)  # distance identically 0
-                    continue
-                bounds = (geometry._as_box(piece.base, box)
-                          if not piece.graph else None)
-                if bounds is not None:
-                    self.exact.append(_BoxDistance(bounds, piece.perm))
-                    continue
-                net, cov = cell_param_net(piece.base, box)
-                pts = np.empty((len(net), piece.ambient_dim))
-                for j, u in enumerate(net):
-                    pts[j] = piece.embed(tuple(u))
-                lip = 1.0 + geometry._net_lipschitz(piece, net)
-                self.nets.append((pts, float(np.max(cov)) * lip))
-            else:
-                raise UnsupportedDescriptor(type(piece).__name__)
-
-    def __call__(self, X: np.ndarray):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = len(X)
-        if self.desc.is_empty:
-            ones = np.ones(n)
-            return ones, ones.copy()
-        lo = np.full(n, np.inf)
-        up = np.full(n, np.inf)
-        for piece in self.exact:
-            if piece is None:
-                lo[:] = 0.0
-                up[:] = 0.0
-                continue
-            if isinstance(piece, PointCell):
-                d = np.linalg.norm(
-                    X - np.asarray([float(v) for v in piece.point])[None, :],
-                    axis=1)
-            elif isinstance(piece, _BoxDistance):
-                d = piece._eval(X)
-            else:
-                d = np.linalg.norm(
-                    X - np.asarray([float(v) for v in piece.center])[None, :],
-                    axis=1)
-                d = np.maximum(0.0, d - piece.radius)
-            lo = np.minimum(lo, d)
-            up = np.minimum(up, d)
-        for pts, slack in self.nets:
-            chunk = max(1, 2_000_000 // max(1, len(pts)))
-            d = np.empty(n)
-            for start in range(0, n, chunk):
-                sl = slice(start, min(n, start + chunk))
-                d[sl] = np.linalg.norm(
-                    X[sl, None, :] - pts[None, :, :], axis=2).min(axis=1)
-            lo = np.minimum(lo, np.maximum(0.0, d - slack))
-            up = np.minimum(up, d)
-        return lo, up
 
 
 def cone_membership(x, w_desc: SetDescriptor, z_desc: SetDescriptor,
@@ -363,12 +258,13 @@ def cone_membership(x, w_desc: SetDescriptor, z_desc: SetDescriptor,
     return INDETERMINATE
 
 
-def cone_membership_batch(brackets_w: _BatchBracket, brackets_z: _BatchBracket,
-                          eta: float, X: np.ndarray):
+def cone_membership_batch(w_desc: SetDescriptor, z_desc: SetDescriptor,
+                          eta: float, X: np.ndarray,
+                          box: float = geometry.DEFAULT_BOX_HALFWIDTH):
     """Vectorized membership certificates; returns int array of
     IN / OUT / INDETERMINATE and the Z upper bracket for reuse."""
-    lo_w, up_w = brackets_w(X)
-    lo_z, up_z = brackets_z(X)
+    lo_w, up_w = geometry.distance_brackets(w_desc, X, box)
+    lo_z, up_z = geometry.distance_brackets(z_desc, X, box)
     out = np.full(len(np.atleast_2d(X)), INDETERMINATE, dtype=int)
     out[up_w < eta * lo_z] = IN
     out[lo_w >= eta * up_z] = OUT
@@ -447,12 +343,10 @@ def _on_set_probes(desc: SetDescriptor, box: float):
                     q[i] += sign * piece.radius
                     pts.append(list(q))
         elif isinstance(piece, GraphCell):
-            if _is_full_space(piece):
-                continue
-            net, _ = cell_param_net(piece.base, box)
-            step = max(1, len(net) // 512)
-            for u in net[::step]:
-                pts.append([float(v) for v in piece.embed(tuple(u))])
+            if not geometry._is_full_space(piece):
+                net = geometry.piece_net(piece, box,
+                                         geometry.DEFAULT_COARSE).points
+                pts.extend(net[::max(1, len(net) // 512)].tolist())
     return np.asarray(pts, dtype=float) if pts else None
 
 
@@ -470,11 +364,11 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
     profile = smooth_transition(max(spec.q, 4))
     if spec.w_desc.is_empty:
         d_w = _ConstantDistance(1.0)
-        d_z = regularized_distance(spec.z_desc, spec.q, spec.box)
+        d_z = regularized_distance(spec.z_desc, spec.box)
         return CutoffFn(spec, d_w, d_z, profile, spec.eta, spec.eta / 2,
                         spec.eta / 2)
-    d_w = regularized_distance(spec.w_desc, spec.q, spec.box)
-    d_z = regularized_distance(spec.z_desc, spec.q, spec.box)
+    d_w = regularized_distance(spec.w_desc, spec.box)
+    d_z = regularized_distance(spec.z_desc, spec.box)
     c_ratio = min(d_w.c1 / d_z.c2, d_z.c1 / d_w.c2)
     if c_ratio ** 2 / 2.0 < 5e-3:
         raise SlackTooLarge(
@@ -501,50 +395,6 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
 
 # ---------------------------------------------------------------------------
 # derivative sampling and the contract report
-
-
-_STENCILS = {
-    0: ((0, 1.0),),
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-}
-
-
-def _tensor_stencil(alpha):
-    """Offsets (integer grid) and weights for the tensor central stencil of
-    a mixed partial derivative; divide by h^{|alpha|} after combining."""
-    offsets = [(np.zeros(len(alpha)), 1.0)]
-    for axis, k in enumerate(alpha):
-        new = []
-        for off, wt in offsets:
-            for o, w in _STENCILS[k]:
-                off2 = off.copy()
-                off2[axis] = o
-                new.append((off2, wt * w))
-        offsets = new
-    return (np.stack([o for o, _ in offsets]),
-            np.asarray([w for _, w in offsets]))
-
-
-def sampled_derivative_batch(fn, X: np.ndarray, alpha, h: np.ndarray):
-    """Richardson-extrapolated central differences of a batched callable at
-    many points with per-point step sizes."""
-    offs, wts = _tensor_stencil(alpha)
-    k = mi_order(alpha)
-
-    def level(step):
-        pts = X[:, None, :] + offs[None, :, :] * step[:, None, None]
-        flat = pts.reshape(-1, X.shape[1])
-        vals = np.asarray(fn(flat)).reshape(len(X), len(offs))
-        return (vals * wts[None, :]).sum(axis=1) / step ** k
-
-    if k == 0:
-        return np.asarray(fn(X))
-    d1 = level(h)
-    d2 = level(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
 
 
 @dataclass
@@ -577,9 +427,9 @@ def _sample_box(w_desc, z_desc, box):
                 pts.append([v - piece.radius for v in c])
                 pts.append([v + piece.radius for v in c])
             elif isinstance(piece, GraphCell):
-                net, _ = cell_param_net(piece.base, box)
-                for u in net[:: max(1, len(net) // 32)]:
-                    pts.append(list(piece.embed(tuple(u))))
+                net = geometry.piece_net(piece, box,
+                                         geometry.DEFAULT_COARSE).points
+                pts.extend(net[::max(1, len(net) // 32)].tolist())
     arr = np.asarray(pts)
     lo = arr.min(axis=0)
     hi = arr.max(axis=0)
@@ -601,12 +451,9 @@ def verify_cutoff(omega: CutoffFn, spec: CutoffSpec, grid: int = 100,
     n = _descriptor_dim(spec)
     rng = np.random.default_rng(seed)
     lo, hi = _sample_box(spec.w_desc, spec.z_desc, spec.box)
-    bw = _BatchBracket(spec.w_desc, spec.box)
-    bz = _BatchBracket(spec.z_desc, spec.box)
-
     X = lo + (hi - lo) * rng.random((n_samples, n))
-    lo_w, up_w = bw(X)
-    lo_z, up_z = bz(X)
+    lo_w, up_w = geometry.distance_brackets(spec.w_desc, X, spec.box)
+    lo_z, up_z = geometry.distance_brackets(spec.z_desc, X, spec.box)
     scene_scale = float(np.max(hi - lo))
     exclusion = 1e-6 * scene_scale
     keep = up_z > exclusion

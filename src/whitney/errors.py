@@ -94,10 +94,6 @@ class FlatnessDeclarationMissing(InputError):
     pass
 
 
-class DerivativeUnavailable(EngineError):
-    pass
-
-
 class StratificationInvalid(InputError):
     pass
 

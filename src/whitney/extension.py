@@ -393,22 +393,18 @@ def subtract_taylor(fields: Mapping[str, FieldSpec], scene: Scene,
         coeffs = {}
         for alpha in multi_indices(scene.n, scene.p):
             coeffs[alpha] = _subtracted_coeff(fld.coeffs[alpha], cell,
-                                              alpha, g, scene.n, h)
+                                              alpha, g, h)
         out[stratum.id] = FieldSpec(scene.n, scene.p, fld.stratum_id,
                                     fld.param_arity, coeffs)
     return out
 
 
-def _subtracted_coeff(orig, cell, alpha_int, g: ExtensionFn, n: int,
+def _subtracted_coeff(orig, cell, alpha_int, g: ExtensionFn,
                       h: float) -> Callable:
+    alpha_amb = verify._to_ambient_alpha(alpha_int, cell)
     if isinstance(cell, PointCell):
-        alpha_amb = tuple(alpha_int)
         embed = lambda u: tuple(float(v) for v in cell.point)
     else:
-        amb = [0] * n
-        for i, k in enumerate(alpha_int):
-            amb[cell.perm[i]] = k
-        alpha_amb = tuple(amb)
         embed = lambda u: tuple(float(v) for v in cell.embed(u))
 
     def fn(u):
@@ -475,9 +471,8 @@ def _support_fits(cell: GraphCell, z_desc: SetDescriptor, scene: Scene,
     extra = _frontier_shells(cell, rng, scene)
     if extra is not None:
         X = np.vstack([X, extra])
-    bw = cutoff_mod._BatchBracket(w_desc, scene.box)
-    bz = cutoff_mod._BatchBracket(z_desc, scene.box)
-    member, _ = cutoff_mod.cone_membership_batch(bw, bz, eta, X)
+    member, _ = cutoff_mod.cone_membership_batch(w_desc, z_desc, eta, X,
+                                                 scene.box)
     m = cell.intrinsic_dim
     for x in X[member == cutoff_mod.IN]:
         u = cell.to_internal(x)[:m]

@@ -8,14 +8,17 @@ under ``u -> (u, phi(u))``, possibly after a coordinate permutation, and
 has empty interior in the ambient space.  A *point cell* is a single
 point.
 
-Distances are always reported as brackets ``[lo, up]``: ``up`` comes from
-the best candidate found (exact for points, balls and boxes; net search
-plus golden-section polish otherwise) and ``lo`` subtracts the covering
-radius of the candidate net.  Every probe in this module is a sampling
-probe with a refinement-stability verdict, not a proof.
+Distances are always reported as brackets ``[lo, up]`` by one batched
+table per descriptor (:class:`DistanceTable`): exact for points, balls,
+the full space and constant graphs over boxes; otherwise ``up`` is the
+best point of a cached embedded net (golden-section polished for single
+points on 1-d cells) and ``lo`` subtracts the net's covering radius.
+Every probe in this module is a sampling probe with a refinement-stability
+verdict, not a proof.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -31,6 +34,7 @@ from .expr import ExprFn
 from .jets import multi_indices, mi_order
 
 DEFAULT_BOX_HALFWIDTH = 10.0
+DEFAULT_COARSE = 65           # base resolution of the parameter nets
 
 # ---------------------------------------------------------------------------
 # cell descriptions
@@ -229,40 +233,182 @@ def _exact(v: float) -> Bracket:
 
 def set_distance(desc: SetDescriptor, x, tol: float = 1e-6,
                  box: float = DEFAULT_BOX_HALFWIDTH,
-                 strict: bool = False, coarse: int = 65) -> Bracket:
+                 strict: bool = False,
+                 coarse: int = DEFAULT_COARSE) -> Bracket:
     """Bracketed distance from ``x`` to the descriptor.  Empty set -> 1.
 
-    ``coarse`` controls the candidate-net resolution for pieces without a
-    closed form; finer nets can only shrink the upper bracket.
-    ``strict=True`` raises :class:`ConvergenceFailure` when the bracket
-    stays wider than ``tol``; by default the wide bracket is returned.
+    One row of :func:`distance_brackets`, except that a golden-section
+    search around the best net point may lower the upper bracket of 1-d
+    net-backed cells.  ``coarse`` controls the candidate-net resolution
+    for pieces without a closed form; finer nets can only shrink the
+    upper bracket.  ``strict=True`` raises :class:`ConvergenceFailure`
+    when the bracket stays wider than ``tol``; by default the wide
+    bracket is returned.
     """
     if desc.is_empty:
         return _exact(1.0)
-    xs = np.asarray([float(v) for v in x], dtype=float)
-    lo, up = math.inf, math.inf
-    for piece in desc.pieces:
-        b = _piece_distance(piece, xs, tol, box, coarse)
-        lo, up = min(lo, b.lo), min(up, b.up)
-    lo = max(lo, 0.0)
+    table = distance_table(desc, box, coarse)
+    x = np.array(x, dtype=float)
+    lo = up = min([math.inf] + table.exact(x).tolist())
+    for cell, net in table.nets:
+        n_lo, n_up, nearest = net.scan(x[None, :])
+        n_lo, n_up = float(n_lo[0]), float(n_up[0])
+        if cell.intrinsic_dim == 1:
+            t0 = float(net.params[nearest[0], 0])
+            n_up = min(n_up, _polish_1d(cell, x, t0, box))
+        lo, up = min(lo, n_lo, n_up), min(up, n_up)
     if strict and up - lo > tol:
         raise ConvergenceFailure(
             f"distance bracket width {up - lo:.3e} exceeds {tol:.3e}")
     return Bracket(lo, up)
 
 
-def _piece_distance(piece: Piece, x: np.ndarray, tol: float,
-                    box: float, coarse: int = 65) -> Bracket:
+def distance_brackets(desc: SetDescriptor, X,
+                      box: float = DEFAULT_BOX_HALFWIDTH,
+                      coarse: int = DEFAULT_COARSE):
+    """Lower and upper distance brackets from every row of ``X`` to the
+    descriptor, as two arrays.  Empty set -> 1."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if desc.is_empty:
+        return np.ones(len(X)), np.ones(len(X))
+    return distance_table(desc, box, coarse)(X)
+
+
+@functools.lru_cache(maxsize=64)
+def distance_table(desc: SetDescriptor, box: float,
+                   coarse: int) -> "DistanceTable":
+    """The :class:`DistanceTable` of a non-empty descriptor, built once per
+    ``(desc, box, coarse)``."""
+    return DistanceTable(desc, box, coarse)
+
+
+class DistanceTable:
+    """Batched distance rules of a descriptor, one per piece kind.
+
+    Pieces with a closed form are axis boxes inflated by a radius: a point
+    is a degenerate box, a ball a degenerate box with its radius, the full
+    space an unbounded box, and a constant graph over a constant-wall box
+    an ambient box that is degenerate along the normal axes (the clamp in
+    the base plus the constant normal offset).  Their brackets are exact.
+    Every other cell scans its embedded :func:`piece_net`.
+    """
+
+    def __init__(self, desc: SetDescriptor, box: float, coarse: int):
+        lows, highs, radii = [], [], []
+        self.nets: list[tuple[GraphCell, PieceNet]] = []
+        for piece in desc.pieces:
+            exact = closed_form_box(piece, box)
+            if exact is None:
+                self.nets.append((piece, piece_net(piece, box, coarse)))
+            else:
+                lows.append(exact[0])
+                highs.append(exact[1])
+                radii.append(exact[2])
+        n = len(lows[0]) if lows else self.nets[0][1].points.shape[1]
+        self.lows = np.asarray(lows, dtype=float).reshape(len(lows), n)
+        self.highs = np.asarray(highs, dtype=float).reshape(len(lows), n)
+        self.radii = np.asarray(radii, dtype=float) if any(radii) else None
+        # without extent, every box is its own nearest point
+        self.extent = bool(np.any(self.lows < self.highs))
+
+    def exact(self, X: np.ndarray) -> np.ndarray:
+        """Distances from a point, or every row of ``X`` (axis 0), to every
+        closed-form piece (last axis, in descriptor order)."""
+        Y = X[..., None, :]
+        near = (np.minimum(np.maximum(Y, self.lows), self.highs)
+                if self.extent else self.lows)
+        d = _row_norms(Y - near)
+        return d if self.radii is None else np.maximum(0.0, d - self.radii)
+
+    def __call__(self, X: np.ndarray):
+        lo = up = self.exact(X).min(axis=1, initial=np.inf)
+        for _, net in self.nets:
+            n_lo, n_up, _ = net.scan(X)
+            lo, up = np.minimum(lo, n_lo), np.minimum(up, n_up)
+        return lo, up
+
+
+def closed_form_box(piece: Piece, box: float):
+    """``(lower corner, upper corner, radius)`` in ambient coordinates for
+    a piece whose distance has a closed form (see :class:`DistanceTable`),
+    None for a cell that needs a net."""
     if isinstance(piece, PointCell):
-        return _exact(float(np.linalg.norm(
-            x - np.asarray([float(v) for v in piece.point]))))
+        return piece.point, piece.point, 0.0
     if isinstance(piece, Ball):
-        d = float(np.linalg.norm(
-            x - np.asarray([float(v) for v in piece.center])))
-        return _exact(max(0.0, d - piece.radius))
-    if isinstance(piece, GraphCell):
-        return _graph_cell_distance(piece, x, tol, box, coarse)
-    raise UnsupportedDescriptor(f"no distance rule for {type(piece).__name__}")
+        return piece.center, piece.center, float(piece.radius)
+    if not isinstance(piece, GraphCell):
+        raise UnsupportedDescriptor(
+            f"no distance rule for {type(piece).__name__}")
+    if _is_full_space(piece):
+        n = piece.ambient_dim
+        return (-math.inf,) * n, (math.inf,) * n, 0.0
+    if any(g.root.op != "const" for g in piece.graph):
+        return None
+    bounds = _as_box(piece.base, box)
+    if bounds is None:
+        return None
+    walls = [(float(g.root.payload),) * 2 for g in piece.graph]
+    lo, hi = zip(*piece.to_ambient(bounds + walls))
+    return lo, hi, 0.0
+
+
+def _row_norms(D: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis."""
+    return np.sqrt(np.add.reduce(D * D, -1))
+
+
+@dataclass(frozen=True, eq=False)
+class PieceNet:
+    """Parameter net of a cell's closure, embedded in the ambient space.
+
+    ``cov[i]`` is the parameter-space covering radius of the i-th net
+    point and ``slack[i] = cov[i] * (1 + L)`` its ambient counterpart,
+    with ``L`` a sampled bound on the slope of the graph map.
+    """
+    params: np.ndarray
+    cov: np.ndarray
+    points: np.ndarray
+    slack: np.ndarray
+
+    def scan(self, X: np.ndarray):
+        """``(lo, up, nearest)`` per row of ``X``: ``up = min_i d_i``,
+        ``lo = max(0, min_i(d_i - slack_i))`` and the index of the best
+        net point."""
+        n = len(X)
+        lo, up = np.empty(n), np.empty(n)
+        nearest = np.empty(n, dtype=int)
+        chunk = max(1, 2_000_000 // len(self.points))
+        for start in range(0, n, chunk):
+            sl = slice(start, min(n, start + chunk))
+            d = _row_norms(X[sl, None, :] - self.points)
+            nearest[sl] = np.argmin(d, axis=1)
+            up[sl] = d.min(axis=1)
+            lo[sl] = np.maximum(0.0, (d - self.slack).min(axis=1))
+        return lo, up, nearest
+
+
+@functools.lru_cache(maxsize=32)
+def piece_net(cell: GraphCell, box: float, coarse: int) -> PieceNet:
+    """The embedded net of ``cell``, built once per ``(cell, box, coarse)``
+    and shared read-only by every caller."""
+    params, cov = cell_param_net(cell.base, box, coarse=coarse)
+    points = np.asarray([cell.embed(tuple(u)) for u in params],
+                        dtype=float).reshape(len(params), cell.ambient_dim)
+    slack = cov * (1.0 + _net_lipschitz(cell, params))
+    for a in (params, cov, points, slack):
+        a.setflags(write=False)
+    return PieceNet(params, cov, points, slack)
+
+
+def _is_full_space(cell: GraphCell) -> bool:
+    if cell.graph:
+        return False
+    base = cell.base
+    while isinstance(base, Slab):
+        if base.lower is not None or base.upper is not None:
+            return False
+        base = base.base
+    return base.lower is None and base.upper is None
 
 
 def _as_box(cell: OpenCell, box: float):
@@ -282,57 +428,10 @@ def _as_box(cell: OpenCell, box: float):
     return bounds
 
 
-def _graph_cell_distance(cell: GraphCell, x: np.ndarray, tol: float,
-                         box: float, coarse: int = 65) -> Bracket:
-    m = cell.intrinsic_dim
-    y = np.asarray(cell.to_internal(x), dtype=float)
-    u, w = y[:m], y[m:]
-    bounds = _as_box(cell.base, box)
-
-    if bounds is not None and not cell.graph:
-        # closure of an axis box: componentwise clamp
-        c = np.array([min(max(ui, lo), hi) for ui, (lo, hi) in zip(u, bounds)])
-        return _exact(float(np.linalg.norm(u - c)))
-
-    if bounds is not None and all(g.root.op == "const" for g in cell.graph):
-        # constant graph over a box: clamp in the base, offset in the normal
-        c = np.array([min(max(ui, lo), hi) for ui, (lo, hi) in zip(u, bounds)])
-        gvals = np.array([float(g.root.payload) for g in cell.graph])
-        return _exact(float(math.hypot(np.linalg.norm(u - c),
-                                       np.linalg.norm(w - gvals))))
-
-    net, cov = cell_param_net(cell.base, box, coarse=coarse)
-    pts = _embed_net(cell, net)
-    d = np.linalg.norm(pts - x[None, :], axis=1)
-    i = int(np.argmin(d))
-    up = float(d[i])
-    lip = 1.0 + _net_lipschitz(cell, net)
-    lo = max(0.0, float(np.min(d - cov * lip)))
-    if m == 1:
-        up = min(up, _polish_1d(cell, x, float(net[i, 0]), box))
-        lo = min(lo, up)
-    return Bracket(lo, up)
-
-
-def _embed_net(cell: GraphCell, net: np.ndarray) -> np.ndarray:
-    n = cell.ambient_dim
-    out = np.empty((len(net), n))
-    for j, u in enumerate(net):
-        out[j] = cell.embed(tuple(u))
-    return out
-
-
-_net_lip_cache: dict = {}
-
-
 def _net_lipschitz(cell: GraphCell, net: np.ndarray) -> float:
     """Crude bound on |phi'| over the net, for covering-radius brackets."""
     if not cell.graph:
         return 0.0
-    key = (cell, len(net))
-    hit = _net_lip_cache.get(key)
-    if hit is not None:
-        return hit
     m = cell.intrinsic_dim
     worst = 0.0
     step = max(1, len(net) // 64)
@@ -347,9 +446,7 @@ def _net_lipschitz(cell: GraphCell, net: np.ndarray) -> float:
                     continue
                 row += float(g) ** 2
         worst = max(worst, math.sqrt(row))
-    out = 1.5 * worst
-    _net_lip_cache[key] = out
-    return out
+    return 1.5 * worst
 
 
 def _polish_1d(cell: GraphCell, x: np.ndarray, t0: float, box: float) -> float:
@@ -387,13 +484,11 @@ def _innermost_interval(cell: OpenCell) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# parameter nets (shared with the cutoff module)
-
-_net_cache: dict = {}
+# parameter nets (embedded and cached per piece by :func:`piece_net`)
 
 
 def cell_param_net(base: OpenCell, box: float = DEFAULT_BOX_HALFWIDTH,
-                   coarse: int = 65, refine_ratio: float = 0.94,
+                   coarse: int = DEFAULT_COARSE, refine_ratio: float = 0.94,
                    floor: float = 1e-9):
     """Sample net of the closure of an open cell, clustered geometrically
     toward the finite boundary so the relative covering radius stays small
@@ -403,24 +498,17 @@ def cell_param_net(base: OpenCell, box: float = DEFAULT_BOX_HALFWIDTH,
     closure point in the i-th point's patch to the net, measured in
     parameter space.
     """
-    key = (base, box, coarse, refine_ratio, floor)
-    hit = _net_cache.get(key)
-    if hit is not None:
-        return hit
     dim = open_cell_dim(base)
     if dim == 1:
         lo, hi = interval_bounds(base, box)
         ts, cov = _interval_net(lo, hi, base.lower is not None,
                                 base.upper is not None, coarse,
                                 refine_ratio, floor)
-        out = (ts.reshape(-1, 1), cov)
-    elif dim == 2 and isinstance(base, Slab):
-        out = _slab_net_2d(base, box, coarse, refine_ratio, floor)
-    else:
-        raise UnsupportedDescriptor(
-            f"parameter nets implemented for dimensions 1-2, got {dim}")
-    _net_cache[key] = out
-    return out
+        return ts.reshape(-1, 1), cov
+    if dim == 2 and isinstance(base, Slab):
+        return _slab_net_2d(base, box, coarse, refine_ratio, floor)
+    raise UnsupportedDescriptor(
+        f"parameter nets implemented for dimensions 1-2, got {dim}")
 
 
 def _interval_net(lo, hi, lower_finite, upper_finite, coarse, ratio, floor):

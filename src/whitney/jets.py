@@ -419,30 +419,17 @@ def restrict_family(family: Mapping[str, FieldSpec],
 # graded-lex order, rationals as "p/q" strings
 
 
-def _num_to_json(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else str(v)
-    return v
-
-
-def _num_from_json(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    return v
-
-
 def jet_to_json(a: PointJet) -> dict:
     return {
         "n": a.n, "p": a.p,
-        "base": [_num_to_json(v) for v in a.base],
-        "coeffs": [[list(alpha), _num_to_json(a.coeffs[alpha])]
+        "base": [expr.number_to_json(v) for v in a.base],
+        "coeffs": [[list(alpha), expr.number_to_json(a.coeffs[alpha])]
                    for alpha in sorted(a.coeffs, key=mi_key)],
     }
 
 
 def jet_from_json(obj: dict) -> PointJet:
-    coeffs = {tuple(alpha): _num_from_json(c) for alpha, c in obj["coeffs"]}
-    base = tuple(_num_from_json(v) for v in obj["base"])
+    coeffs = {tuple(alpha): expr._number_from_json(c)
+              for alpha, c in obj["coeffs"]}
+    base = tuple(expr._number_from_json(v) for v in obj["base"])
     return PointJet(obj["n"], obj["p"], base, coeffs)

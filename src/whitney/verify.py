@@ -10,15 +10,15 @@ reported.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateScales, StencilOutOfDomain
-from .jets import (FieldSpec, MultiIndex, mi_factorial, mi_order,
+from .jets import (FieldSpec, MultiIndex, _inv_factorial, mi_order,
                    multi_indices)
 
 # ---------------------------------------------------------------------------
@@ -34,19 +34,22 @@ _CENTRAL = {
 }
 
 
+@functools.lru_cache(maxsize=256)
+def _tensor_stencil(alpha: MultiIndex) -> tuple:
+    """Integer offsets and weights of the tensor central stencil of the
+    mixed partial ``D^alpha``; divide by ``h^{|alpha|}`` after combining."""
+    stencil = [((), 1.0)]
+    for k in alpha:
+        stencil = [(off + (o,), wt * w)
+                   for off, wt in stencil for o, w in _CENTRAL[k]]
+    return tuple(stencil)
+
+
 def _central_once(f: Callable, alpha: MultiIndex, x: Sequence[float],
                   h: float) -> float:
-    stencils = [(list(x), 1.0)]
-    for axis, k in enumerate(alpha):
-        new = []
-        for pt, wt in stencils:
-            for o, w in _CENTRAL[k]:
-                pt2 = list(pt)
-                pt2[axis] = pt2[axis] + o * h
-                new.append((pt2, wt * w))
-        stencils = new
     total = 0.0
-    for pt, wt in stencils:
+    for off, wt in _tensor_stencil(tuple(alpha)):
+        pt = [xi + o * h for xi, o in zip(x, off)]
         try:
             total += wt * float(f(pt))
         except Exception as exc:
@@ -68,6 +71,27 @@ def finite_difference(f: Callable, alpha: MultiIndex, x: Sequence[float],
     d1 = _central_once(f, alpha, x, h)
     d2 = _central_once(f, alpha, x, h / 2.0)
     return (4.0 * d2 - d1) / 3.0, abs(d2 - d1) / 3.0
+
+
+def sampled_derivative_batch(fn, X: np.ndarray, alpha, h: np.ndarray):
+    """Richardson-extrapolated central differences of a batched callable at
+    many points with per-point step sizes."""
+    k = mi_order(alpha)
+    if k == 0:
+        return np.asarray(fn(X))
+    stencil = _tensor_stencil(tuple(alpha))
+    offs = np.asarray([off for off, _ in stencil], dtype=float)
+    wts = np.asarray([wt for _, wt in stencil])
+
+    def level(step):
+        pts = X[:, None, :] + offs[None, :, :] * step[:, None, None]
+        flat = pts.reshape(-1, X.shape[1])
+        vals = np.asarray(fn(flat)).reshape(len(X), len(offs))
+        return (vals * wts[None, :]).sum(axis=1) / step ** k
+
+    d1 = level(h)
+    d2 = level(h / 2.0)
+    return (4.0 * d2 - d1) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +130,7 @@ def whitney_residual(jets_at: Callable, c: Sequence, beta: MultiIndex,
             coeff = jb.coeffs[tuple(x + y for x, y in zip(alpha, beta))]
             if coeff == 0:
                 continue
-            term = coeff * _one_over_factorial(alpha, coeff)
+            term = coeff * _inv_factorial(alpha, coeff)
             for d, k in zip(diff, alpha):
                 if k:
                     term = term * d ** k
@@ -116,11 +140,6 @@ def whitney_residual(jets_at: Callable, c: Sequence, beta: MultiIndex,
         if sep > 0:
             out.append(ResidualSample(tuple(a), tuple(b), tuple(beta), r, sep))
     return out
-
-
-def _one_over_factorial(alpha, sample):
-    f = mi_factorial(alpha)
-    return 1.0 / f if isinstance(sample, float) else Fraction(1, f)
 
 
 def radial_pairs(c: float, scales: Sequence, direction: float = 1.0):
@@ -270,15 +289,15 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
         pts = []
         for u in params:
             if isinstance(cell, geometry.PointCell):
-                pts.append((u, tuple(float(v) for v in cell.point)))
+                x = tuple(float(v) for v in cell.point)
             else:
-                pts.append((u, tuple(float(v) for v in cell.embed(u))))
+                x = tuple(float(v) for v in cell.embed(u))
+            pts.append((u, x, _local_step(stratum, x, scene)))
         for alpha_int in multi_indices(scene.n, scene.p):
+            alpha_amb = _to_ambient_alpha(alpha_int, cell)
             worst, used = 0.0, 0
-            for u, x in pts:
+            for u, x, h in pts:
                 expect = _coeff_value(fld, alpha_int, u)
-                alpha_amb = _to_ambient_alpha(alpha_int, cell, scene.n)
-                h = _local_step(stratum, x, scene)
                 try:
                     got, _ = finite_difference(f, alpha_amb, x, h)
                 except StencilOutOfDomain:
@@ -297,14 +316,13 @@ def _coeff_value(fld: FieldSpec, alpha, u):
     return _eval_coeff(fn, u if u else (0,))
 
 
-def _to_ambient_alpha(alpha_int, cell, n):
+def _to_ambient_alpha(alpha_int, cell) -> MultiIndex:
+    """A stratum-internal multi-index on ambient axes (point cells have no
+    internal frame)."""
     from . import geometry
     if isinstance(cell, geometry.PointCell):
         return tuple(alpha_int)
-    amb = [0] * n
-    for i, k in enumerate(alpha_int):
-        amb[cell.perm[i]] = k
-    return tuple(amb)
+    return cell.to_ambient(alpha_int)
 
 
 def _local_step(stratum, x, scene) -> float:

@@ -231,6 +231,14 @@ def test_parabola_scene_agreement():
     assert rep.passed, [l for l in rep.lines()]
 
 
+@pytest.mark.parametrize("seed, eta", [(0, 0.25), (1, 0.5)])
+def test_parabola_arc_support_ratio_is_seed_pinned(seed, eta):
+    # the seeded support certificate halves eta once at seed 0, not at 1
+    f = extend_field(load_corpus_scene("parabola").scene, seed=seed)
+    (arc,) = [t for t in f.assembly_trace() if t["stratum"] == "arc"]
+    assert arc["eta"] == eta
+
+
 def test_fullspace_scene_uses_representative():
     sf = load_corpus_scene("fullspace")
     f = extend_field(sf.scene)

@@ -112,6 +112,51 @@ def test_contains_consistent_with_distance():
     assert geo.set_distance(desc, off).lo > tau
 
 
+# --- one distance table for every caller ----------------------------------
+
+FULL_PLANE = geo.GraphCell(geo.Slab(geo.Interval(None, None), None, None),
+                           (), (0, 1))
+BOX = geo.identity_graph_cell(geo.Slab(geo.Interval(0.0, 1.0),
+                                       expr.constant_fn(0, 1),
+                                       expr.constant_fn(2, 1)))
+FAR = (50.0, 0.0)
+
+
+@pytest.mark.parametrize("piece, far_distance", [
+    (geo.PointCell((0.5, -1.0)), math.hypot(49.5, 1.0)),
+    (geo.Ball((0.0, 1.0), 0.5), math.hypot(50.0, 1.0) - 0.5),
+    (FULL_PLANE, 0.0),
+    (BOX, 49.0),
+    (const_graph(2.0), math.hypot(49.0, 2.0)),
+    (parabola_cell(), None),
+], ids=["point", "ball", "full-space", "box", "constant-graph", "arc"])
+def test_set_distance_is_a_row_of_the_batched_table(piece, far_distance):
+    desc = geo.descriptor_of(piece)
+    X = np.array([FAR, (0.5, 2.4), (-1.0, 3.0), (0.3, 0.09), (2.0, -2.0),
+                  (0.5, 0.35), (0.7, 1.2)])
+    lo, up = geo.distance_brackets(desc, X, box=3.0)
+    assert np.all((0.0 <= lo) & (lo <= up))
+    for x, row_lo, row_up in zip(X, lo, up):
+        d = geo.set_distance(desc, tuple(x), box=3.0)
+        if far_distance is None:
+            # the golden-section polish may only tighten a 1-d curved cell
+            assert d.up <= row_up and d.lo == min(row_lo, d.up)
+        else:
+            assert (d.lo, d.up) == (row_lo, row_up)
+    if far_distance is not None:
+        assert up[0] == lo[0] == pytest.approx(far_distance, rel=1e-14)
+
+
+def test_net_and_table_caches_are_bounded():
+    for cache in (geo.piece_net, geo.distance_table):
+        assert cache.cache_info().maxsize is not None
+    limit = geo.piece_net.cache_info().maxsize
+    for k in range(limit + 3):
+        desc = geo.descriptor_of(parabola_cell(0.0, 1.0 + k))
+        geo.distance_brackets(desc, [(0.5, 0.5)], box=3.0, coarse=9)
+    assert geo.piece_net.cache_info().currsize == limit
+
+
 # --- sandwich inequality -------------------------------------------------
 
 def test_sandwich_constant_graph_equality():
