@@ -163,20 +163,16 @@ class _NetSoftmin(SmoothDistance):
     ``k^(-1/s) * min_i |x - a_i|`` and ``min_i |x - a_i|``, and smooth away
     from the net points themselves."""
 
-    def __init__(self, points: np.ndarray, exponent: int, collar: float):
-        self.points = points
+    def __init__(self, net: geometry.PieceNet, exponent: int):
+        self.net = net
         self.exponent = exponent
-        self.c1 = len(points) ** (-1.0 / exponent)
+        self.c1 = len(net.points) ** (-1.0 / exponent)
         self.c2 = 1.0
-        self.collar = collar
+        self.collar = float(np.median(net.cov))
 
     def _eval(self, X):
         out = np.empty(len(X))
-        chunk = max(1, 2_000_000 // max(1, len(self.points)))
-        for start in range(0, len(X), chunk):
-            sl = slice(start, min(len(X), start + chunk))
-            diff = X[sl, None, :] - self.points[None, :, :]
-            d = np.linalg.norm(diff, axis=2)
+        for sl, d in self.net.distance_chunks(X):
             m = d.min(axis=1)
             safe = np.where(m > 0.0, m, 1.0)
             ratios = np.minimum(safe[:, None] / d.clip(1e-300), 1.0)
@@ -233,8 +229,7 @@ def regularized_distance(desc: SetDescriptor,
         parts.append(_ExactDistance(table))
     total = sum(len(net.points) for net in nets) + len(exact)
     exponent = max(12, 3 * math.ceil(math.log2(total + 2)))
-    collar = max((float(np.median(net.cov)) for net in nets), default=0.0)
-    parts.extend(_NetSoftmin(net.points, exponent, collar) for net in nets)
+    parts.extend(_NetSoftmin(net, exponent) for net in nets)
     if len(exact) + len(nets) == 1:
         return parts[0]
     return _CombinedDistance(parts, exponent)

@@ -264,14 +264,13 @@ def set_distance(desc: SetDescriptor, x, tol: float = 1e-6,
 
 
 def distance_brackets(desc: SetDescriptor, X,
-                      box: float = DEFAULT_BOX_HALFWIDTH,
-                      coarse: int = DEFAULT_COARSE):
+                      box: float = DEFAULT_BOX_HALFWIDTH):
     """Lower and upper distance brackets from every row of ``X`` to the
     descriptor, as two arrays.  Empty set -> 1."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if desc.is_empty:
         return np.ones(len(X)), np.ones(len(X))
-    return distance_table(desc, box, coarse)(X)
+    return distance_table(desc, box, DEFAULT_COARSE)(X)
 
 
 @functools.lru_cache(maxsize=64)
@@ -370,6 +369,16 @@ class PieceNet:
     points: np.ndarray
     slack: np.ndarray
 
+    def distance_chunks(self, X: np.ndarray):
+        """``(rows, d)`` over consecutive row slices of ``X``, with ``d`` the
+        matrix of distances from those rows to every net point; slices are
+        sized to keep ``d`` near two million entries."""
+        n = len(X)
+        chunk = max(1, 2_000_000 // len(self.points))
+        for start in range(0, n, chunk):
+            sl = slice(start, min(n, start + chunk))
+            yield sl, _row_norms(X[sl, None, :] - self.points)
+
     def scan(self, X: np.ndarray):
         """``(lo, up, nearest)`` per row of ``X``: ``up = min_i d_i``,
         ``lo = max(0, min_i(d_i - slack_i))`` and the index of the best
@@ -377,10 +386,7 @@ class PieceNet:
         n = len(X)
         lo, up = np.empty(n), np.empty(n)
         nearest = np.empty(n, dtype=int)
-        chunk = max(1, 2_000_000 // len(self.points))
-        for start in range(0, n, chunk):
-            sl = slice(start, min(n, start + chunk))
-            d = _row_norms(X[sl, None, :] - self.points)
+        for sl, d in self.distance_chunks(X):
             nearest[sl] = np.argmin(d, axis=1)
             up[sl] = d.min(axis=1)
             lo[sl] = np.maximum(0.0, (d - self.slack).min(axis=1))

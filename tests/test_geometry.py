@@ -152,8 +152,7 @@ def test_net_and_table_caches_are_bounded():
         assert cache.cache_info().maxsize is not None
     limit = geo.piece_net.cache_info().maxsize
     for k in range(limit + 3):
-        desc = geo.descriptor_of(parabola_cell(0.0, 1.0 + k))
-        geo.distance_brackets(desc, [(0.5, 0.5)], box=3.0, coarse=9)
+        geo.piece_net(parabola_cell(0.0, 1.0 + k), 3.0, 9)
     assert geo.piece_net.cache_info().currsize == limit
 
 
