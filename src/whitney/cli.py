@@ -120,13 +120,13 @@ def cmd_extend(args) -> int:
     z_ids = [s.id for s in scene.strata if s.dim < scene.dim]
     z_desc = scene.descriptor_for(z_ids) if z_ids else None
 
+    vals, leaks = f.evaluate(pts)
     lines = [",".join([f"x{i + 1}" for i in range(scene.n)] + ["f", "d_skel"])]
-    for x in pts:
-        val = f(tuple(x))
+    for x, val in zip(pts, vals):
         dz = (geometry.set_distance(z_desc, x, box=scene.box).mid
               if z_desc is not None else 1.0)
         lines.append(",".join([repr(float(v)) for v in x]
-                              + [repr(val), repr(dz)]))
+                              + [repr(float(val)), repr(dz)]))
     samples_path = outdir / "samples.csv"
     samples_path.write_text("\n".join(lines) + "\n")
 
@@ -138,7 +138,7 @@ def cmd_extend(args) -> int:
         "seed": seed,
         "grid": [f"{a[0]}:{a[-1]}:{len(a)}" for a in axes],
         "assembly": f.assembly_trace(),
-        "leaks": f.leak_count,
+        "leaks": leaks,
         "samples_file": "samples.csv",
         "samples_sha": _file_sha(samples_path),
         "sample_count": len(pts),

@@ -34,6 +34,15 @@ from .verify import sampled_derivative_batch
 IN, OUT, INDETERMINATE = 1, 0, -1
 
 
+def _point_or_batch(batch_fn, x):
+    """``batch_fn`` (``(N, n)`` rows to ``N`` values) applied to ``x``: an
+    ``(N, n)`` array gives the array, a point gives a float (a 1-row batch)."""
+    X = np.asarray(x, dtype=float)
+    if X.ndim > 1:
+        return batch_fn(X)
+    return float(batch_fn(np.atleast_2d(X))[0])
+
+
 # ---------------------------------------------------------------------------
 # transition profile
 
@@ -48,13 +57,7 @@ class TransitionProfile:
     rising: tuple  # Fraction coefficients of the degree-(2q+1) ramp, low->high
 
     def __call__(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        s_mid = np.clip(np.nan_to_num(s_arr, nan=2.0, posinf=2.0,
-                                      neginf=-1.0), -1.0, 2.0)
-        mid = np.zeros_like(s_mid)
-        c = [float(v) for v in self.rising]
-        for coeff in reversed(c):
-            mid = mid * s_mid + coeff
+        s_mid, mid = _clipped_horner(self.rising, s)
         # Horner rounding can overshoot the exact ramp by ~1 ulp at the
         # joints; fold it back so the range is exactly [0, 1]
         ramp = np.clip(1.0 - mid, 0.0, 1.0)
@@ -78,14 +81,19 @@ class TransitionProfile:
         coeffs = list(self.rising)
         for _ in range(k):
             coeffs = [c * (i + 1) for i, c in enumerate(coeffs[1:])]
-        s_arr = np.asarray(s, dtype=float)
-        s_mid = np.clip(np.nan_to_num(s_arr, nan=2.0, posinf=2.0,
-                                      neginf=-1.0), -1.0, 2.0)
-        mid = np.zeros_like(s_mid)
-        for coeff in reversed([float(v) for v in coeffs]):
-            mid = mid * s_mid + coeff
+        s_mid, mid = _clipped_horner(coeffs, s)
         out = np.where((s_mid <= 0.0) | (s_mid >= 1.0), 0.0, -mid)
         return float(out) if np.isscalar(s) or out.ndim == 0 else out
+
+
+def _clipped_horner(coeffs, s):
+    """``s`` clipped to [-1, 2] (NaN to 2) and ``coeffs`` by Horner there."""
+    s_mid = np.clip(np.nan_to_num(np.asarray(s, dtype=float), nan=2.0,
+                                  posinf=2.0, neginf=-1.0), -1.0, 2.0)
+    mid = np.zeros_like(s_mid)
+    for coeff in reversed([float(v) for v in coeffs]):
+        mid = mid * s_mid + coeff
+    return s_mid, mid
 
 
 def smooth_transition(q: int) -> TransitionProfile:
@@ -119,9 +127,7 @@ class SmoothDistance:
     width: int = 1       # columns it contributes to a combined soft minimum
 
     def __call__(self, x):
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-        out = self._eval(X)
-        return float(out[0]) if np.asarray(x).ndim == 1 else out
+        return _point_or_batch(self._eval, x)
 
     def _eval(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -305,21 +311,19 @@ class CutoffFn:
         self.rho_prime = rho_prime
 
     def ratio(self, x):
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-        dw = self.d_w._eval(X)
-        dz = self.d_z._eval(X)
-        r = np.where(dz > 0.0, dw / np.where(dz > 0.0, dz, 1.0), np.inf)
-        return r if np.asarray(x).ndim > 1 else float(r[0])
+        def batch(X):
+            dw, dz = self.d_w._eval(X), self.d_z._eval(X)
+            return np.where(dz > 0.0, dw / np.where(dz > 0.0, dz, 1.0), np.inf)
+        return _point_or_batch(batch, x)
 
     def __call__(self, x):
+        return _point_or_batch(self._eval, x)
+
+    def _eval(self, X):
         if self.spec.w_desc.is_empty:
-            X = np.atleast_2d(np.asarray(x, dtype=float))
-            out = np.zeros(len(X))
-            return out if np.asarray(x).ndim > 1 else 0.0
-        r = np.asarray(self.ratio(x))
-        t = (r - self.rho_int) / (self.eta_int - self.rho_int)
-        out = self.profile(t)
-        return out if np.asarray(x).ndim > 1 else float(out)
+            return np.zeros(len(X))
+        t = (self.ratio(X) - self.rho_int) / (self.eta_int - self.rho_int)
+        return self.profile(t)
 
 
 def _on_set_probes(desc: SetDescriptor, box: float):

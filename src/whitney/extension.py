@@ -22,13 +22,13 @@ import numpy as np
 
 from . import cutoff as cutoff_mod
 from . import expr, geometry, verify
-from .cutoff import CutoffFn, CutoffSpec, build_cutoff
+from .cutoff import CutoffFn, CutoffSpec, build_cutoff, _point_or_batch
 from .errors import (FlatnessDeclarationMissing, SequenceLeavesCone,
                      SingularPoint, StratificationInvalid, SupportLeak)
 from .geometry import (EMPTY_SET, GraphCell, PointCell, SetDescriptor,
                        open_cell_contains)
-from .jets import (FieldSpec, PointJet, jet_compose, jet_eval, mi_factorial,
-                   mi_order, multi_indices, taylor_jet, _eval_coeff)
+from .jets import (FieldSpec, PointJet, jet_compose, mi_factorial, mi_order,
+                   multi_indices, taylor_jet)
 
 # ---------------------------------------------------------------------------
 # scenes
@@ -42,8 +42,6 @@ class Stratum:
 
     @property
     def dim(self) -> int:
-        if isinstance(self.cell, PointCell):
-            return 0
         return self.cell.intrinsic_dim
 
     def feature_size(self, x, scene) -> float:
@@ -156,8 +154,7 @@ class Scene:
                 if other.id == s.id:
                     continue
                 for u in params[:8]:
-                    x = (s.cell.point if isinstance(s.cell, PointCell)
-                         else s.cell.embed(u))
+                    x = s.cell.embed(u)
                     if geometry.contains(other.cell, x, 1e-9) == "inside":
                         out.append(f"strata {s.id!r} and {other.id!r} overlap")
                         break
@@ -180,12 +177,17 @@ class PointGlueTerm:
         self.omega = omega
         self.center = np.asarray([float(v) for v in jet.base])
 
-    def __call__(self, x) -> float:
-        w = self.omega(np.asarray(x, dtype=float))
-        if w == 0.0:
-            return 0.0
-        offset = [float(v) - c for v, c in zip(x, self.center)]
-        return float(jet_eval(self.jet, offset)) * w
+    def __call__(self, x):
+        return _point_or_batch(lambda X: self.evaluate(X)[0], x)
+
+    def evaluate(self, X: np.ndarray):
+        """``(values, leaks)`` on the rows of ``X``; a ball term never leaks."""
+        w = self.omega(X)
+        out = np.zeros(len(X))
+        rows = np.flatnonzero(w)
+        coeffs = [(a, float(c)) for a, c in self.jet.coeffs.items()]
+        out[rows] = _jet_polynomial(coeffs, X[rows] - self.center) * w[rows]
+        return out, np.zeros(len(X), dtype=bool)
 
     def trace(self) -> dict:
         return {"kind": "point", "stratum": self.stratum_id,
@@ -206,44 +208,59 @@ class CellTerm:
         self.normal_coeffs = dict(normal_coeffs)
         self.omega = omega
         self.eta = eta
-        self.leaks = 0
 
-    def local_value(self, u, w_offsets) -> float:
-        total = 0.0
-        for beta, fn in self.normal_coeffs.items():
-            c = float(_eval_coeff(fn, u))
-            if c == 0.0:
-                continue
-            term = c / mi_factorial(beta)
-            for off, k in zip(w_offsets, beta):
-                if k:
-                    term *= off ** k
-            total += term
-        return total
+    def __call__(self, x):
+        return _point_or_batch(lambda X: self.evaluate(X)[0], x)
 
-    def __call__(self, x) -> float:
-        w = self.omega(np.asarray(x, dtype=float))
-        if w == 0.0:
-            return 0.0
+    def evaluate(self, X: np.ndarray):
+        """``(values, leaks)`` on the rows of ``X``; ``leaks`` marks rows
+        where the cutoff is nonzero off the cell, which count as zero."""
+        w = self.omega(X)
         m = self.cell.intrinsic_dim
-        y = self.cell.to_internal(x)
-        u, wp = tuple(float(v) for v in y[:m]), y[m:]
-        if open_cell_contains(self.cell.base, u, 1e-12) == "outside":
-            self.leaks += 1          # support was validated; treat as zero
-            return 0.0
-        try:
-            offs = [float(wi) - float(expr.evaluate(phi, u))
-                    for wi, phi in zip(wp, self.cell.graph)]
-        except SingularPoint:
-            self.leaks += 1
-            return 0.0
-        return self.local_value(u, offs) * w
+        Y = X[:, list(self.cell.perm)]           # internal coordinates
+        leaks = np.zeros(len(X), dtype=bool)
+        for i in np.flatnonzero(w):
+            u = tuple(Y[i, :m].tolist())
+            leaks[i] = open_cell_contains(self.cell.base, u,
+                                          1e-12) == "outside"
+            try:
+                if not leaks[i]:                 # normal offsets
+                    Y[i, m:] -= [float(expr.evaluate(phi, u))
+                                 for phi in self.cell.graph]
+            except SingularPoint:
+                leaks[i] = True
+        out = np.zeros(len(X))
+        rows = np.flatnonzero((w != 0.0) & ~leaks)
+        if len(rows):
+            coeffs = [(beta, _coefficient_rows(fn, Y[rows, :m]))
+                      for beta, fn in self.normal_coeffs.items()]
+            out[rows] = _jet_polynomial(coeffs, Y[rows, m:]) * w[rows]
+        return out, leaks
 
     def trace(self) -> dict:
         return {"kind": "cell", "stratum": self.stratum_id, "eta": self.eta,
                 "cutoff": {"eta": self.omega.spec.eta,
                            "q": self.omega.spec.q},
                 "hash": _term_hash(sorted(self.normal_coeffs))}
+
+
+def _coefficient_rows(fn, U: np.ndarray) -> np.ndarray:
+    """A coefficient on rows ``U``: an expression row by row, else batched."""
+    if isinstance(fn, expr.ExprFn):
+        return np.asarray([float(expr.evaluate(fn, u)) for u in U.tolist()])
+    return np.asarray(fn(U), dtype=float)
+
+
+def _jet_polynomial(coeffs, offsets: np.ndarray) -> np.ndarray:
+    """Rows of ``sum c / beta! * offsets^beta``; a zero ``c`` adds nothing."""
+    total = np.zeros(len(offsets))
+    for beta, c in coeffs:
+        term = c / mi_factorial(beta)
+        for j, k in enumerate(beta):
+            if k:
+                term = term * offsets[:, j] ** k
+        total += np.where(c == 0.0, 0.0, term)
+    return total
 
 
 def _term_hash(payload) -> str:
@@ -263,26 +280,25 @@ class ExtensionFn:
         self.sub = sub
         self.label = label
 
-    def __call__(self, x) -> float:
-        total = self.sub(x) if self.sub is not None else 0.0
-        for t in self.terms:
-            total += t(x)
-        return float(total)
+    def __call__(self, x):
+        return _point_or_batch(lambda X: self.evaluate(X)[0], x)
 
-    def derivative(self, x, alpha, h: float = 1e-4) -> float:
-        val, _ = verify.finite_difference(self.__call__, alpha, x, h)
-        return val
+    def evaluate(self, X: np.ndarray):
+        """``(values, leaks)`` on the rows of ``X``; ``leaks`` counts the
+        leaking rows of every cell term here and in the skeleton."""
+        total, leaks = (self.sub.evaluate(X) if self.sub is not None
+                        else (np.zeros(len(X)), 0))
+        for t in self.terms:
+            vals, leak = t.evaluate(X)
+            total += vals
+            leaks += int(np.count_nonzero(leak))
+        return total, leaks
 
     def assembly_trace(self) -> list[dict]:
         out = [t.trace() for t in self.terms]
         if self.sub is not None:
             out.extend(self.sub.assembly_trace())
         return out
-
-    @property
-    def leak_count(self) -> int:
-        own = sum(getattr(t, "leaks", 0) for t in self.terms)
-        return own + (self.sub.leak_count if self.sub else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +401,8 @@ def subtract_taylor(fields: Mapping[str, FieldSpec], scene: Scene,
                     ) -> dict[str, FieldSpec]:
     """New field family with coefficients ``F^alpha - D^alpha g`` sampled
     along every stratum.  Where ``g`` already realizes the field the
-    result is numerically flat."""
+    result is numerically flat.  ``g`` and each new coefficient take row
+    batches; one batch of a coefficient is one stencil call on ``g``."""
     out = {}
     for stratum in scene.strata:
         fld = fields[stratum.id]
@@ -401,19 +418,15 @@ def subtract_taylor(fields: Mapping[str, FieldSpec], scene: Scene,
 
 def _subtracted_coeff(orig, cell, alpha_int, g: ExtensionFn,
                       h: float) -> Callable:
-    alpha_amb = verify._to_ambient_alpha(alpha_int, cell)
-    if isinstance(cell, PointCell):
-        embed = lambda u: tuple(float(v) for v in cell.point)
-    else:
-        embed = lambda u: tuple(float(v) for v in cell.embed(u))
+    alpha_amb = cell.to_ambient(alpha_int)
 
-    def fn(u):
-        x = embed(u)
-        base = float(_eval_coeff(orig, u))
-        d, _ = verify.finite_difference(g, alpha_amb, x, h)
-        return base - d
+    def batch(U):
+        X = np.asarray([[float(v) for v in cell.embed(u)] for u in U.tolist()])
+        d = verify.sampled_derivative_batch(g, X, alpha_amb,
+                                            np.full(len(X), h))
+        return _coefficient_rows(orig, U) - d
 
-    return fn
+    return lambda u: _point_or_batch(batch, u)
 
 
 # ---------------------------------------------------------------------------

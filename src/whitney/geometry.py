@@ -96,7 +96,15 @@ class GraphCell:
 
 @dataclass(frozen=True)
 class PointCell:
+    """A point: its frame is the ambient one, any parameter embeds to it."""
     point: tuple
+    intrinsic_dim = 0
+
+    def to_ambient(self, y):
+        return tuple(y)
+
+    def embed(self, u):
+        return self.point
 
 
 Cell = Union[GraphCell, PointCell]
@@ -371,10 +379,10 @@ class PieceNet:
 
     def distance_chunks(self, X: np.ndarray):
         """``(rows, d)`` over consecutive row slices of ``X``, with ``d`` the
-        matrix of distances from those rows to every net point; slices are
-        sized to keep ``d`` near two million entries."""
+        matrix of distances from those rows to every net point; ``d`` stays
+        near 200,000 entries, which bounds the memory of a batched call."""
         n = len(X)
-        chunk = max(1, 2_000_000 // len(self.points))
+        chunk = max(1, 200_000 // len(self.points))
         for start in range(0, n, chunk):
             sl = slice(start, min(n, start + chunk))
             yield sl, _row_norms(X[sl, None, :] - self.points)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateScales, StencilOutOfDomain
-from .jets import (FieldSpec, MultiIndex, _inv_factorial, mi_order,
+from .jets import (MultiIndex, _eval_coeff, _inv_factorial, mi_order,
                    multi_indices)
 
 # ---------------------------------------------------------------------------
@@ -274,8 +274,8 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
     """Compare sampled derivatives of an extension against the scene's
     declared jet coefficients on every stratum.
 
-    Deviation is measured relative to ``1 + |F^alpha|``; the step size is
-    scaled to the local feature size per the sampling plan.
+    One batched stencil call of ``f`` per (stratum, alpha); deviation is
+    relative to ``1 + |F^alpha|``, the step scaled to the local feature size.
     """
     from . import geometry  # local import to keep module layers acyclic
 
@@ -286,43 +286,18 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
         cell = stratum.cell
         params = geometry.stratum_samples(cell, samples_per_stratum,
                                           scene.box, rng=rng)
-        pts = []
-        for u in params:
-            if isinstance(cell, geometry.PointCell):
-                x = tuple(float(v) for v in cell.point)
-            else:
-                x = tuple(float(v) for v in cell.embed(u))
-            pts.append((u, x, _local_step(stratum, x, scene)))
+        X = np.asarray([[float(v) for v in cell.embed(u)] for u in params])
+        H = np.asarray([_local_step(stratum, x, scene) for x in X])
         for alpha_int in multi_indices(scene.n, scene.p):
-            alpha_amb = _to_ambient_alpha(alpha_int, cell)
-            worst, used = 0.0, 0
-            for u, x, h in pts:
-                expect = _coeff_value(fld, alpha_int, u)
-                try:
-                    got, _ = finite_difference(f, alpha_amb, x, h)
-                except StencilOutOfDomain:
-                    continue
-                dev = abs(got - float(expect)) / (1.0 + abs(float(expect)))
-                worst = max(worst, dev)
-                used += 1
+            got = sampled_derivative_batch(f, X, cell.to_ambient(alpha_int), H)
+            expect = np.asarray([float(_eval_coeff(fld.coeffs[alpha_int],
+                                                   u or (0,)))
+                                 for u in params])
+            dev = np.abs(got - expect) / (1.0 + np.abs(expect))
+            worst = float(dev.max())
             report.entries.append(AgreementEntry(
-                stratum.id, alpha_int, worst, used, worst < tol))
+                stratum.id, alpha_int, worst, len(params), worst < tol))
     return report
-
-
-def _coeff_value(fld: FieldSpec, alpha, u):
-    fn = fld.coeffs[tuple(alpha)]
-    from .jets import _eval_coeff
-    return _eval_coeff(fn, u if u else (0,))
-
-
-def _to_ambient_alpha(alpha_int, cell) -> MultiIndex:
-    """A stratum-internal multi-index on ambient axes (point cells have no
-    internal frame)."""
-    from . import geometry
-    if isinstance(cell, geometry.PointCell):
-        return tuple(alpha_int)
-    return cell.to_ambient(alpha_int)
 
 
 def _local_step(stratum, x, scene) -> float:

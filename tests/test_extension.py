@@ -8,7 +8,8 @@ from whitney import geometry as geo
 from whitney.cutoff import CutoffSpec, build_cutoff
 from whitney.errors import (ConsistencyViolation, FlatnessDeclarationMissing,
                             SequenceLeavesCone, StratificationInvalid)
-from whitney.extension import (Scene, Stratum, check_stratum_consistency,
+from whitney.extension import (CellTerm, Scene, Stratum,
+                               check_stratum_consistency,
                                extend_field, extend_on_cell,
                                flatness_rate_probe, shift_field,
                                subtract_taylor)
@@ -168,6 +169,40 @@ def test_support_discipline():
             assert term((float(x),)) == 0.0
 
 
+def test_oversized_cone_leaks_are_reported_not_stored():
+    """A cone of ratio 2 reaches x < 0, off the ray: evaluation reports
+    exactly those rows as leaks, gives 0 there, and mutates nothing."""
+    scene = halfline_scene()
+    ray = scene.stratum("ray").cell
+    spec = CutoffSpec(geo.descriptor_of(ray), scene.descriptor_for(["origin"]),
+                      2.0, scene.q, box=scene.box)
+    term = CellTerm("ray", ray, {(): scene.fields["ray"].coeffs[(0,)]},
+                    build_cutoff(spec), 2.0)
+    X = np.linspace(-2.0, 2.0, 41)[:, None]
+    before = {k: (dict(v) if isinstance(v, dict) else v)
+              for k, v in vars(term).items()}
+    vals, leaks = term.evaluate(X)
+    assert np.array_equal(leaks, X[:, 0] < 0.0)
+    assert np.all(vals[leaks] == 0.0)
+    assert vals[-1] == 8.0
+    again = term.evaluate(X)
+    assert np.array_equal(vals, again[0]) and np.array_equal(leaks, again[1])
+    assert vars(term) == before
+
+
+@pytest.mark.parametrize("name", ["points", "halfline", "parabola", "square",
+                                  "fullspace"])
+def test_batched_extension_matches_pointwise(name):
+    """One (N, n) call gives, bit for bit, the values of N point calls."""
+    scene = load_corpus_scene(name).scene
+    f = extend_field(scene)
+    X = np.random.default_rng(5).uniform(-1.0, 2.0, (60, scene.n))
+    batch = f(X)
+    points = np.asarray([f(x) for x in X])
+    assert batch.shape == (60,) and isinstance(f(X[0]), float)
+    assert batch.tobytes() == points.tobytes()
+
+
 # --- Taylor-data subtraction ------------------------------------------------
 
 
@@ -194,7 +229,8 @@ def test_subtract_taylor_exact_extension_flattens():
 def test_subtract_taylor_polynomial_matches_symbolic():
     scene = halfline_scene()
     g_expr = expr.polynomial(1, {(3,): 1})              # the field's own rep
-    g = lambda x: float(expr.evaluate(g_expr, tuple(x)))
+    g = lambda X: np.asarray([float(expr.evaluate(g_expr, tuple(x)))
+                              for x in X])
     out = subtract_taylor(scene.fields, scene, g)
     for u in [(0.4,), (1.1,), (2.3,)]:
         assert out["ray"].coeffs[(0,)](u) == pytest.approx(0.0, abs=1e-11)
@@ -211,8 +247,7 @@ def test_points_scene_interpolates_jets():
     d0, _ = finite_difference(f, (1,), (0.0,), 1e-3)
     d1, _ = finite_difference(f, (1,), (1.0,), 1e-3)
     assert abs(d0) < 1e-10 and abs(d1 - 2.0) < 1e-10
-    assert f.derivative((1.0,), (1,)) == pytest.approx(2.0, abs=1e-9)
-    assert f.leak_count == 0
+    assert f.evaluate(np.linspace(-1.0, 2.0, 31)[:, None])[1] == 0
     kinds = {t["kind"] for t in f.assembly_trace()}
     assert kinds == {"point"}
 
