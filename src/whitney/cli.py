@@ -118,15 +118,14 @@ def cmd_extend(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     z_ids = [s.id for s in scene.strata if s.dim < scene.dim]
-    z_desc = scene.descriptor_for(z_ids) if z_ids else None
+    lo, up = geometry.distance_brackets(scene.descriptor_for(z_ids), pts,
+                                        scene.box)
 
     vals, leaks = f.evaluate(pts)
     lines = [",".join([f"x{i + 1}" for i in range(scene.n)] + ["f", "d_skel"])]
-    for x, val in zip(pts, vals):
-        dz = (geometry.set_distance(z_desc, x, box=scene.box).mid
-              if z_desc is not None else 1.0)
+    for x, val, dz in zip(pts, vals, 0.5 * (lo + up)):
         lines.append(",".join([repr(float(v)) for v in x]
-                              + [repr(float(val)), repr(dz)]))
+                              + [repr(float(val)), repr(float(dz))]))
     samples_path = outdir / "samples.csv"
     samples_path.write_text("\n".join(lines) + "\n")
 

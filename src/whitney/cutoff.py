@@ -9,11 +9,12 @@ is identically 1 on a smaller cone neighborhood, vanishes outside
 stay below ``C / d(x, Z)^{|a|}`` -- checked numerically, never proved.
 
 The construction composes a polynomial transition profile with the ratio
-of two *regularized* distances.  Points, balls, boxes and full spaces get
-the exact distance rules of :mod:`whitney.geometry`; every other
-descriptor piece is replaced by a power-mean soft minimum over a parameter
-net clustered toward the piece's frontier, which is smooth away from the
-set and comparable to the true distance at the scales the cutoff
+of two *regularized* distances.  Both read the exact distance rules of
+:mod:`whitney.geometry` for points, balls, boxes and full spaces; the W
+side also reads the exact rule when W is one constant graph over a box.
+Every other graph cell is replaced by a power-mean soft minimum over a
+parameter net clustered toward the piece's frontier, which is smooth away
+from the set and comparable to the true distance at the scales the cutoff
 transition lives on.
 """
 from __future__ import annotations
@@ -145,13 +146,13 @@ class _ConstantDistance(SmoothDistance):
 
 
 class _ExactDistance(SmoothDistance):
-    """Exact distances to a descriptor's point, ball and box pieces, one
-    column per piece (:meth:`geometry.DistanceTable.exact`); standing
-    alone it is the distance to its single piece.  The box distance is
-    identically zero on the cell, so a cutoff plateau covers it exactly;
-    its second derivative jumps only across corner-extension planes, where
-    the surrounding cutoff is constant whenever the excluded set contains
-    the cell's boundary."""
+    """Exact distances to a descriptor's closed-form pieces, one column per
+    piece (:meth:`geometry.DistanceTable.exact`); standing alone it is the
+    distance to its single piece.  A box or constant-graph distance is zero
+    on the cell, so a cutoff plateau covers it exactly, and bends only
+    where the cell's nearest point lies on its frontier.  As the W side of
+    a cutoff this needs W's frontier inside Z, which scene validation
+    checks: there ``d~_Z <= d_Z <= d_W`` and the cutoff is identically 0."""
 
     def __init__(self, table: geometry.DistanceTable):
         self.table = table
@@ -210,24 +211,24 @@ def regularized_distance(desc: SetDescriptor,
                          ) -> SmoothDistance:
     """Smooth evaluable surrogate for ``d(x, desc)``.
 
-    Points, balls, boxes and the full space are exact.  Every graph cell
-    (constant graphs included) and every other cell closure becomes a soft
-    minimum over its cached frontier-clustered net.  The combination
-    exponent is chosen from the total net size so the comparability ratio
-    ``c2/c1`` stays near or below 2.
+    Points, balls, boxes and the full space are exact columns of the
+    descriptor's table.  Every graph cell (constant graphs included: as
+    part of Z their exact distance would bend inside W's transition shell)
+    and every other cell closure becomes a soft minimum over its cached
+    frontier-clustered net.  The combination exponent is chosen from the
+    total net size so the comparability ratio ``c2/c1`` stays near or
+    below 2.  :func:`build_cutoff` reads a single closed-form W exactly
+    instead, which needs W's frontier in Z (scene validation checks it).
     """
     if desc.is_empty:
         return _ConstantDistance(1.0)
     exact, nets = [], []
     for piece in desc.pieces:
-        if isinstance(piece, GraphCell):
-            if geometry._is_full_space(piece):
-                return _ConstantDistance(0.0)
-            if piece.graph or geometry.closed_form_box(piece, box) is None:
-                nets.append(geometry.piece_net(piece, box,
-                                               geometry.DEFAULT_COARSE))
-                continue
-        exact.append(piece)
+        if _soft_minned(piece, box):
+            nets.append(geometry.piece_net(piece, box,
+                                           geometry.DEFAULT_COARSE))
+        else:
+            exact.append(piece)
     parts: list[SmoothDistance] = []
     if exact:
         table = geometry.distance_table(SetDescriptor(tuple(exact)), box,
@@ -241,29 +242,33 @@ def regularized_distance(desc: SetDescriptor,
     return _CombinedDistance(parts, exponent)
 
 
+def _soft_minned(piece, box: float) -> bool:
+    """Whether :func:`regularized_distance` soft-mins ``piece`` over its
+    net: every graph cell with a graph, and every cell without a closed
+    form."""
+    return isinstance(piece, GraphCell) and (
+        bool(piece.graph) or geometry.closed_form_box(piece, box) is None)
+
+
 def cone_membership(x, w_desc: SetDescriptor, z_desc: SetDescriptor,
                     eta: float, tau: float = 1e-12,
                     box: float = geometry.DEFAULT_BOX_HALFWIDTH) -> int:
-    """Certified membership of ``x`` in the cone neighborhood
-    ``{d(x, W) < eta * d(x, Z)}``: IN when the upper W-bracket beats the
-    lower Z-bracket, OUT for the reverse certificate, INDETERMINATE when
-    the brackets overlap.  Raises :class:`OnZ` within ``tau`` of Z."""
-    dw = geometry.set_distance(w_desc, x, box=box)
-    dz = geometry.set_distance(z_desc, x, box=box)
-    if dz.up <= tau:
+    """Certified membership of the point ``x`` in the cone neighborhood
+    ``{d(x, W) < eta * d(x, Z)}``: the 1-row :func:`cone_membership_batch`.
+    Raises :class:`OnZ` within ``tau`` of Z."""
+    member, up_z = cone_membership_batch(w_desc, z_desc, eta, [x], box)
+    if up_z[0] <= tau:
         raise OnZ(f"point {tuple(x)} lies on the excluded set")
-    if dw.up < eta * dz.lo:
-        return IN
-    if dw.lo >= eta * dz.up:
-        return OUT
-    return INDETERMINATE
+    return int(member[0])
 
 
 def cone_membership_batch(w_desc: SetDescriptor, z_desc: SetDescriptor,
                           eta: float, X: np.ndarray,
                           box: float = geometry.DEFAULT_BOX_HALFWIDTH):
-    """Vectorized membership certificates; returns int array of
-    IN / OUT / INDETERMINATE and the Z upper bracket for reuse."""
+    """Membership certificates for the rows of ``X``: IN when the upper
+    W-bracket beats ``eta`` times the lower Z-bracket, OUT for the reverse
+    certificate, INDETERMINATE when the brackets overlap.  Returns the int
+    array and the Z upper bracket for reuse."""
     lo_w, up_w = geometry.distance_brackets(w_desc, X, box)
     lo_z, up_z = geometry.distance_brackets(z_desc, X, box)
     out = np.full(len(np.atleast_2d(X)), INDETERMINATE, dtype=int)
@@ -326,27 +331,13 @@ class CutoffFn:
         return self.profile(t)
 
 
-def _on_set_probes(desc: SetDescriptor, box: float):
-    """Points on (or extremely near) the descriptor, for measuring the
-    regularized distance's residual ratio where it should vanish."""
-    pts = []
-    for piece in desc.pieces:
-        if isinstance(piece, PointCell):
-            pts.append([float(v) for v in piece.point])
-        elif isinstance(piece, Ball):
-            c = np.asarray([float(v) for v in piece.center])
-            pts.append(list(c))
-            for i in range(len(c)):
-                for sign in (-1.0, 1.0):
-                    q = c.copy()
-                    q[i] += sign * piece.radius
-                    pts.append(list(q))
-        elif isinstance(piece, GraphCell):
-            if not geometry._is_full_space(piece):
-                net = geometry.piece_net(piece, box,
-                                         geometry.DEFAULT_COARSE).points
-                pts.extend(net[::max(1, len(net) // 512)].tolist())
-    return np.asarray(pts, dtype=float) if pts else None
+def _on_set_probes(desc: SetDescriptor, box: float) -> np.ndarray:
+    """Net points of the soft-minned pieces of ``desc``, where the
+    regularized distance should vanish but a soft minimum need not (exact
+    columns vanish on their pieces)."""
+    nets = [geometry.piece_net(p, box, geometry.DEFAULT_COARSE).points
+            for p in desc.pieces if _soft_minned(p, box)]
+    return np.vstack([net[::max(1, len(net) // 512)] for net in nets])
 
 
 def build_cutoff(spec: CutoffSpec) -> CutoffFn:
@@ -354,11 +345,15 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
     for ``spec``; :func:`verify_cutoff` is the authority on whether it
     does.
 
-    The transition starts at ``rho`` (default ``eta * (c1/c2)^2 / 2``) in
+    When W is one piece with a closed form (a point, ball, box, the full
+    space or a constant graph over a box), ``d_w`` is its exact distance,
+    sound because validation puts W's frontier in Z (:class:`_ExactDistance`);
+    otherwise it is :func:`regularized_distance`.  The transition starts at ``rho`` (default ``eta * (c1/c2)^2 / 2``) in
     regularized-ratio units, so comparability slack cannot push the
     plateau past the support ratio; the certified plateau ``rho_prime`` in
     true-distance units additionally subtracts the surrogate's measured
-    residual ratio at on-set probe points (nonzero for net-backed pieces).
+    residual ratio at on-set probe points of its soft-minned pieces (0 for
+    an exact ``d_w``).
     """
     profile = smooth_transition(max(spec.q, 4))
     if spec.w_desc.is_empty:
@@ -366,7 +361,10 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
         d_z = regularized_distance(spec.z_desc, spec.box)
         return CutoffFn(spec, d_w, d_z, profile, spec.eta, spec.eta / 2,
                         spec.eta / 2)
-    d_w = regularized_distance(spec.w_desc, spec.box)
+    table = geometry.distance_table(spec.w_desc, spec.box,
+                                    geometry.DEFAULT_COARSE)
+    d_w = (_ExactDistance(table) if len(table.lows) == 1 and not table.nets
+           else regularized_distance(spec.w_desc, spec.box))
     d_z = regularized_distance(spec.z_desc, spec.box)
     c_ratio = min(d_w.c1 / d_z.c2, d_z.c1 / d_w.c2)
     if c_ratio ** 2 / 2.0 < 5e-3:
@@ -377,9 +375,9 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
     rho_int = spec.rho if spec.rho is not None else eta_int * c_ratio / 2.0
     if not rho_int < eta_int:
         raise SlackTooLarge("requested rho does not clear the support ratio")
-    probes = _on_set_probes(spec.w_desc, spec.box)
     residual = 0.0
-    if probes is not None and not spec.z_desc.is_empty:
+    if not isinstance(d_w, _ExactDistance) and not spec.z_desc.is_empty:
+        probes = _on_set_probes(spec.w_desc, spec.box)
         dz_vals = d_z._eval(probes)
         dw_vals = d_w._eval(probes)
         ok = dz_vals > 0
@@ -480,7 +478,7 @@ def verify_cutoff(omega: CutoffFn, spec: CutoffSpec, grid: int = 100,
             if mi_order(alpha) == 0:
                 continue
             if len(Xa):
-                d = sampled_derivative_batch(omega, Xa, alpha, h)
+                d, _ = sampled_derivative_batch(omega, Xa, alpha, h)
                 c = float(np.max(np.abs(d) * dz_a ** mi_order(alpha)))
             else:
                 c = 0.0

@@ -24,7 +24,8 @@ from . import cutoff as cutoff_mod
 from . import expr, geometry, verify
 from .cutoff import CutoffFn, CutoffSpec, build_cutoff, _point_or_batch
 from .errors import (FlatnessDeclarationMissing, SequenceLeavesCone,
-                     SingularPoint, StratificationInvalid, SupportLeak)
+                     SingularPoint, StratificationInvalid, SupportLeak,
+                     UnsupportedDescriptor)
 from .geometry import (EMPTY_SET, GraphCell, PointCell, SetDescriptor,
                        open_cell_contains)
 from .jets import (FieldSpec, PointJet, jet_compose, mi_factorial, mi_order,
@@ -43,15 +44,6 @@ class Stratum:
     @property
     def dim(self) -> int:
         return self.cell.intrinsic_dim
-
-    def feature_size(self, x, scene) -> float:
-        """Distance to the stratum's declared boundary (1 when there is
-        none); used to scale finite-difference steps."""
-        if not self.boundary_ids:
-            return 1.0
-        b = geometry.set_distance(scene.descriptor_for(self.boundary_ids), x,
-                                  box=scene.box)
-        return b.lo if b.lo > 0.0 else b.up
 
 
 @dataclass(frozen=True)
@@ -123,7 +115,7 @@ class Scene:
         out = []
         try:
             frontier = geometry.graph_cell_frontier(s.cell, self.box)
-        except Exception:
+        except UnsupportedDescriptor:
             return out
         if frontier.is_empty:
             return out
@@ -148,7 +140,7 @@ class Scene:
         for s in self.strata:
             try:
                 params = geometry.stratum_samples(s.cell, 16, self.box)
-            except Exception:
+            except UnsupportedDescriptor:
                 continue
             for other in self.strata:
                 if other.id == s.id:
@@ -422,8 +414,8 @@ def _subtracted_coeff(orig, cell, alpha_int, g: ExtensionFn,
 
     def batch(U):
         X = np.asarray([[float(v) for v in cell.embed(u)] for u in U.tolist()])
-        d = verify.sampled_derivative_batch(g, X, alpha_amb,
-                                            np.full(len(X), h))
+        d, _ = verify.sampled_derivative_batch(g, X, alpha_amb,
+                                               np.full(len(X), h))
         return _coefficient_rows(orig, U) - d
 
     return lambda u: _point_or_batch(batch, u)
@@ -499,7 +491,7 @@ def _frontier_shells(cell: GraphCell, rng, scene) -> Optional[np.ndarray]:
     frontier, where cone support violations concentrate."""
     try:
         frontier = geometry.graph_cell_frontier(cell, scene.box)
-    except Exception:
+    except UnsupportedDescriptor:
         return None
     pts = [np.asarray([float(v) for v in p.point])
            for p in frontier.pieces if isinstance(p, PointCell)]

@@ -45,40 +45,38 @@ def _tensor_stencil(alpha: MultiIndex) -> tuple:
     return tuple(stencil)
 
 
-def _central_once(f: Callable, alpha: MultiIndex, x: Sequence[float],
-                  h: float) -> float:
-    total = 0.0
-    for off, wt in _tensor_stencil(tuple(alpha)):
-        pt = [xi + o * h for xi, o in zip(x, off)]
-        try:
-            total += wt * float(f(pt))
-        except Exception as exc:
-            raise StencilOutOfDomain(
-                f"stencil point {tuple(pt)} not evaluable: {exc}") from exc
-    return total / h ** mi_order(alpha)
-
-
 def finite_difference(f: Callable, alpha: MultiIndex, x: Sequence[float],
                       h: float = 1e-3) -> tuple[float, float]:
-    """Richardson-extrapolated central difference of mixed order ``alpha``.
+    """``(value, error_estimate)`` of :func:`sampled_derivative_batch` at
+    the one point ``x``, for a callable ``f`` of one point (a list of
+    coordinates); a stencil point where ``f`` raises gives
+    :class:`StencilOutOfDomain`."""
+    def rows(P):
+        out = []
+        for pt in P.tolist():
+            try:
+                out.append(float(f(pt)))
+            except Exception as exc:
+                raise StencilOutOfDomain(
+                    f"stencil point {tuple(pt)} not evaluable: {exc}") from exc
+        return out
 
-    Returns ``(value, error_estimate)``; the estimate is the disagreement
-    between the two step sizes scaled by the extrapolation factor, so for
-    smooth inputs halving ``h`` shrinks it by about 4x.
-    """
-    if mi_order(alpha) == 0:
-        return float(f(list(x))), 0.0
-    d1 = _central_once(f, alpha, x, h)
-    d2 = _central_once(f, alpha, x, h / 2.0)
-    return (4.0 * d2 - d1) / 3.0, abs(d2 - d1) / 3.0
+    d, err = sampled_derivative_batch(rows, np.asarray([x], dtype=float),
+                                      alpha, np.asarray([h], dtype=float))
+    return float(d[0]), float(err[0])
 
 
 def sampled_derivative_batch(fn, X: np.ndarray, alpha, h: np.ndarray):
-    """Richardson-extrapolated central differences of a batched callable at
-    many points with per-point step sizes."""
+    """Richardson-extrapolated central differences of mixed order ``alpha``
+    of a batched callable at the rows of ``X``, with per-row steps ``h``.
+
+    Returns ``(values, error_estimates)``; an estimate is the disagreement
+    between the steps ``h`` and ``h/2`` scaled by the extrapolation factor,
+    so for smooth inputs halving ``h`` shrinks it by about 4x.
+    """
     k = mi_order(alpha)
     if k == 0:
-        return np.asarray(fn(X))
+        return np.asarray(fn(X), dtype=float), np.zeros(len(X))
     stencil = _tensor_stencil(tuple(alpha))
     offs = np.asarray([off for off, _ in stencil], dtype=float)
     wts = np.asarray([wt for _, wt in stencil])
@@ -91,7 +89,7 @@ def sampled_derivative_batch(fn, X: np.ndarray, alpha, h: np.ndarray):
 
     d1 = level(h)
     d2 = level(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    return (4.0 * d2 - d1) / 3.0, np.abs(d2 - d1) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +273,8 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
     declared jet coefficients on every stratum.
 
     One batched stencil call of ``f`` per (stratum, alpha); deviation is
-    relative to ``1 + |F^alpha|``, the step scaled to the local feature size.
+    relative to ``1 + |F^alpha|``; the step is a tenth of the bracketed
+    distance to the stratum's boundary (1 without one), within [1e-7, 1e-3].
     """
     from . import geometry  # local import to keep module layers acyclic
 
@@ -287,9 +286,12 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
         params = geometry.stratum_samples(cell, samples_per_stratum,
                                           scene.box, rng=rng)
         X = np.asarray([[float(v) for v in cell.embed(u)] for u in params])
-        H = np.asarray([_local_step(stratum, x, scene) for x in X])
+        lo, up = geometry.distance_brackets(
+            scene.descriptor_for(stratum.boundary_ids), X, scene.box)
+        H = np.clip(np.where(lo > 0.0, lo, up) / 10.0, 1e-7, 1e-3)
         for alpha_int in multi_indices(scene.n, scene.p):
-            got = sampled_derivative_batch(f, X, cell.to_ambient(alpha_int), H)
+            got, _ = sampled_derivative_batch(f, X, cell.to_ambient(alpha_int),
+                                              H)
             expect = np.asarray([float(_eval_coeff(fld.coeffs[alpha_int],
                                                    u or (0,)))
                                  for u in params])
@@ -299,7 +301,3 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
                 stratum.id, alpha_int, worst, len(params), worst < tol))
     return report
 
-
-def _local_step(stratum, x, scene) -> float:
-    d = stratum.feature_size(x, scene)
-    return min(1e-3, max(d / 10.0, 1e-7))

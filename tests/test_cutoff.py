@@ -134,6 +134,54 @@ def test_cone_membership_indeterminate_between_brackets():
     assert co.cone_membership(x, w, z, eta_mid) == co.INDETERMINATE
 
 
+def test_cone_membership_is_a_row_of_the_batch():
+    par = geo.GraphCell(geo.Interval(0.0, 1.0),
+                        (expr.polynomial(1, {(2,): 1}),), (0, 1))
+    w = geo.descriptor_of(par)
+    z = geo.descriptor_of(geo.PointCell((0.0, 0.0)), geo.PointCell((1.0, 1.0)))
+    rng = np.random.default_rng(3)
+    t = rng.uniform(0.0, 1.0, 200)
+    X = np.stack([t, t * t + rng.uniform(-0.3, 0.3, 200)], axis=1)
+    for eta in (0.05, 0.3):
+        batch, _ = co.cone_membership_batch(w, z, eta, X)
+        rows = [co.cone_membership(tuple(x), w, z, eta) for x in X]
+        assert rows == batch.tolist()
+        assert len(set(rows)) > 1
+
+
+def _segment(a, b, height):
+    return geo.GraphCell(geo.Interval(a, b), (expr.constant_fn(height, 1),),
+                         (0, 1))
+
+
+def test_single_constant_graph_w_reads_its_exact_distance():
+    w = geo.descriptor_of(_segment(0.0, 1.0, 0.0))
+    z = geo.descriptor_of(geo.PointCell((0.0, 0.0)), geo.PointCell((1.0, 0.0)))
+    omega = co.build_cutoff(co.CutoffSpec(w, z, 0.5, 2, box=3.0))
+    X = np.random.default_rng(5).uniform(-2.0, 3.0, (300, 2))
+    lo, up = geo.distance_brackets(w, X, 3.0)
+    assert np.array_equal(lo, up)
+    assert np.array_equal(omega.d_w(X), up)
+
+
+def test_soft_minned_z_segment_keeps_the_cutoff_c2():
+    """W is y=0 over (0, 2); Z is the segment y=1 over (0.5, 1) and all four
+    endpoints.  An exact Z column for the segment would bend on the normal
+    line x=1, inside W's transition shell, and make d2 omega/dx2 jump there
+    (by about 1 at y=0.2 and 1.8 at y=0.25); the soft minimum keeps it
+    continuous."""
+    w = geo.descriptor_of(_segment(0.0, 2.0, 0.0))
+    ends = [geo.PointCell(p) for p in ((0.0, 0.0), (2.0, 0.0), (0.5, 1.0),
+                                       (1.0, 1.0))]
+    z = geo.descriptor_of(_segment(0.5, 1.0, 1.0), *ends)
+    omega = co.build_cutoff(co.CutoffSpec(w, z, 0.5, 2))
+    from whitney.verify import finite_difference
+    for y in (0.2, 0.25):
+        left, right = (finite_difference(omega, (2, 0), (1.0 + s, y), 1e-4)[0]
+                       for s in (-1e-3, 1e-3))
+        assert abs(left - right) < 0.05, (y, left, right)
+
+
 def test_regularized_distance_rejects_unknown_piece():
     from whitney.errors import UnsupportedDescriptor
 

@@ -169,6 +169,41 @@ def test_support_discipline():
             assert term((float(x),)) == 0.0
 
 
+def test_square_edge_cutoffs_vanish_around_their_endpoint_normals():
+    """Each square edge's cutoff reads the edge's exact distance, which
+    bends only on the normal lines through the edge's endpoints; there,
+    and in a 1e-3 relative band around them, the cutoff is exactly 0
+    because the endpoints are corner strata in Z."""
+    from whitney.cutoff import _ExactDistance
+    f = extend_field(load_corpus_scene("square").scene)
+    assert len(f.terms) == 4
+    t = np.geomspace(1e-4, 2.0, 60)
+    t = np.concatenate([t, -t])
+    for term in f.terms:
+        cell = term.cell
+        assert isinstance(term.omega.d_w, _ExactDistance)
+        height = float(expr.evaluate(cell.graph[0], (0.5,)))
+        for end in (0.0, 1.0):
+            for rel in (-1e-3, 0.0, 1e-3):
+                Y = np.stack([end + rel * np.abs(t), height + t], axis=1)
+                X = np.empty_like(Y)
+                X[:, list(cell.perm)] = Y
+                assert not np.any(term.omega(X)), (term.stratum_id, end, rel)
+
+
+def test_validate_propagates_unexpected_errors(monkeypatch):
+    """Only an unsupported descriptor skips a validation check; any other
+    error is a fault and reaches the caller."""
+    scene = load_corpus_scene("square").scene
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("frontier failed")
+
+    monkeypatch.setattr(geo, "graph_cell_frontier", broken)
+    with pytest.raises(RuntimeError, match="frontier failed"):
+        scene.validate()
+
+
 def test_oversized_cone_leaks_are_reported_not_stored():
     """A cone of ratio 2 reaches x < 0, off the ray: evaluation reports
     exactly those rows as leaks, gives 0 there, and mutates nothing."""

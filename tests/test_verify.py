@@ -9,8 +9,8 @@ from whitney.errors import DegenerateScales
 from whitney.extension import extend_field
 from whitney.jets import jet_from_coeffs, taylor_jet
 from whitney.verify import (check_extension, finite_difference, radial_pairs,
-                            rate_fit, straddling_pairs, whitney_residual,
-                            ball_pairs)
+                            rate_fit, sampled_derivative_batch,
+                            straddling_pairs, whitney_residual, ball_pairs)
 
 from conftest import load_corpus_scene, rand_point, rand_polynomial
 
@@ -53,6 +53,18 @@ def test_fd_error_estimate_converges():
     _, e1 = finite_difference(f, (1,), (0.7,), h=2e-2)
     _, e2 = finite_difference(f, (1,), (0.7,), h=1e-2)
     assert e1 / max(e2, 1e-300) >= 3.0
+
+
+def test_finite_difference_is_a_row_of_the_batched_kernel(rng):
+    f = rand_polynomial(rng, 2, 4)
+    point = lambda x: float(expr.evaluate(f, tuple(x)))
+    rows = lambda X: np.asarray([point(x) for x in X])
+    X = rng.uniform(-1.0, 1.0, (6, 2))
+    H = np.geomspace(1e-3, 3e-2, 6)
+    for alpha in ((0, 0), (1, 0), (0, 2), (1, 1), (2, 1)):
+        vals, errs = sampled_derivative_batch(rows, X, alpha, H)
+        for x, h, v, e in zip(X, H, vals, errs):
+            assert finite_difference(point, alpha, tuple(x), h) == (v, e)
 
 
 # --- compatibility residuals ---------------------------------------------------
