@@ -9,13 +9,12 @@ is identically 1 on a smaller cone neighborhood, vanishes outside
 stay below ``C / d(x, Z)^{|a|}`` -- checked numerically, never proved.
 
 The construction composes a polynomial transition profile with the ratio
-of two *regularized* distances.  Both read the exact distance rules of
-:mod:`whitney.geometry` for points, balls, boxes and full spaces; the W
-side also reads the exact rule when W is one constant graph over a box.
-Every other graph cell is replaced by a power-mean soft minimum over a
-parameter net clustered toward the piece's frontier, which is smooth away
-from the set and comparable to the true distance at the scales the cutoff
-transition lives on.
+of two *regularized* distances.  Points, balls, boxes, full spaces and a
+lone constant-graph W whose frontier lies in Z get the exact distance
+rules of :mod:`whitney.geometry`; every other graph cell is replaced by a
+power-mean soft minimum over a parameter net clustered toward the piece's
+frontier, which is smooth away from the set and comparable to the true
+distance at the scales the cutoff transition lives on.
 """
 from __future__ import annotations
 
@@ -151,8 +150,8 @@ class _ExactDistance(SmoothDistance):
     distance to its single piece.  A box or constant-graph distance is zero
     on the cell, so a cutoff plateau covers it exactly, and bends only
     where the cell's nearest point lies on its frontier.  As the W side of
-    a cutoff this needs W's frontier inside Z, which scene validation
-    checks: there ``d~_Z <= d_Z <= d_W`` and the cutoff is identically 0."""
+    a cutoff this needs W's frontier in Z and ``eta <= 1`` (:func:`_exact_w`
+    checks it for constant graphs): there the cutoff is identically 0."""
 
     def __init__(self, table: geometry.DistanceTable):
         self.table = table
@@ -211,14 +210,12 @@ def regularized_distance(desc: SetDescriptor,
                          ) -> SmoothDistance:
     """Smooth evaluable surrogate for ``d(x, desc)``.
 
-    Points, balls, boxes and the full space are exact columns of the
-    descriptor's table.  Every graph cell (constant graphs included: as
-    part of Z their exact distance would bend inside W's transition shell)
-    and every other cell closure becomes a soft minimum over its cached
-    frontier-clustered net.  The combination exponent is chosen from the
-    total net size so the comparability ratio ``c2/c1`` stays near or
-    below 2.  :func:`build_cutoff` reads a single closed-form W exactly
-    instead, which needs W's frontier in Z (scene validation checks it).
+    Points, balls, boxes and the full space are exact table columns. Every
+    graph cell (constant graphs included: in Z their exact distance would
+    bend inside W's transition shell; :func:`_exact_w` decides for W) and
+    every other cell closure becomes a soft minimum over its cached
+    frontier-clustered net, with the exponent chosen from the total net
+    size so that ``c2/c1`` stays near or below 2.
     """
     if desc.is_empty:
         return _ConstantDistance(1.0)
@@ -331,13 +328,32 @@ class CutoffFn:
         return self.profile(t)
 
 
-def _on_set_probes(desc: SetDescriptor, box: float) -> np.ndarray:
+def _on_set_probes(desc: SetDescriptor, box: float) -> list[np.ndarray]:
     """Net points of the soft-minned pieces of ``desc``, where the
     regularized distance should vanish but a soft minimum need not (exact
-    columns vanish on their pieces)."""
+    columns vanish on their pieces); empty when nothing is soft-minned."""
     nets = [geometry.piece_net(p, box, geometry.DEFAULT_COARSE).points
             for p in desc.pieces if _soft_minned(p, box)]
-    return np.vstack([net[::max(1, len(net) // 512)] for net in nets])
+    return [net[::max(1, len(net) // 512)] for net in nets]
+
+
+def _exact_w(spec: CutoffSpec) -> Optional[_ExactDistance]:
+    """W's exact table distance where :func:`regularized_distance` would
+    soft-min it, or None.  It needs W to be one constant graph over an
+    interval, ``eta <= 1``, and both ends of W's clamp segment (its
+    frontier, or the box edge on an unbounded side) within 1e-9 of Z: the
+    distance bends only where W's nearest point is such an end, and there
+    ``d~_Z <= d_Z <= d_W``, so the ratio is at least ``1 >= eta_int``."""
+    piece, *rest = spec.w_desc.pieces
+    if (rest or spec.eta > 1.0 or not _soft_minned(piece, spec.box)
+            or piece.intrinsic_dim != 1):
+        return None
+    ends = geometry.closed_form_box(piece, spec.box)
+    if ends is None or np.any(geometry.distance_brackets(
+            spec.z_desc, ends[:2], spec.box)[1] > 1e-9):
+        return None
+    return _ExactDistance(geometry.distance_table(spec.w_desc, spec.box,
+                                                  geometry.DEFAULT_COARSE))
 
 
 def build_cutoff(spec: CutoffSpec) -> CutoffFn:
@@ -345,15 +361,13 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
     for ``spec``; :func:`verify_cutoff` is the authority on whether it
     does.
 
-    When W is one piece with a closed form (a point, ball, box, the full
-    space or a constant graph over a box), ``d_w`` is its exact distance,
-    sound because validation puts W's frontier in Z (:class:`_ExactDistance`);
-    otherwise it is :func:`regularized_distance`.  The transition starts at ``rho`` (default ``eta * (c1/c2)^2 / 2``) in
-    regularized-ratio units, so comparability slack cannot push the
-    plateau past the support ratio; the certified plateau ``rho_prime`` in
-    true-distance units additionally subtracts the surrogate's measured
-    residual ratio at on-set probe points of its soft-minned pieces (0 for
-    an exact ``d_w``).
+    ``d_w`` is :func:`regularized_distance`, or W's exact distance when
+    :func:`_exact_w` allows it. The transition starts at ``rho`` (default
+    ``eta * (c1/c2)^2 / 2``) in regularized-ratio units, so comparability
+    slack cannot push the plateau past the support ratio; the certified
+    plateau ``rho_prime`` in true-distance units additionally subtracts
+    the surrogate's measured residual ratio at on-set probe points of its
+    soft-minned pieces.
     """
     profile = smooth_transition(max(spec.q, 4))
     if spec.w_desc.is_empty:
@@ -361,10 +375,7 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
         d_z = regularized_distance(spec.z_desc, spec.box)
         return CutoffFn(spec, d_w, d_z, profile, spec.eta, spec.eta / 2,
                         spec.eta / 2)
-    table = geometry.distance_table(spec.w_desc, spec.box,
-                                    geometry.DEFAULT_COARSE)
-    d_w = (_ExactDistance(table) if len(table.lows) == 1 and not table.nets
-           else regularized_distance(spec.w_desc, spec.box))
+    d_w = _exact_w(spec) or regularized_distance(spec.w_desc, spec.box)
     d_z = regularized_distance(spec.z_desc, spec.box)
     c_ratio = min(d_w.c1 / d_z.c2, d_z.c1 / d_w.c2)
     if c_ratio ** 2 / 2.0 < 5e-3:
@@ -376,8 +387,10 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
     if not rho_int < eta_int:
         raise SlackTooLarge("requested rho does not clear the support ratio")
     residual = 0.0
-    if not isinstance(d_w, _ExactDistance) and not spec.z_desc.is_empty:
-        probes = _on_set_probes(spec.w_desc, spec.box)
+    nets = ([] if isinstance(d_w, _ExactDistance)
+            else _on_set_probes(spec.w_desc, spec.box))
+    if nets and not spec.z_desc.is_empty:
+        probes = np.vstack(nets)
         dz_vals = d_z._eval(probes)
         dw_vals = d_w._eval(probes)
         ok = dz_vals > 0

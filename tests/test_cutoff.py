@@ -164,6 +164,47 @@ def test_single_constant_graph_w_reads_its_exact_distance():
     assert np.array_equal(omega.d_w(X), up)
 
 
+def test_w_segment_with_endpoints_off_z_keeps_its_net():
+    """The bundled segment-vs-points spec at q=2: the segment's endpoints
+    are not in Z, so its exact distance would bend on the normal line x=0
+    inside the transition shell (d2 omega/dx2 jumps by about 30 at
+    y=0.25 and 0.3); the cutoff falls back to the soft minimum, which keeps
+    it continuous."""
+    import dataclasses
+    from whitney.corpus import bundled_cutoff_specs
+    from whitney.verify import finite_difference
+    spec = dataclasses.replace(bundled_cutoff_specs()[2], q=2)
+    omega = co.build_cutoff(spec)
+    assert not isinstance(omega.d_w, co._ExactDistance)
+    for y in (0.25, 0.3):
+        assert 0.0 < omega((0.0, y)) < 1.0
+        left, right = (finite_difference(omega, (2, 0), (s, y), 5e-5)[0]
+                       for s in (-2e-4, 2e-4))
+        assert abs(left - right) < 1.0, (y, left, right)
+
+
+def test_half_line_w_keeps_its_net():
+    """A constant graph over (0, inf) has its clamp end at the box edge,
+    which is not in Z, so the cutoff keeps the soft minimum."""
+    ray = geo.GraphCell(geo.Interval(0.0, None), (expr.constant_fn(0, 1),),
+                        (0, 1))
+    spec = co.CutoffSpec(geo.descriptor_of(ray), point_desc(0.0, 0.0), 0.5,
+                         2, box=3.0)
+    assert not isinstance(co.build_cutoff(spec).d_w, co._ExactDistance)
+
+
+def test_cutoff_of_two_exact_w_points():
+    """A W of two points has no soft-minned piece, so there is no on-set
+    residual to measure: the plateau holds at both points."""
+    w = geo.descriptor_of(geo.PointCell((0.0, 0.0)), geo.PointCell((1.0, 0.0)))
+    spec = co.CutoffSpec(w, point_desc(0.5, 1.0), 0.5, 2, box=3.0)
+    omega = co.build_cutoff(spec)
+    c_ratio = min(omega.d_w.c1 / omega.d_z.c2, omega.d_z.c1 / omega.d_w.c2)
+    assert omega.rho_prime == pytest.approx(0.9 * c_ratio * omega.rho_int)
+    assert omega((0.0, 0.0)) == 1.0 and omega((1.0, 0.0)) == 1.0
+    assert omega((0.5, 0.9)) == 0.0
+
+
 def test_soft_minned_z_segment_keeps_the_cutoff_c2():
     """W is y=0 over (0, 2); Z is the segment y=1 over (0.5, 1) and all four
     endpoints.  An exact Z column for the segment would bend on the normal
