@@ -9,12 +9,15 @@ is identically 1 on a smaller cone neighborhood, vanishes outside
 stay below ``C / d(x, Z)^{|a|}`` -- checked numerically, never proved.
 
 The construction composes a polynomial transition profile with the ratio
-of two *regularized* distances.  Points, balls, boxes, full spaces and a
-lone constant-graph W whose frontier lies in Z get the exact distance
-rules of :mod:`whitney.geometry`; every other graph cell is replaced by a
-power-mean soft minimum over a parameter net clustered toward the piece's
-frontier, which is smooth away from the set and comparable to the true
-distance at the scales the cutoff transition lives on.
+of two *regularized* distances (Stein's regularized distance), each one
+:class:`RegularizedDistance`: a single power-mean soft minimum
+``(sum_j d_j^-s)^(-1/s)`` over one exact column per point, ball,
+constant-wall box or full space (the rules of :mod:`whitney.geometry`)
+and one column per point of every other cell's parameter net (every graph
+cell's included), clustered toward the cell's frontier.  It is smooth
+away from the set and comparable to the true distance at the scales the
+cutoff transition lives on.  A lone constant-graph W whose frontier lies
+in Z keeps its one exact column instead.
 """
 from __future__ import annotations
 
@@ -116,109 +119,67 @@ def smooth_transition(q: int) -> TransitionProfile:
 # regularized distances
 
 
-class SmoothDistance:
-    """Batched evaluable ``d~`` comparable to the distance to a descriptor:
-    ``c1 * d <= d~ <= c2 * d`` away from a reported collar.  Smooth wherever
-    the cutoff transition can live (bounded away from the set itself)."""
+class RegularizedDistance:
+    """Batched smooth surrogate ``d~`` for the distance to a descriptor: the
+    power-mean soft minimum ``(sum_j d_j^-s)^(-1/s)`` over the exact columns
+    of ``table`` (the closed-form pieces) and every point of ``nets`` (the
+    soft-minned pieces' :class:`geometry.PieceNet`).  It lies between
+    ``c1 * d`` and ``d`` plus the nets' covering slack, is smooth wherever
+    its columns are and none vanishes, is exactly 0 on an exact piece or a
+    net point, returns a single column bit for bit, and is 1 for the empty
+    set."""
 
-    c1: float = 1.0
-    c2: float = 1.0
-    collar: float = 0.0
-    width: int = 1       # columns it contributes to a combined soft minimum
+    def __init__(self, table: Optional[geometry.DistanceTable],
+                 nets: list[geometry.PieceNet]):
+        self.table = table
+        self.nets = nets
+        exact = 0 if table is None else len(table.lows)
+        total = exact + sum(len(net.points) for net in nets)
+        self.exponent = max(12, 3 * math.ceil(math.log2(total + 2)))
+        # d~ >= T^(-1/s) * (nearest column) for T columns, and T is at most
+        # (largest net) * (#pieces), so this product is a lower factor too
+        self.c1 = (min((len(net.points) ** (-1.0 / self.exponent)
+                        for net in nets), default=1.0)
+                   * max(1, exact + len(nets)) ** (-1.0 / self.exponent))
+        self._points = (np.concatenate([net.points for net in nets])
+                        if nets else None)
+        # a row chunk's distance matrix stays near 200,000 entries
+        self._chunk = max(1, 200_000 // max(1, total))
 
     def __call__(self, x):
         return _point_or_batch(self._eval, x)
 
     def _eval(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def columns(self, X: np.ndarray) -> np.ndarray:
-        return self._eval(X)[:, None]
-
-
-class _ConstantDistance(SmoothDistance):
-    def __init__(self, value: float):
-        self.value = value
-
-    def _eval(self, X):
-        return np.full(len(X), self.value)
-
-
-class _ExactDistance(SmoothDistance):
-    """Exact distances to a descriptor's closed-form pieces, one column per
-    piece (:meth:`geometry.DistanceTable.exact`); standing alone it is the
-    distance to its single piece.  A box or constant-graph distance is zero
-    on the cell, so a cutoff plateau covers it exactly, and bends only
-    where the cell's nearest point lies on its frontier.  As the W side of
-    a cutoff this needs W's frontier in Z and ``eta <= 1`` (:func:`_exact_w`
-    checks it for constant graphs): there the cutoff is identically 0."""
-
-    def __init__(self, table: geometry.DistanceTable):
-        self.table = table
-        self.width = len(table.lows)
-
-    def columns(self, X):
-        return self.table.exact(X)
-
-    def _eval(self, X):
-        return self.table.exact(X)[:, 0]
-
-
-class _NetSoftmin(SmoothDistance):
-    """Power-mean soft minimum over a finite point net: always between
-    ``k^(-1/s) * min_i |x - a_i|`` and ``min_i |x - a_i|``, and smooth away
-    from the net points themselves."""
-
-    def __init__(self, net: geometry.PieceNet, exponent: int):
-        self.net = net
-        self.exponent = exponent
-        self.c1 = len(net.points) ** (-1.0 / exponent)
-        self.c2 = 1.0
-        self.collar = float(np.median(net.cov))
-
-    def _eval(self, X):
+        if self.table is None and self._points is None:
+            return np.ones(len(X))
         out = np.empty(len(X))
-        for sl, d in self.net.distance_chunks(X):
+        for start in range(0, len(X), self._chunk):
+            rows = X[start:start + self._chunk]
+            cols = [] if self.table is None else [self.table.exact(rows)]
+            if self._points is not None:
+                cols.append(geometry._distances(rows, self._points))
+            d = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
             m = d.min(axis=1)
-            safe = np.where(m > 0.0, m, 1.0)
-            ratios = np.minimum(safe[:, None] / d.clip(1e-300), 1.0)
-            s = np.clip((ratios ** self.exponent).sum(axis=1), 1.0, None)
-            out[sl] = np.where(m > 0.0, m * s ** (-1.0 / self.exponent), 0.0)
+            # on the set (m == 0) every ratio is inf and d~ is exactly 0,
+            # without forming (1/d)^s
+            r = np.where(m > 0.0, m, np.inf)[:, None] / d
+            out[start:start + len(rows)] = (
+                m * (r ** self.exponent).sum(axis=1) ** (-1.0 / self.exponent))
         return out
-
-
-class _CombinedDistance(SmoothDistance):
-    def __init__(self, parts: list[SmoothDistance], exponent: int):
-        self.parts = parts
-        self.exponent = exponent
-        k = sum(p.width for p in parts)
-        self.c1 = min(p.c1 for p in parts) * k ** (-1.0 / exponent)
-        self.c2 = max(p.c2 for p in parts)
-        self.collar = max(p.collar for p in parts)
-
-    def _eval(self, X):
-        vals = np.concatenate([p.columns(X) for p in self.parts], axis=1)
-        m = vals.min(axis=1)
-        safe = np.where(m > 0.0, m, 1.0)
-        ratios = np.minimum(safe[:, None] / vals.clip(1e-300), 1.0)
-        s = np.clip((ratios ** self.exponent).sum(axis=1), 1.0, None)
-        return np.where(m > 0.0, m * s ** (-1.0 / self.exponent), 0.0)
 
 
 def regularized_distance(desc: SetDescriptor,
                          box: float = geometry.DEFAULT_BOX_HALFWIDTH
-                         ) -> SmoothDistance:
+                         ) -> RegularizedDistance:
     """Smooth evaluable surrogate for ``d(x, desc)``.
 
     Points, balls, boxes and the full space are exact table columns. Every
     graph cell (constant graphs included: in Z their exact distance would
     bend inside W's transition shell; :func:`_exact_w` decides for W) and
-    every other cell closure becomes a soft minimum over its cached
-    frontier-clustered net, with the exponent chosen from the total net
-    size so that ``c2/c1`` stays near or below 2.
+    every other cell closure is soft-minned over its cached
+    frontier-clustered net, with the exponent chosen from the total column
+    count so that ``1/c1`` stays near or below 2.
     """
-    if desc.is_empty:
-        return _ConstantDistance(1.0)
     exact, nets = [], []
     for piece in desc.pieces:
         if _soft_minned(piece, box):
@@ -226,17 +187,10 @@ def regularized_distance(desc: SetDescriptor,
                                            geometry.DEFAULT_COARSE))
         else:
             exact.append(piece)
-    parts: list[SmoothDistance] = []
-    if exact:
-        table = geometry.distance_table(SetDescriptor(tuple(exact)), box,
-                                        geometry.DEFAULT_COARSE)
-        parts.append(_ExactDistance(table))
-    total = sum(len(net.points) for net in nets) + len(exact)
-    exponent = max(12, 3 * math.ceil(math.log2(total + 2)))
-    parts.extend(_NetSoftmin(net, exponent) for net in nets)
-    if len(exact) + len(nets) == 1:
-        return parts[0]
-    return _CombinedDistance(parts, exponent)
+    table = (geometry.distance_table(SetDescriptor(tuple(exact)), box,
+                                     geometry.DEFAULT_COARSE)
+             if exact else None)
+    return RegularizedDistance(table, nets)
 
 
 def _soft_minned(piece, box: float) -> bool:
@@ -301,8 +255,8 @@ class CutoffFn:
     (0, 1).  ``rho_prime`` is the certified plateau ratio in *true*
     distance units."""
 
-    def __init__(self, spec: CutoffSpec, d_w: SmoothDistance,
-                 d_z: SmoothDistance, profile: TransitionProfile,
+    def __init__(self, spec: CutoffSpec, d_w: RegularizedDistance,
+                 d_z: RegularizedDistance, profile: TransitionProfile,
                  eta_int: float, rho_int: float, rho_prime: float):
         self.spec = spec
         self.d_w = d_w
@@ -318,26 +272,21 @@ class CutoffFn:
             return np.where(dz > 0.0, dw / np.where(dz > 0.0, dz, 1.0), np.inf)
         return _point_or_batch(batch, x)
 
+    def transition(self, x):
+        """The profile's argument ``(ratio - rho_int) / (eta_int - rho_int)``:
+        at most 0 on the plateau, at least 1 off the support."""
+        return (self.ratio(x) - self.rho_int) / (self.eta_int - self.rho_int)
+
     def __call__(self, x):
         return _point_or_batch(self._eval, x)
 
     def _eval(self, X):
         if self.spec.w_desc.is_empty:
             return np.zeros(len(X))
-        t = (self.ratio(X) - self.rho_int) / (self.eta_int - self.rho_int)
-        return self.profile(t)
+        return self.profile(self.transition(X))
 
 
-def _on_set_probes(desc: SetDescriptor, box: float) -> list[np.ndarray]:
-    """Net points of the soft-minned pieces of ``desc``, where the
-    regularized distance should vanish but a soft minimum need not (exact
-    columns vanish on their pieces); empty when nothing is soft-minned."""
-    nets = [geometry.piece_net(p, box, geometry.DEFAULT_COARSE).points
-            for p in desc.pieces if _soft_minned(p, box)]
-    return [net[::max(1, len(net) // 512)] for net in nets]
-
-
-def _exact_w(spec: CutoffSpec) -> Optional[_ExactDistance]:
+def _exact_w(spec: CutoffSpec) -> Optional[RegularizedDistance]:
     """W's exact table distance where :func:`regularized_distance` would
     soft-min it, or None.  It needs W to be one constant graph over an
     interval, ``eta <= 1``, and both ends of W's clamp segment (its
@@ -352,8 +301,8 @@ def _exact_w(spec: CutoffSpec) -> Optional[_ExactDistance]:
     if ends is None or np.any(geometry.distance_brackets(
             spec.z_desc, ends[:2], spec.box)[1] > 1e-9):
         return None
-    return _ExactDistance(geometry.distance_table(spec.w_desc, spec.box,
-                                                  geometry.DEFAULT_COARSE))
+    return RegularizedDistance(geometry.distance_table(
+        spec.w_desc, spec.box, geometry.DEFAULT_COARSE), [])
 
 
 def build_cutoff(spec: CutoffSpec) -> CutoffFn:
@@ -363,21 +312,19 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
 
     ``d_w`` is :func:`regularized_distance`, or W's exact distance when
     :func:`_exact_w` allows it. The transition starts at ``rho`` (default
-    ``eta * (c1/c2)^2 / 2``) in regularized-ratio units, so comparability
-    slack cannot push the plateau past the support ratio; the certified
-    plateau ``rho_prime`` in true-distance units additionally subtracts
-    the surrogate's measured residual ratio at on-set probe points of its
-    soft-minned pieces.
+    ``eta * c^2 / 2`` with ``c`` the smaller ``c1``) in regularized-ratio
+    units, so comparability slack cannot push the plateau past the support
+    ratio; the certified plateau ``rho_prime`` in true-distance units
+    additionally subtracts the surrogate's measured residual ratio at
+    on-set probe points of its soft-minned pieces.
     """
     profile = smooth_transition(max(spec.q, 4))
-    if spec.w_desc.is_empty:
-        d_w = _ConstantDistance(1.0)
-        d_z = regularized_distance(spec.z_desc, spec.box)
-        return CutoffFn(spec, d_w, d_z, profile, spec.eta, spec.eta / 2,
-                        spec.eta / 2)
-    d_w = _exact_w(spec) or regularized_distance(spec.w_desc, spec.box)
     d_z = regularized_distance(spec.z_desc, spec.box)
-    c_ratio = min(d_w.c1 / d_z.c2, d_z.c1 / d_w.c2)
+    if spec.w_desc.is_empty:
+        return CutoffFn(spec, regularized_distance(spec.w_desc), d_z,
+                        profile, spec.eta, spec.eta / 2, spec.eta / 2)
+    d_w = _exact_w(spec) or regularized_distance(spec.w_desc, spec.box)
+    c_ratio = min(d_w.c1, d_z.c1)
     if c_ratio ** 2 / 2.0 < 5e-3:
         raise SlackTooLarge(
             f"comparability ratio {c_ratio:.3f} leaves no plateau below "
@@ -387,10 +334,11 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
     if not rho_int < eta_int:
         raise SlackTooLarge("requested rho does not clear the support ratio")
     residual = 0.0
-    nets = ([] if isinstance(d_w, _ExactDistance)
-            else _on_set_probes(spec.w_desc, spec.box))
-    if nets and not spec.z_desc.is_empty:
-        probes = np.vstack(nets)
+    if d_w.nets and not spec.z_desc.is_empty:
+        # net points of W's soft-minned pieces, where d~_W should vanish
+        # but a soft minimum need not (exact columns vanish on their pieces)
+        probes = np.vstack([net.points[::max(1, len(net.points) // 512)]
+                            for net in d_w.nets])
         dz_vals = d_z._eval(probes)
         dw_vals = d_w._eval(probes)
         ok = dz_vals > 0
@@ -482,8 +430,7 @@ def verify_cutoff(omega: CutoffFn, spec: CutoffSpec, grid: int = 100,
     for level, count in enumerate((len(X) // 2, len(X))):
         sel = np.arange(count) if level else rng.permutation(len(X))[:count]
         Xs, dz_up = X[sel], up_z[sel]
-        r = np.asarray(omega.ratio(Xs))
-        t = (r - omega.rho_int) / (omega.eta_int - omega.rho_int)
+        t = omega.transition(Xs)
         active = (t > -1.0) & (t < 2.0) & np.isfinite(t)
         Xa, dz_a = Xs[active], dz_up[active]
         h = np.maximum(dz_a / 100.0, 1e-9)

@@ -364,6 +364,19 @@ def _row_norms(D: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(D * D, -1))
 
 
+def _distances(X: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distances from every row of ``X`` (axis 0) to every row of ``points``
+    (axis 1), summed one coordinate at a time so that each numpy pass runs
+    over a whole matrix instead of a length-``n`` last axis.  Below 8
+    coordinates numpy sums a last axis in order too, so this is
+    ``_row_norms(X[:, None] - points)`` bit for bit."""
+    acc = np.zeros((len(X), len(points)))
+    for k in range(X.shape[1]):
+        diff = X[:, k, None] - points[:, k]
+        acc += diff * diff
+    return np.sqrt(acc)
+
+
 @dataclass(frozen=True, eq=False)
 class PieceNet:
     """Parameter net of a cell's closure, embedded in the ambient space.
@@ -377,24 +390,18 @@ class PieceNet:
     points: np.ndarray
     slack: np.ndarray
 
-    def distance_chunks(self, X: np.ndarray):
-        """``(rows, d)`` over consecutive row slices of ``X``, with ``d`` the
-        matrix of distances from those rows to every net point; ``d`` stays
-        near 200,000 entries, which bounds the memory of a batched call."""
-        n = len(X)
-        chunk = max(1, 200_000 // len(self.points))
-        for start in range(0, n, chunk):
-            sl = slice(start, min(n, start + chunk))
-            yield sl, _row_norms(X[sl, None, :] - self.points)
-
     def scan(self, X: np.ndarray):
         """``(lo, up, nearest)`` per row of ``X``: ``up = min_i d_i``,
         ``lo = max(0, min_i(d_i - slack_i))`` and the index of the best
-        net point."""
+        net point.  Rows go in chunks whose distance matrix stays near
+        200,000 entries, which bounds the memory of a batched call."""
         n = len(X)
         lo, up = np.empty(n), np.empty(n)
         nearest = np.empty(n, dtype=int)
-        for sl, d in self.distance_chunks(X):
+        chunk = max(1, 200_000 // len(self.points))
+        for start in range(0, n, chunk):
+            sl = slice(start, min(n, start + chunk))
+            d = _distances(X[sl], self.points)
             nearest[sl] = np.argmin(d, axis=1)
             up[sl] = d.min(axis=1)
             lo[sl] = np.maximum(0.0, (d - self.slack).min(axis=1))
@@ -546,6 +553,17 @@ def _interval_net(lo, hi, lower_finite, upper_finite, coarse, ratio, floor):
     return ts[order], np.asarray(cov)[order]
 
 
+def _wall_interval(base: Slab, t: float, box: float) -> tuple[float, float]:
+    """The fibre ``(lower wall, upper wall)`` of a slab over the base
+    parameter ``t``, a missing wall read as ``-box`` or ``box``; raises
+    :class:`SingularPoint` where a wall does."""
+    wlo = (-box if base.lower is None
+           else float(expr.evaluate(base.lower, (t,))))
+    whi = (box if base.upper is None
+           else float(expr.evaluate(base.upper, (t,))))
+    return wlo, whi
+
+
 def _slab_net_2d(base: Slab, box, coarse, ratio, floor):
     lo, hi = interval_bounds(base.base, box)
     coarse2 = max(17, coarse // 4)
@@ -555,10 +573,7 @@ def _slab_net_2d(base: Slab, box, coarse, ratio, floor):
     pts, covs = [], []
     for t, c in zip(t1, cov1):
         try:
-            wlo = (-box if base.lower is None
-                   else float(expr.evaluate(base.lower, (t,))))
-            whi = (box if base.upper is None
-                   else float(expr.evaluate(base.upper, (t,))))
+            wlo, whi = _wall_interval(base, t, box)
         except SingularPoint:
             continue
         if whi <= wlo:
@@ -601,10 +616,7 @@ def stratum_samples(cell, k: int, box: float = DEFAULT_BOX_HALFWIDTH,
         lo, hi = interval_bounds(base.base, box)
         out = []
         for t in np.linspace(lo, hi, side + 2)[1:-1]:
-            wlo = (-box if base.lower is None
-                   else float(expr.evaluate(base.lower, (t,))))
-            whi = (box if base.upper is None
-                   else float(expr.evaluate(base.upper, (t,))))
+            wlo, whi = _wall_interval(base, t, box)
             for s in np.linspace(wlo, whi, side + 2)[1:-1]:
                 out.append((float(t), float(s)))
         return out
@@ -705,10 +717,7 @@ def _regularity_samples(cell: OpenCell, grid: int, depth: int, box: float):
         out = []
         for (t,) in _regularity_samples(cell.base, side, depth, box):
             try:
-                wlo = (-box if cell.lower is None
-                       else float(expr.evaluate(cell.lower, (t,))))
-                whi = (box if cell.upper is None
-                       else float(expr.evaluate(cell.upper, (t,))))
+                wlo, whi = _wall_interval(cell, t, box)
             except SingularPoint:
                 continue
             span = whi - wlo
@@ -741,6 +750,7 @@ def check_cell_regularity(f: ExprFn, cell: OpenCell, order: int,
     levels = []
     for grid_k, depth in ((grid, 12), (grid * 2, 16)):
         samples = _regularity_samples(cell, grid_k, depth, box)
+        dists = [set_distance(boundary, u, box=box).up for u in samples]
         c_hat: dict = {}
         witness: dict = {}
         for alpha in multi_indices(n, order):
@@ -748,12 +758,11 @@ def check_cell_regularity(f: ExprFn, cell: OpenCell, order: int,
                 continue
             df = expr.differentiate(f, alpha)
             best, best_x = 0.0, None
-            for u in samples:
+            for u, d in zip(samples, dists):
                 try:
                     val = abs(float(expr.evaluate(df, u)))
                 except SingularPoint:
                     continue
-                d = set_distance(boundary, u, box=box).up
                 scaled = val * d ** (mi_order(alpha) - 1)
                 if scaled > best:
                     best, best_x = scaled, u
@@ -925,10 +934,9 @@ def quasi_convexity_probe(cell, pairs: Sequence, mesh: int = 33,
         for t in axes[0]:
             try:
                 if isinstance(base, Slab):
-                    if base.lower is not None:
-                        vals.append(float(expr.evaluate(base.lower, (t,))))
-                    if base.upper is not None:
-                        vals.append(float(expr.evaluate(base.upper, (t,))))
+                    ends = zip(_wall_interval(base, t, box),
+                               (base.lower, base.upper))
+                    vals.extend(w for w, wall in ends if wall is not None)
             except SingularPoint:
                 pass
         if vals:

@@ -65,7 +65,7 @@ def test_profile_monotone_in_unit_range():
 def test_regularized_point_exact():
     d = co.regularized_distance(point_desc(0.0, 0.0))
     assert d((3.0, 4.0)) == pytest.approx(5.0)
-    assert (d.c1, d.c2) == (1.0, 1.0)
+    assert d.c1 == 1.0
 
 
 def test_regularized_point_scaling_homogeneous():
@@ -106,6 +106,53 @@ def test_full_space_distance_zero():
     full = geo.identity_graph_cell(geo.Interval(None, None))
     d = co.regularized_distance(geo.descriptor_of(full))
     assert d((12.3,)) == 0.0
+
+
+def _square_bottom_z():
+    """Z of square's bottom edge: the other three edges (soft-minned nets)
+    and the four corners (exact columns)."""
+    from conftest import load_corpus_scene
+    scene = load_corpus_scene("square").scene
+    z = geo.descriptor_of(*(s.cell for s in scene.strata if s.id != "bottom"))
+    return z, scene.box
+
+
+def test_regularized_distance_is_the_flat_soft_minimum():
+    z, box = _square_bottom_z()
+    d = co.regularized_distance(z, box)
+    corners = geo.SetDescriptor(tuple(p for p in z.pieces
+                                      if isinstance(p, geo.PointCell)))
+    edges = [p for p in z.pieces if isinstance(p, geo.GraphCell)]
+    assert len(corners.pieces) == 4 and len(edges) == 3
+    nets = [geo.piece_net(e, box, geo.DEFAULT_COARSE) for e in edges]
+    g = np.linspace(-0.5, 1.5, 51) + 0.0123
+    X = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
+    cols = np.concatenate(
+        [geo.distance_table(corners, box, geo.DEFAULT_COARSE).exact(X)]
+        + [np.linalg.norm(X[:, None, :] - net.points, axis=-1)
+           for net in nets], axis=1)
+    s = d.exponent
+    ref = np.sum(cols ** -float(s), axis=1) ** (-1.0 / s)
+    val = d(X)
+    assert np.all(np.abs(val - ref) <= 1e-14 * ref)
+    # below the true distance up to the nets' covering slack
+    lo, up = geo.distance_brackets(z, X, box)
+    slack = max(float(net.slack.max()) for net in nets)
+    assert np.all(d.c1 * lo <= val) and np.all(val <= up + slack)
+
+
+def test_regularized_distance_vanishes_on_its_columns_without_warnings():
+    """Rows on the set (an exact piece or a net point) give exactly 0
+    without forming (1/d)^s, which would overflow."""
+    import warnings
+    z, box = _square_bottom_z()
+    d = co.regularized_distance(z, box)
+    corners = [p.point for p in z.pieces if isinstance(p, geo.PointCell)]
+    X = np.vstack([np.asarray(corners, dtype=float)]
+                  + [net.points for net in d.nets])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(d(X) == 0.0)
 
 
 # --- cone membership ---------------------------------------------------------
@@ -175,7 +222,7 @@ def test_w_segment_with_endpoints_off_z_keeps_its_net():
     from whitney.verify import finite_difference
     spec = dataclasses.replace(bundled_cutoff_specs()[2], q=2)
     omega = co.build_cutoff(spec)
-    assert not isinstance(omega.d_w, co._ExactDistance)
+    assert omega.d_w.nets
     for y in (0.25, 0.3):
         assert 0.0 < omega((0.0, y)) < 1.0
         left, right = (finite_difference(omega, (2, 0), (s, y), 5e-5)[0]
@@ -190,7 +237,7 @@ def test_half_line_w_keeps_its_net():
                         (0, 1))
     spec = co.CutoffSpec(geo.descriptor_of(ray), point_desc(0.0, 0.0), 0.5,
                          2, box=3.0)
-    assert not isinstance(co.build_cutoff(spec).d_w, co._ExactDistance)
+    assert co.build_cutoff(spec).d_w.nets
 
 
 def test_cutoff_of_two_exact_w_points():
@@ -199,7 +246,7 @@ def test_cutoff_of_two_exact_w_points():
     w = geo.descriptor_of(geo.PointCell((0.0, 0.0)), geo.PointCell((1.0, 0.0)))
     spec = co.CutoffSpec(w, point_desc(0.5, 1.0), 0.5, 2, box=3.0)
     omega = co.build_cutoff(spec)
-    c_ratio = min(omega.d_w.c1 / omega.d_z.c2, omega.d_z.c1 / omega.d_w.c2)
+    c_ratio = min(omega.d_w.c1, omega.d_z.c1)
     assert omega.rho_prime == pytest.approx(0.9 * c_ratio * omega.rho_int)
     assert omega((0.0, 0.0)) == 1.0 and omega((1.0, 0.0)) == 1.0
     assert omega((0.5, 0.9)) == 0.0
