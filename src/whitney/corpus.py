@@ -9,7 +9,8 @@ from .cutoff import CutoffSpec
 def bundled_cutoff_specs() -> list[CutoffSpec]:
     """Three cutoff scenarios covering the descriptor kinds: 1-d ball vs
     point, planar ball vs point, and a segment vs a point pair (its
-    endpoints are not in Z, so the segment's distance is net-regularized)."""
+    endpoints are not in Z; the segment's potential column is smooth
+    across their normal lines all the same)."""
     ball_vs_point_1d = CutoffSpec(
         geo.descriptor_of(geo.Ball((1.0,), 0.1)),
         geo.descriptor_of(geo.PointCell((0.0,))),

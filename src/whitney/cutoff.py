@@ -12,12 +12,12 @@ The construction composes a polynomial transition profile with the ratio
 of two *regularized* distances (Stein's regularized distance), each one
 :class:`RegularizedDistance`: a single power-mean soft minimum
 ``(sum_j d_j^-s)^(-1/s)`` over one exact column per point, ball,
-constant-wall box or full space (the rules of :mod:`whitney.geometry`)
-and one column per point of every other cell's parameter net (every graph
-cell's included), clustered toward the cell's frontier.  It is smooth
-away from the set and comparable to the true distance at the scales the
-cutoff transition lives on.  A lone constant-graph W whose frontier lies
-in Z keeps its one exact column instead.
+constant-wall box or full space (the rules of :mod:`whitney.geometry`),
+one potential column per constant graph over an interval (the segment
+between its clamp ends), and one column per point of every other cell's
+parameter net, clustered toward the cell's frontier.  It is smooth away
+from the set and comparable to the true distance at the scales the
+cutoff transition lives on.
 """
 from __future__ import annotations
 
@@ -119,28 +119,164 @@ def smooth_transition(q: int) -> TransitionProfile:
 # regularized distances
 
 
+# A segment's column is ``(I / 2W_j)^(-1/(2j)) / kappa``, where ``I(x)`` is
+# the integral of ``|x - w|^-(2j+1)`` over the segment's arclength and
+# ``W_j`` that of ``cos^(2j-1)`` over [0, pi/2]; a whole line would give
+# exactly its distance.  ``kappa`` is :func:`_segment_kappa`.
+_SEG_J = 15
+
+
+def _segment_coefficients(j: int):
+    """``(W_j, over, beyond)``: positive float coefficients (low order
+    first) of the potential's two closed forms, from exact fractions.
+
+    ``P(v) = int_0^v (1 - t^2)^(j-1) dt = v * sum_m over[m] u^(2m)`` with
+    ``u^2 = 1 - v^2`` (the reduction formula for powers of cos), and the
+    tail ``W_j - P(1 - w) = w^j * sum_k beyond[k] (2 - w)^(j-1-k) w^k``
+    (the binomial series in ``w`` regrouped into positive terms).  Neither
+    sum alternates, so neither loses digits."""
+    over = []
+    for m in range(j):
+        c = Fraction(1, 2 * m + 1)
+        for i in range(m + 1, j):
+            c *= Fraction(2 * i, 2 * i + 1)
+        over.append(c)
+    beyond = [Fraction(math.comb(j - 1, k) * math.factorial(j - 1)
+                       * math.factorial(k), math.factorial(j + k))
+              for k in range(j)]
+    return float(over[0]), [float(c) for c in over], [float(c) for c in beyond]
+
+
+_SEG_WALLIS, _SEG_OVER, _SEG_BEYOND = _segment_coefficients(_SEG_J)
+
+
+def _horner(coeffs, z):
+    acc = np.full_like(z, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+def _segment_potential_distance(r, s_a, s_b):
+    """``(I / 2W_j)^(-1/(2j))`` from the distance ``r`` to a segment's line
+    and the foot point's offsets ``s_a``, ``s_b`` from its two ends
+    (positive toward the segment, so ``s_a + s_b`` is its length), for
+    arrays of one shape: 0 on the segment, smooth off it, and between the
+    true distance and :func:`_segment_kappa` times it.
+
+    Where the foot lies on the segment, ``I = r^-2j (P(s_a / rho_a) +
+    P(s_b / rho_b))`` with ``rho = sqrt(r^2 + s^2)``.  Beyond an end by
+    ``tau > 0`` it is the near end's tail minus the far end's, each
+    ``Q^-j S(r^2 / Q)`` with ``Q = rho (rho + tau)`` and
+    ``S(w) = sum_k beyond[k] (2 - w)^(j-1-k) w^k`` (see
+    :func:`_segment_coefficients`), factored by the near end's ``Q``: then
+    ``r -> 0`` on the axis neither cancels nor overflows."""
+    out = np.empty_like(r)
+    tau = -np.minimum(s_a, s_b)
+    two_w, power = 2.0 * _SEG_WALLIS, -1.0 / (2 * _SEG_J)
+    over = tau <= 0.0
+    r_o, total = r[over], 0.0
+    for s in (s_a[over], s_b[over]):
+        rho = np.hypot(r_o, s)
+        rho = np.where(rho > 0.0, rho, 1.0)   # at an end, P(0) = 0
+        u = r_o / rho
+        total = total + s / rho * _horner(_SEG_OVER, u * u)
+    out[over] = r_o * (total / two_w) ** power
+    beyond = ~over
+    r_b, tau = r[beyond], tau[beyond]
+    terms = []
+    for t in (tau, tau + s_a[beyond] + s_b[beyond]):
+        rho = np.hypot(r_b, t)
+        q = rho * (rho + t)
+        w = r_b * r_b / q
+        terms.append((q, (2.0 - w) ** (_SEG_J - 1)
+                      * _horner(_SEG_BEYOND, w / (2.0 - w))))
+    (q_near, s_near), (q_far, s_far) = terms
+    # a segment far beyond its length is a point: guard the difference
+    total = np.maximum(s_near - (q_near / q_far) ** _SEG_J * s_far,
+                       np.finfo(float).tiny)
+    out[beyond] = np.sqrt(q_near) * (total / two_w) ** power
+    return out
+
+
+def _segment_kappa(low, high, box: float) -> float:
+    """The largest ratio of :func:`_segment_potential_distance` to the true
+    distance ``d`` over the box ``[-box, box]^n``, for the segment of length
+    ``L`` between ``low`` and ``high`` (parallel to an axis).  By the
+    triangle inequality ``I`` is at least its value on the segment's axis
+    at the same ``d``, where the ratio is
+    ``(4 j W_j / (1 - (d / (d + L))^(2j)))^(1/(2j))``; that grows with
+    ``d``, so it is read at the box corner farthest from the segment."""
+    low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+    far = np.maximum(0.0, np.maximum(low + box, box - high))
+    d, length = math.hypot(*far), math.dist(low, high)
+    j = _SEG_J
+    return (4 * j * _SEG_WALLIS / (1.0 - (d / (d + length)) ** (2 * j))
+            ) ** (1.0 / (2 * j))
+
+
+@dataclass(frozen=True, eq=False)
+class _Segments:
+    """Segment columns of a :class:`RegularizedDistance`: ends ``start``
+    (S, n), unit directions ``axis`` (S, n), lengths and each column's
+    :func:`_segment_kappa`."""
+    start: np.ndarray
+    axis: np.ndarray
+    length: np.ndarray
+    kappa: np.ndarray
+
+    @classmethod
+    def of(cls, ends, box: float) -> "_Segments":
+        start = np.asarray([lo for lo, _ in ends], dtype=float)
+        delta = np.asarray([hi for _, hi in ends], dtype=float) - start
+        length = np.sqrt(np.add.reduce(delta * delta, -1))
+        kappa = np.asarray([_segment_kappa(lo, hi, box) for lo, hi in ends])
+        return cls(start, delta / length[:, None], length, kappa)
+
+    def columns(self, X: np.ndarray) -> np.ndarray:
+        """``(N, S)`` segment columns for the rows of ``X``, one coordinate
+        at a time as in :func:`geometry._distances`."""
+        t = np.zeros((len(X), len(self.length)))
+        for k in range(X.shape[1]):
+            t += (X[:, k, None] - self.start[:, k]) * self.axis[:, k]
+        r2 = np.zeros_like(t)
+        for k in range(X.shape[1]):
+            diff = X[:, k, None] - self.start[:, k] - t * self.axis[:, k]
+            r2 += diff * diff
+        return (_segment_potential_distance(np.sqrt(r2), t, self.length - t)
+                / self.kappa)
+
+
 class RegularizedDistance:
     """Batched smooth surrogate ``d~`` for the distance to a descriptor: the
     power-mean soft minimum ``(sum_j d_j^-s)^(-1/s)`` over the exact columns
-    of ``table`` (the closed-form pieces) and every point of ``nets`` (the
-    soft-minned pieces' :class:`geometry.PieceNet`).  It lies between
-    ``c1 * d`` and ``d`` plus the nets' covering slack, is smooth wherever
-    its columns are and none vanishes, is exactly 0 on an exact piece or a
-    net point, returns a single column bit for bit, and is 1 for the empty
+    of ``table`` (the closed-form pieces), one potential column per segment
+    in ``segments`` (the constant graphs over intervals) and every point of
+    ``nets`` (the other graph cells' :class:`geometry.PieceNet`).  It lies
+    between ``c1 * d`` and ``d`` (inside the box its segments were sized
+    for) plus the nets' covering slack, is smooth wherever its columns are
+    and none vanishes, is exactly 0 on an exact piece, a segment or a net
+    point, returns a single column bit for bit, and is 1 for the empty
     set."""
 
     def __init__(self, table: Optional[geometry.DistanceTable],
+                 segments: Optional[_Segments],
                  nets: list[geometry.PieceNet]):
         self.table = table
+        self.segments = segments
         self.nets = nets
-        exact = 0 if table is None else len(table.lows)
-        total = exact + sum(len(net.points) for net in nets)
+        closed = ((0 if table is None else len(table.lows))
+                  + (0 if segments is None else len(segments.length)))
+        total = closed + sum(len(net.points) for net in nets)
         self.exponent = max(12, 3 * math.ceil(math.log2(total + 2)))
         # d~ >= T^(-1/s) * (nearest column) for T columns, and T is at most
-        # (largest net) * (#pieces), so this product is a lower factor too
+        # (largest net) * (#pieces), so this product is a lower factor too;
+        # a segment column is at least 1/kappa of its distance
         self.c1 = (min((len(net.points) ** (-1.0 / self.exponent)
                         for net in nets), default=1.0)
-                   * max(1, exact + len(nets)) ** (-1.0 / self.exponent))
+                   * max(1, closed + len(nets)) ** (-1.0 / self.exponent))
+        if segments is not None:
+            self.c1 /= float(segments.kappa.max())
         self._points = (np.concatenate([net.points for net in nets])
                         if nets else None)
         # a row chunk's distance matrix stays near 200,000 entries
@@ -150,12 +286,15 @@ class RegularizedDistance:
         return _point_or_batch(self._eval, x)
 
     def _eval(self, X: np.ndarray) -> np.ndarray:
-        if self.table is None and self._points is None:
+        if (self.table is None and self.segments is None
+                and self._points is None):
             return np.ones(len(X))
         out = np.empty(len(X))
         for start in range(0, len(X), self._chunk):
             rows = X[start:start + self._chunk]
             cols = [] if self.table is None else [self.table.exact(rows)]
+            if self.segments is not None:
+                cols.append(self.segments.columns(rows))
             if self._points is not None:
                 cols.append(geometry._distances(rows, self._points))
             d = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
@@ -173,16 +312,21 @@ def regularized_distance(desc: SetDescriptor,
                          ) -> RegularizedDistance:
     """Smooth evaluable surrogate for ``d(x, desc)``.
 
-    Points, balls, boxes and the full space are exact table columns. Every
-    graph cell (constant graphs included: in Z their exact distance would
-    bend inside W's transition shell; :func:`_exact_w` decides for W) and
-    every other cell closure is soft-minned over its cached
-    frontier-clustered net, with the exponent chosen from the total column
-    count so that ``1/c1`` stays near or below 2.
+    Points, balls, boxes and the full space are exact table columns; a
+    constant graph over an interval is the potential column of the segment
+    between its clamp ends (:func:`geometry.closed_form_box`); every other
+    cell closure is soft-minned over its cached frontier-clustered net.  The
+    exponent is chosen from the total column count so that ``1/c1`` stays
+    near or below 2.
     """
-    exact, nets = [], []
+    exact, ends, nets = [], [], []
     for piece in desc.pieces:
-        if _soft_minned(piece, box):
+        corners = geometry.closed_form_box(piece, box)
+        graph = isinstance(piece, GraphCell) and bool(piece.graph)
+        if corners is not None and graph and piece.intrinsic_dim == 1:
+            ends.append(corners[:2])
+        elif corners is None or graph:
+            # curved cells, and flat patches over 2-d boxes (no potential yet)
             nets.append(geometry.piece_net(piece, box,
                                            geometry.DEFAULT_COARSE))
         else:
@@ -190,15 +334,8 @@ def regularized_distance(desc: SetDescriptor,
     table = (geometry.distance_table(SetDescriptor(tuple(exact)), box,
                                      geometry.DEFAULT_COARSE)
              if exact else None)
-    return RegularizedDistance(table, nets)
-
-
-def _soft_minned(piece, box: float) -> bool:
-    """Whether :func:`regularized_distance` soft-mins ``piece`` over its
-    net: every graph cell with a graph, and every cell without a closed
-    form."""
-    return isinstance(piece, GraphCell) and (
-        bool(piece.graph) or geometry.closed_form_box(piece, box) is None)
+    segments = _Segments.of(ends, box) if ends else None
+    return RegularizedDistance(table, segments, nets)
 
 
 def cone_membership(x, w_desc: SetDescriptor, z_desc: SetDescriptor,
@@ -286,44 +423,23 @@ class CutoffFn:
         return self.profile(self.transition(X))
 
 
-def _exact_w(spec: CutoffSpec) -> Optional[RegularizedDistance]:
-    """W's exact table distance where :func:`regularized_distance` would
-    soft-min it, or None.  It needs W to be one constant graph over an
-    interval, ``eta <= 1``, and both ends of W's clamp segment (its
-    frontier, or the box edge on an unbounded side) within 1e-9 of Z: the
-    distance bends only where W's nearest point is such an end, and there
-    ``d~_Z <= d_Z <= d_W``, so the ratio is at least ``1 >= eta_int``."""
-    piece, *rest = spec.w_desc.pieces
-    if (rest or spec.eta > 1.0 or not _soft_minned(piece, spec.box)
-            or piece.intrinsic_dim != 1):
-        return None
-    ends = geometry.closed_form_box(piece, spec.box)
-    if ends is None or np.any(geometry.distance_brackets(
-            spec.z_desc, ends[:2], spec.box)[1] > 1e-9):
-        return None
-    return RegularizedDistance(geometry.distance_table(
-        spec.w_desc, spec.box, geometry.DEFAULT_COARSE), [])
-
-
 def build_cutoff(spec: CutoffSpec) -> CutoffFn:
     """Construct a cutoff meeting the plateau/support/derivative contract
     for ``spec``; :func:`verify_cutoff` is the authority on whether it
     does.
 
-    ``d_w`` is :func:`regularized_distance`, or W's exact distance when
-    :func:`_exact_w` allows it. The transition starts at ``rho`` (default
-    ``eta * c^2 / 2`` with ``c`` the smaller ``c1``) in regularized-ratio
-    units, so comparability slack cannot push the plateau past the support
-    ratio; the certified plateau ``rho_prime`` in true-distance units
-    additionally subtracts the surrogate's measured residual ratio at
-    on-set probe points of its soft-minned pieces.
+    Both distances are :func:`regularized_distance`.  The transition
+    starts at ``rho`` (default ``eta * c^2 / 2`` with ``c`` the smaller
+    ``c1``) in regularized-ratio units, so comparability slack cannot push
+    the plateau past the support ratio; the certified plateau
+    ``rho_prime = 0.9 c rho`` is in true-distance units.
     """
     profile = smooth_transition(max(spec.q, 4))
     d_z = regularized_distance(spec.z_desc, spec.box)
     if spec.w_desc.is_empty:
         return CutoffFn(spec, regularized_distance(spec.w_desc), d_z,
                         profile, spec.eta, spec.eta / 2, spec.eta / 2)
-    d_w = _exact_w(spec) or regularized_distance(spec.w_desc, spec.box)
+    d_w = regularized_distance(spec.w_desc, spec.box)
     c_ratio = min(d_w.c1, d_z.c1)
     if c_ratio ** 2 / 2.0 < 5e-3:
         raise SlackTooLarge(
@@ -333,21 +449,7 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
     rho_int = spec.rho if spec.rho is not None else eta_int * c_ratio / 2.0
     if not rho_int < eta_int:
         raise SlackTooLarge("requested rho does not clear the support ratio")
-    residual = 0.0
-    if d_w.nets and not spec.z_desc.is_empty:
-        # net points of W's soft-minned pieces, where d~_W should vanish
-        # but a soft minimum need not (exact columns vanish on their pieces)
-        probes = np.vstack([net.points[::max(1, len(net.points) // 512)]
-                            for net in d_w.nets])
-        dz_vals = d_z._eval(probes)
-        dw_vals = d_w._eval(probes)
-        ok = dz_vals > 0
-        if np.any(ok):
-            residual = float(np.max(dw_vals[ok] / dz_vals[ok]))
-    rho_prime = 0.9 * c_ratio * max(0.0, rho_int - 2.5 * residual)
-    if rho_prime <= 0.0:
-        raise SlackTooLarge(
-            f"surrogate residual ratio {residual:.3e} swallows the plateau")
+    rho_prime = 0.9 * c_ratio * rho_int
     return CutoffFn(spec, d_w, d_z, profile, eta_int, rho_int, rho_prime)
 
 
@@ -385,6 +487,12 @@ def _sample_box(w_desc, z_desc, box):
                 pts.append([v - piece.radius for v in c])
                 pts.append([v + piece.radius for v in c])
             elif isinstance(piece, GraphCell):
+                ends = (geometry.closed_form_box(piece, box) if piece.graph
+                        else None)
+                if ends is not None:
+                    # a constant graph: its clamp ends span its net
+                    pts.extend([list(ends[0]), list(ends[1])])
+                    continue
                 net = geometry.piece_net(piece, box,
                                          geometry.DEFAULT_COARSE).points
                 pts.extend(net[::max(1, len(net) // 32)].tolist())

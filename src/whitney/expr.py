@@ -20,6 +20,7 @@ Two conventions matter throughout:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -298,17 +299,10 @@ def _exact_sqrt(a: Fraction):
 # ---------------------------------------------------------------------------
 # differentiation
 
-_diff_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=4096)
 def _d(node: Node, i: int) -> Node:
-    key = (node, i)
-    hit = _diff_cache.get(key)
-    if hit is not None:
-        return hit
-    out = _d_raw(node, i)
-    _diff_cache[key] = out
-    return out
+    """``d node / d x_i``, memoized per subtree in a bounded cache."""
+    return _d_raw(node, i)
 
 
 def _d_raw(node: Node, i: int) -> Node:

@@ -111,36 +111,35 @@ class Scene:
         return problems
 
     def _closure_check(self, s: Stratum, tol: float) -> list[str]:
-        """Frontier sample points must land on declared boundary strata."""
-        out = []
+        """Frontier sample points must land on declared boundary strata;
+        one problem per stratum names the first uncovered point or the
+        worst miss.  A frontier that cannot be sampled is unchecked."""
         try:
-            frontier = geometry.graph_cell_frontier(s.cell, self.box)
-        except UnsupportedDescriptor:
-            return out
-        if frontier.is_empty:
-            return out
-        boundary = self.descriptor_for(s.boundary_ids) \
-            if s.boundary_ids else EMPTY_SET
-        for piece in frontier.pieces:
-            x = piece.point
-            if boundary.is_empty:
-                out.append(f"stratification not closed: frontier point "
-                           f"{tuple(round(float(v), 6) for v in x)} of "
-                           f"{s.id!r} has no boundary stratum")
-                continue
-            d = geometry.set_distance(boundary, x, box=self.box)
-            if d.up > 1e-4:
-                out.append(f"stratification not closed: frontier point of "
-                           f"{s.id!r} misses its declared boundary by "
-                           f"{d.up:.2e}")
-        return out
+            frontier = _frontier_samples(s.cell, self.box)
+        except UnsupportedDescriptor as exc:
+            return [f"stratum {s.id!r}: closure unchecked ({exc})"]
+        if not frontier:
+            return []
+        if not s.boundary_ids:
+            x = frontier[0]
+            return [f"stratification not closed: frontier point "
+                    f"{tuple(round(float(v), 6) for v in x)} of "
+                    f"{s.id!r} has no boundary stratum"]
+        boundary = self.descriptor_for(s.boundary_ids)
+        worst = max(geometry.set_distance(boundary, x, box=self.box).up
+                    for x in frontier)
+        if worst > 1e-4:
+            return [f"stratification not closed: frontier point of "
+                    f"{s.id!r} misses its declared boundary by {worst:.2e}"]
+        return []
 
     def _disjointness_check(self) -> list[str]:
         out = []
         for s in self.strata:
             try:
                 params = geometry.stratum_samples(s.cell, 16, self.box)
-            except UnsupportedDescriptor:
+            except UnsupportedDescriptor as exc:
+                out.append(f"stratum {s.id!r}: disjointness unchecked ({exc})")
                 continue
             for other in self.strata:
                 if other.id == s.id:
@@ -154,6 +153,19 @@ class Scene:
                     continue
                 break
         return out
+
+
+def _frontier_samples(cell: GraphCell, box: float) -> list:
+    """Points of a graph cell's frontier: the limit points at an interval
+    base's ends, or samples along every piece of a 2-d base's boundary
+    lifted through the graph.  Raises :class:`UnsupportedDescriptor` for
+    other bases."""
+    if isinstance(cell.base, geometry.Interval):
+        return [p.point
+                for p in geometry.graph_cell_frontier(cell, box).pieces]
+    return [cell.embed(piece.embed(u))
+            for piece in geometry.open_cell_boundary(cell.base, box).pieces
+            for u in geometry.stratum_samples(piece, 8, box)]
 
 
 # ---------------------------------------------------------------------------

@@ -108,13 +108,69 @@ def test_full_space_distance_zero():
     assert d((12.3,)) == 0.0
 
 
+def _segment(a, b, height):
+    return geo.GraphCell(geo.Interval(a, b), (expr.constant_fn(height, 1),),
+                         (0, 1))
+
+
 def _square_bottom_z():
-    """Z of square's bottom edge: the other three edges (soft-minned nets)
+    """Z of square's bottom edge: the other three edges (segment columns)
     and the four corners (exact columns)."""
     from conftest import load_corpus_scene
     scene = load_corpus_scene("square").scene
     z = geo.descriptor_of(*(s.cell for s in scene.strata if s.id != "bottom"))
     return z, scene.box
+
+
+def _segment_column_by_quadrature(X, a, b, j=co._SEG_J):
+    """``(I / 2W_j)^(-1/(2j))`` off the segment by brute force:
+    Gauss-Legendre on pieces of the segment split at the foot point and at
+    dyadic offsets ``r 2^k`` from it, so that the integrand varies by a
+    bounded factor on each piece, in units of the true distance ``dist``
+    so that it does not overflow."""
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    theta = np.pi / 4 * (nodes + 1.0)
+    wallis = np.pi / 4 * np.sum(weights * np.cos(theta) ** (2 * j - 1))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    length = float(np.linalg.norm(b - a))
+    axis = (b - a) / length
+    out = []
+    for x in np.atleast_2d(X):
+        t = float((x - a) @ axis)
+        r = float(np.linalg.norm(x - a - t * axis))
+        # offsets from the foot point, where the integrand peaks
+        first, last = -t, length - t
+        foot = min(max(0.0, first), last)
+        dist = math.hypot(r, foot)
+        r, first, last, foot = r / dist, first / dist, last / dist, foot / dist
+        cuts = {first, last, foot}
+        step = max(r, 1e-12)
+        while step < 2 * (last - first):
+            cuts.update(c for c in (foot - step, foot + step)
+                        if first < c < last)
+            step *= 2.0
+        cuts = sorted(cuts)
+        total = 0.0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            v = lo + (hi - lo) / 2 * (nodes + 1.0)
+            total += (hi - lo) / 2 * np.sum(
+                weights * (r * r + v * v) ** -(j + 0.5))
+        out.append(dist * (total / (2 * wallis)) ** (-1.0 / (2 * j)))
+    return np.asarray(out)
+
+
+def test_segment_column_matches_quadrature():
+    """The closed forms against brute-force quadrature, over the segment,
+    beyond its ends, close to its line and on its axis."""
+    rng = np.random.default_rng(11)
+    X = np.concatenate([rng.uniform(-2.0, 3.0, (200, 2)),
+                        [[x, r] for x in (-1.5, -1e-3, 0.3, 1.0 + 1e-6, 2.5)
+                         for r in (0.0, 1e-12, 1e-9, 1e-4, 0.05, 1.0)]])
+    X = X[~((X[:, 1] == 0.0) & (X[:, 0] >= 0.0) & (X[:, 0] <= 1.0))]
+    got = co._segment_potential_distance(np.abs(X[:, 1]), X[:, 0],
+                                         1.0 - X[:, 0])
+    ref = _segment_column_by_quadrature(X, (0.0, 0.0), (1.0, 0.0))
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
 
 
 def test_regularized_distance_is_the_flat_soft_minimum():
@@ -124,35 +180,63 @@ def test_regularized_distance_is_the_flat_soft_minimum():
                                       if isinstance(p, geo.PointCell)))
     edges = [p for p in z.pieces if isinstance(p, geo.GraphCell)]
     assert len(corners.pieces) == 4 and len(edges) == 3
-    nets = [geo.piece_net(e, box, geo.DEFAULT_COARSE) for e in edges]
+    assert not d.nets and len(d.segments.length) == 3
     g = np.linspace(-0.5, 1.5, 51) + 0.0123
     X = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
     cols = np.concatenate(
         [geo.distance_table(corners, box, geo.DEFAULT_COARSE).exact(X)]
-        + [np.linalg.norm(X[:, None, :] - net.points, axis=-1)
-           for net in nets], axis=1)
+        + [_segment_column_by_quadrature(X, *geo.closed_form_box(e, box)[:2])
+           [:, None] / kappa for e, kappa in zip(edges, d.segments.kappa)],
+        axis=1)
     s = d.exponent
     ref = np.sum(cols ** -float(s), axis=1) ** (-1.0 / s)
     val = d(X)
-    assert np.all(np.abs(val - ref) <= 1e-14 * ref)
-    # below the true distance up to the nets' covering slack
+    assert np.all(np.abs(val - ref) <= 1e-12 * ref)
     lo, up = geo.distance_brackets(z, X, box)
-    slack = max(float(net.slack.max()) for net in nets)
-    assert np.all(d.c1 * lo <= val) and np.all(val <= up + slack)
+    assert np.all(d.c1 * lo <= val * (1 + 1e-12)) and np.all(val <= up)
+
+
+def test_segment_columns_are_comparable_over_the_scene_box():
+    """``c1 d <= d~ <= d`` on a grid over the whole scene box, for a lone
+    segment, a half-line clamped at the box edge and square's bottom Z."""
+    z, box = _square_bottom_z()
+    ray = geo.GraphCell(geo.Interval(0.0, None), (expr.constant_fn(1, 1),),
+                        (1, 0))
+    g = np.linspace(-box, box, 121)
+    X = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
+    for desc in (geo.descriptor_of(_segment(0.0, 1.0, 0.0)),
+                 geo.descriptor_of(ray), z):
+        d = co.regularized_distance(desc, box)
+        lo, up = geo.distance_brackets(desc, X, box)
+        assert np.array_equal(lo, up)
+        val = d(X)
+        assert np.all(d.c1 * up <= val * (1 + 1e-12)) and np.all(val <= up)
+    lone = co.regularized_distance(
+        geo.descriptor_of(_segment(0.0, 1.0, 0.0)), box)
+    assert 0.9 < lone.c1 < 0.92
 
 
 def test_regularized_distance_vanishes_on_its_columns_without_warnings():
-    """Rows on the set (an exact piece or a net point) give exactly 0
-    without forming (1/d)^s, which would overflow."""
+    """Rows on the set (an exact piece or a segment) give exactly 0, and
+    rows next to a segment or beyond its end close to its axis a positive
+    value, without forming (1/d)^s or r^-2j, which would overflow."""
     import warnings
     z, box = _square_bottom_z()
     d = co.regularized_distance(z, box)
-    corners = [p.point for p in z.pieces if isinstance(p, geo.PointCell)]
-    X = np.vstack([np.asarray(corners, dtype=float)]
-                  + [net.points for net in d.nets])
+    t = np.linspace(0.0, 1.0, 101)
+    on = np.concatenate([np.stack(p, axis=1) for p in
+                         ((t, 0 * t + 1), (0 * t, t), (0 * t + 1, t))])
+    near = np.asarray([[0.5, 1.0 + s * r] for s in (-1, 1)
+                       for r in (1e-12, 1e-9, 1e-6)]
+                      + [[1.0 + tau, 1.0 + r] for tau in (1e-12, 1e-6, 0.5)
+                         for r in (0.0, 1e-12, 1e-9)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.all(d(X) == 0.0)
+        assert np.all(d(on) == 0.0)
+        val = d(near)
+    lo, up = geo.distance_brackets(z, near, box)
+    assert np.all(val > 0.0) and np.all(val <= up)
+    assert np.all(d.c1 * up <= val * (1 + 1e-12))
 
 
 # --- cone membership ---------------------------------------------------------
@@ -196,33 +280,35 @@ def test_cone_membership_is_a_row_of_the_batch():
         assert len(set(rows)) > 1
 
 
-def _segment(a, b, height):
-    return geo.GraphCell(geo.Interval(a, b), (expr.constant_fn(height, 1),),
-                         (0, 1))
-
-
-def test_single_constant_graph_w_reads_its_exact_distance():
+def test_single_constant_graph_w_is_one_segment_column():
+    """A lone segment W is one potential column, returned bit for bit: 0 on
+    the segment, between c1 d and d off it."""
     w = geo.descriptor_of(_segment(0.0, 1.0, 0.0))
     z = geo.descriptor_of(geo.PointCell((0.0, 0.0)), geo.PointCell((1.0, 0.0)))
     omega = co.build_cutoff(co.CutoffSpec(w, z, 0.5, 2, box=3.0))
+    d_w = omega.d_w
+    assert d_w.table is None and not d_w.nets and len(d_w.segments.length) == 1
     X = np.random.default_rng(5).uniform(-2.0, 3.0, (300, 2))
+    val = d_w(X)
+    assert np.array_equal(val, d_w.segments.columns(X)[:, 0])
     lo, up = geo.distance_brackets(w, X, 3.0)
     assert np.array_equal(lo, up)
-    assert np.array_equal(omega.d_w(X), up)
+    assert np.all(d_w.c1 * up <= val * (1 + 1e-12)) and np.all(val <= up)
+    on = np.stack([np.linspace(0.0, 1.0, 11), np.zeros(11)], axis=1)
+    assert np.all(d_w(on) == 0.0) and np.all(omega(on[1:-1]) == 1.0)
 
 
-def test_w_segment_with_endpoints_off_z_keeps_its_net():
+def test_w_segment_with_endpoints_off_z_keeps_the_cutoff_c2():
     """The bundled segment-vs-points spec at q=2: the segment's endpoints
     are not in Z, so its exact distance would bend on the normal line x=0
-    inside the transition shell (d2 omega/dx2 jumps by about 30 at
-    y=0.25 and 0.3); the cutoff falls back to the soft minimum, which keeps
-    it continuous."""
+    inside the transition shell (d2 omega/dx2 would jump by about 30 at
+    y=0.25 and 0.3); the segment's potential column is smooth there."""
     import dataclasses
     from whitney.corpus import bundled_cutoff_specs
     from whitney.verify import finite_difference
     spec = dataclasses.replace(bundled_cutoff_specs()[2], q=2)
     omega = co.build_cutoff(spec)
-    assert omega.d_w.nets
+    assert not omega.d_w.nets and len(omega.d_w.segments.length) == 1
     for y in (0.25, 0.3):
         assert 0.0 < omega((0.0, y)) < 1.0
         left, right = (finite_difference(omega, (2, 0), (s, y), 5e-5)[0]
@@ -230,19 +316,25 @@ def test_w_segment_with_endpoints_off_z_keeps_its_net():
         assert abs(left - right) < 1.0, (y, left, right)
 
 
-def test_half_line_w_keeps_its_net():
-    """A constant graph over (0, inf) has its clamp end at the box edge,
-    which is not in Z, so the cutoff keeps the soft minimum."""
+def test_half_line_w_is_a_segment_to_the_box_edge():
+    """A constant graph over (0, inf) is the segment between its clamp
+    ends, the second one on the box edge."""
     ray = geo.GraphCell(geo.Interval(0.0, None), (expr.constant_fn(0, 1),),
                         (0, 1))
     spec = co.CutoffSpec(geo.descriptor_of(ray), point_desc(0.0, 0.0), 0.5,
                          2, box=3.0)
-    assert co.build_cutoff(spec).d_w.nets
+    d_w = co.build_cutoff(spec).d_w
+    assert not d_w.nets
+    segments = d_w.segments
+    assert np.array_equal(segments.start, [[0.0, 0.0]])
+    assert np.array_equal(segments.start + segments.length[:, None]
+                          * segments.axis, [[3.0, 0.0]])
+    assert d_w((2.5, 0.0)) == 0.0 and d_w((1.0, 0.5)) > 0.0
 
 
 def test_cutoff_of_two_exact_w_points():
-    """A W of two points has no soft-minned piece, so there is no on-set
-    residual to measure: the plateau holds at both points."""
+    """A W of two points: the plateau ratio is ``0.9 c rho_int`` and holds
+    at both points."""
     w = geo.descriptor_of(geo.PointCell((0.0, 0.0)), geo.PointCell((1.0, 0.0)))
     spec = co.CutoffSpec(w, point_desc(0.5, 1.0), 0.5, 2, box=3.0)
     omega = co.build_cutoff(spec)
@@ -250,6 +342,21 @@ def test_cutoff_of_two_exact_w_points():
     assert omega.rho_prime == pytest.approx(0.9 * c_ratio * omega.rho_int)
     assert omega((0.0, 0.0)) == 1.0 and omega((1.0, 0.0)) == 1.0
     assert omega((0.5, 0.9)) == 0.0
+
+
+def test_parabola_arc_cutoff_keeps_its_plateau_ratio():
+    """The arc's cutoff is net-backed; its ``rho_prime`` is bit for bit
+    the value it had while an on-set residual probe (always 0) still
+    entered it."""
+    from conftest import load_corpus_scene
+    from whitney.extension import extend_field
+    (term,) = extend_field(load_corpus_scene("parabola").scene).terms
+    assert term.stratum_id == "arc"
+    omega = term.omega
+    assert omega.d_w.nets and omega.d_w.segments is None
+    c_ratio = min(omega.d_w.c1, omega.d_z.c1)
+    assert omega.rho_prime == 0.9 * c_ratio * omega.rho_int
+    assert omega.rho_prime == 0.05830716399541141
 
 
 def test_soft_minned_z_segment_keeps_the_cutoff_c2():

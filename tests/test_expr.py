@@ -162,3 +162,15 @@ def test_unknown_op_rejected():
         expr.node_from_json(["sin", ["var", 0]])
     with pytest.raises(UnsupportedNode):
         expr.pow_(expr.var(0), -2)
+
+
+def test_derivative_cache_stays_bounded():
+    """Differentiating far more distinct trees than the cache holds leaves
+    it at its bound, and derivatives stay exact."""
+    bound = expr._d.cache_info().maxsize
+    for k in range(bound // 2 + 100):
+        f = expr.polynomial(2, {(3, 1): k + 1, (0, 2): Fraction(1, k + 2)})
+        g = expr.differentiate(f, (1, 1))
+        assert expr.evaluate(g, (1, 1)) == 3 * (k + 1)
+    info = expr._d.cache_info()
+    assert info.currsize <= bound and info.misses > bound

@@ -170,10 +170,11 @@ def test_support_discipline():
 
 
 def test_square_edge_cutoffs_vanish_around_their_endpoint_normals():
-    """Each square edge's cutoff reads the edge's exact distance, which
-    bends only on the normal lines through the edge's endpoints; there,
-    and in a 1e-3 relative band around them, the cutoff is exactly 0
-    because the endpoints are corner strata in Z."""
+    """Each square edge's cutoff reads the edge's segment column.  On the
+    normal lines through the edge's endpoints the nearest point of W is an
+    endpoint, a corner stratum in Z, so the ratio is at least ``c >=
+    eta_int``; there, and in a 1e-3 relative band around them, the cutoff
+    is exactly 0."""
     f = extend_field(load_corpus_scene("square").scene)
     assert len(f.terms) == 4
     t = np.geomspace(1e-4, 2.0, 60)
@@ -181,7 +182,8 @@ def test_square_edge_cutoffs_vanish_around_their_endpoint_normals():
     for term in f.terms:
         cell = term.cell
         d_w = term.omega.d_w
-        assert not d_w.nets and len(d_w.table.lows) == 1
+        assert d_w.table is None and not d_w.nets
+        assert len(d_w.segments.length) == 1
         height = float(expr.evaluate(cell.graph[0], (0.5,)))
         for end in (0.0, 1.0):
             for rel in (-1e-3, 0.0, 1e-3):
@@ -189,6 +191,40 @@ def test_square_edge_cutoffs_vanish_around_their_endpoint_normals():
                 X = np.empty_like(Y)
                 X[:, list(cell.perm)] = Y
                 assert not np.any(term.omega(X)), (term.stratum_id, end, rel)
+
+
+def test_validate_reports_strata_it_cannot_check():
+    """A cell over a 3-d base has no frontier sampler and no parameter
+    samples: validate names both checks as unchecked instead of passing
+    the scene, and extension refuses it."""
+    cube = geo.identity_graph_cell(geo.Slab(
+        geo.Slab(geo.Interval(0.0, 1.0), C(0, 1), C(1, 1)), C(0, 2), C(1, 2)))
+    field = FieldSpec(3, 1, "cube", 3,
+                      {a: C(0, 3) for a in multi_indices(3, 1)})
+    scene = Scene(3, 1, 2, (Stratum("cube", cube, ()),), {"cube": field},
+                  box=3.0)
+    assert scene.validate() == [
+        "stratum 'cube': closure unchecked (boundary descriptors "
+        "implemented through dimension 2)",
+        "stratum 'cube': disjointness unchecked (samples implemented for "
+        "dimensions 0-2)"]
+    with pytest.raises(StratificationInvalid, match="unchecked"):
+        extend_field(scene)
+
+
+def test_validate_samples_the_frontier_of_a_2d_cell():
+    """The filled square's face is checked along its four edges: it passes
+    with all of them declared and misses the undeclared top edge."""
+    scene = filled_square_scene()
+    assert scene.validate() == []
+    face = scene.stratum("face")
+    strata = tuple(s if s.id != "face" else Stratum(
+        "face", face.cell, tuple(b for b in face.boundary_ids if b != "top"))
+        for s in scene.strata)
+    broken = Scene(2, 1, 2, strata, scene.fields, frozenset(), box=3.0)
+    assert broken.validate() == [
+        "stratification not closed: frontier point of 'face' misses its "
+        "declared boundary by 4.38e-01"]
 
 
 def test_validate_propagates_unexpected_errors(monkeypatch):
