@@ -1,7 +1,7 @@
 """Numerical engine for extending jet fields off stratified closed sets,
 with a verification harness for every contract the construction relies on:
-jet-algebra identities, cell regularity, distance comparisons, cutoff
-plateau/support/derivative bounds, extension agreement and flatness rates.
+jet-algebra identities, distance comparisons, cutoff plateau/support/derivative
+bounds, extension agreement and flatness rates.
 """
 
 __version__ = "0.1.0"
@@ -12,8 +12,7 @@ from .jets import (PointJet, FieldSpec, jet_add, jet_mul, jet_eval,  # noqa: F40
 from .geometry import (Interval, Slab, GraphCell, PointCell,  # noqa: F401
                        SetDescriptor, set_distance, contains)
 from .cutoff import (CutoffSpec, build_cutoff, verify_cutoff,  # noqa: F401
-                     smooth_transition, regularized_distance,
-                     cone_membership)
+                     smooth_transition, regularized_distance)
 from .extension import (Scene, Stratum, ExtensionFn, extend_field,  # noqa: F401
                         extend_on_cell, subtract_taylor, shift_field,
                         flatness_rate_probe)

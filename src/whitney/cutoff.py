@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import geometry
-from .errors import OnZ, SlackTooLarge, UnsupportedDescriptor
+from .errors import SlackTooLarge, UnsupportedDescriptor
 from .geometry import Ball, GraphCell, PointCell, SetDescriptor
 from .jets import multi_indices, mi_order
 from .verify import sampled_derivative_batch
@@ -338,18 +338,6 @@ def regularized_distance(desc: SetDescriptor,
     return RegularizedDistance(table, segments, nets)
 
 
-def cone_membership(x, w_desc: SetDescriptor, z_desc: SetDescriptor,
-                    eta: float, tau: float = 1e-12,
-                    box: float = geometry.DEFAULT_BOX_HALFWIDTH) -> int:
-    """Certified membership of the point ``x`` in the cone neighborhood
-    ``{d(x, W) < eta * d(x, Z)}``: the 1-row :func:`cone_membership_batch`.
-    Raises :class:`OnZ` within ``tau`` of Z."""
-    member, up_z = cone_membership_batch(w_desc, z_desc, eta, [x], box)
-    if up_z[0] <= tau:
-        raise OnZ(f"point {tuple(x)} lies on the excluded set")
-    return int(member[0])
-
-
 def cone_membership_batch(w_desc: SetDescriptor, z_desc: SetDescriptor,
                           eta: float, X: np.ndarray,
                           box: float = geometry.DEFAULT_BOX_HALFWIDTH):
@@ -575,23 +563,3 @@ def _descriptor_dim(spec: CutoffSpec) -> int:
             if isinstance(piece, GraphCell):
                 return piece.ambient_dim
     raise UnsupportedDescriptor("cannot infer dimension from empty spec")
-
-
-def format_report(rep: CutoffReport) -> str:
-    """Cutoff contract report as structured text, with the scaled
-    derivative constants tabulated per multi-index."""
-    lines = [
-        f"plateau   {rep.plateau_checked:>7} checked   "
-        f"{rep.plateau_violations} violations",
-        f"support   {rep.support_checked:>7} checked   "
-        f"{rep.support_violations} violations",
-        f"range     {'[0,1] ok' if rep.in_range else 'OUT OF RANGE'}",
-        f"excluded  |d(x,Z)| < {rep.excluded_radius:.3e}",
-        "alpha        C_hat          refine-ratio",
-    ]
-    for alpha in sorted(rep.bound_constants):
-        c = rep.bound_constants[alpha]
-        r = rep.bound_ratios.get(alpha, float("nan"))
-        lines.append(f"{str(alpha):<12} {c:<14.6g} {r:.3f}")
-    lines.append("verdict   " + ("PASS" if rep.passed else "FAIL"))
-    return "\n".join(lines)

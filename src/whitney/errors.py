@@ -44,39 +44,18 @@ class ShapeMismatch(EngineError):
     pass
 
 
-class NotAGraphCell(InputError):
-    pass
-
-
 class ConsistencyViolation(EngineError):
     """A jet field failed the sampled tangential-derivative compatibility
     check on a stratum."""
 
 
-class UnknownStratum(InputError):
-    pass
-
-
 # --- geometry module ---
-
-class ConvergenceFailure(EngineError):
-    """A distance bracket could not be tightened to the requested width."""
-
-
-class MeshDisconnected(EngineError):
-    pass
-
 
 class UnsupportedDescriptor(InputError):
     pass
 
 
 # --- cutoff module ---
-
-class OnZ(EngineError):
-    """Queried a cone-neighborhood membership at a point of the excluded
-    closed set."""
-
 
 class SlackTooLarge(EngineError):
     """Distance regularization too loose to fit a plateau below the

@@ -17,6 +17,10 @@ Two conventions matter throughout:
   ``tau_sing``, never silently resolved.  Derivatives of abs/min/max
   select the active branch and keep the guard, so differentiation of a
   derived tree errors on the ridge too.
+
+:func:`evaluate` is the exact scalar evaluator.  :func:`evaluate_rows` is
+the one float evaluator over a batch of rows; it turns those errors into a
+row mask.
 """
 from __future__ import annotations
 
@@ -25,6 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 from .errors import ArityMismatch, SingularPoint, UnsupportedNode
 
@@ -249,7 +255,7 @@ def _eval(node: Node, x, tau):
             raise SingularPoint(f"denominator {den} within {tau} of zero")
         return num / den
     if op == "pow":
-        return _eval(node.args[0], x, tau) ** node.payload
+        return _int_power(_eval(node.args[0], x, tau), node.payload)
     if op == "sqrt":
         a = _eval(node.args[0], x, tau)
         if a <= tau:
@@ -286,6 +292,91 @@ def _eval(node: Node, x, tau):
             raise SingularPoint("no piecewise guard active at point")
         return _eval(active, x, tau)
     raise UnsupportedNode(f"unknown node op {op!r}")
+
+
+def _int_power(a, k: int):
+    """``a ** k`` for an integer ``k >= 1`` by repeated multiplication: exact
+    on a Fraction, and the same floats on a Python float as on an array
+    (numpy's ``**`` and Python's can differ in the last bit)."""
+    out = a
+    for _ in range(k - 1):
+        out = out * a
+    return out
+
+
+def evaluate_rows(f: ExprFn, U):
+    """``(values, singular)`` of ``f`` on every row of the ``(N, arity)``
+    float array ``U``: ``singular`` marks the rows where :func:`evaluate`
+    raises :class:`SingularPoint`, and their values are NaN.  A piecewise
+    body is evaluated on its active rows only.  Every other row equals
+    ``float(evaluate(f, u))`` bit for bit, save where a variable-free
+    subtree the builders do not fold (``sqrt(1/9)``, say) is exact there.
+    """
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[1] != f.arity:
+        raise ArityMismatch(
+            f"expected rows of {f.arity} coordinates, got shape {U.shape}")
+    values, singular = _eval_rows(f.root, U, TAU_SING)
+    return np.where(singular, np.nan, values), singular
+
+
+def evaluate_rows_or_raise(f: ExprFn, U) -> np.ndarray:
+    """The values of :func:`evaluate_rows`; a singular row raises
+    :class:`SingularPoint`, as :func:`evaluate` would there."""
+    values, singular = evaluate_rows(f, U)
+    if singular.any():
+        u = tuple(np.asarray(U, dtype=float)[np.argmax(singular)].tolist())
+        raise SingularPoint(f"expression singular at {u}")
+    return values
+
+
+def _eval_rows(node: Node, U: np.ndarray, tau):
+    """``(values, singular)`` of a subtree on the rows of ``U``.  A singular
+    operand is replaced by 1 before the operation, so no row warns."""
+    op = node.op
+    if op == "const":
+        return np.full(len(U), float(node.payload)), np.zeros(len(U), bool)
+    if op == "var":
+        return U[:, node.payload], np.zeros(len(U), bool)
+    if op == "piecewise":
+        return _piecewise_rows(node, U, tau)
+    args = [_eval_rows(arg, U, tau) for arg in node.args]
+    bad = np.logical_or.reduce([s for _, s in args])
+    a, b = args[0][0], args[-1][0]
+    if op == "add":
+        return a + b, bad
+    if op == "sub":
+        return a - b, bad
+    if op == "mul":
+        return a * b, bad
+    if op == "div":
+        near = np.abs(b) <= tau
+        return a / np.where(near, 1.0, b), bad | near
+    if op == "pow":
+        return _int_power(a, node.payload), bad
+    if op == "sqrt":
+        near = a <= tau
+        return np.sqrt(np.where(near, 1.0, a)), bad | near
+    if op == "abs":
+        return np.where(a > 0, a, -a), bad | (np.abs(a) <= tau)
+    if op in ("min", "max"):
+        pick = a < b if op == "min" else a > b
+        return np.where(pick, a, b), bad | (np.abs(a - b) <= tau)
+    raise UnsupportedNode(f"unknown node op {op!r}")
+
+
+def _piecewise_rows(node: Node, U: np.ndarray, tau):
+    guards = [_eval_rows(g, U, tau) for g in node.args[0::2]]
+    bad = np.logical_or.reduce([b | (np.abs(g) <= tau) for g, b in guards])
+    active = np.asarray([g > 0 for g, _ in guards])
+    bad |= active.sum(axis=0) != 1
+    out = np.zeros(len(U))
+    for on, body in zip(active, node.args[1::2]):
+        rows = np.flatnonzero(on & ~bad)
+        if len(rows):
+            out[rows], body_bad = _eval_rows(body, U[rows], tau)
+            bad[rows] |= body_bad
+    return out, bad
 
 
 def _exact_sqrt(a: Fraction):

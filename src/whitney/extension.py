@@ -24,12 +24,12 @@ from . import cutoff as cutoff_mod
 from . import expr, geometry, verify
 from .cutoff import CutoffFn, CutoffSpec, build_cutoff, _point_or_batch
 from .errors import (FlatnessDeclarationMissing, SequenceLeavesCone,
-                     SingularPoint, StratificationInvalid, SupportLeak,
+                     StratificationInvalid, SupportLeak,
                      UnsupportedDescriptor)
 from .geometry import (EMPTY_SET, GraphCell, PointCell, SetDescriptor,
-                       open_cell_contains)
-from .jets import (FieldSpec, PointJet, jet_compose, mi_factorial, mi_order,
-                   multi_indices, taylor_jet)
+                       open_cell_outside)
+from .jets import (FieldSpec, PointJet, coefficient_rows, jet_compose,
+                   mi_factorial, mi_order, multi_indices, taylor_jet)
 
 # ---------------------------------------------------------------------------
 # scenes
@@ -223,20 +223,17 @@ class CellTerm:
         m = self.cell.intrinsic_dim
         Y = X[:, list(self.cell.perm)]           # internal coordinates
         leaks = np.zeros(len(X), dtype=bool)
-        for i in np.flatnonzero(w):
-            u = tuple(Y[i, :m].tolist())
-            leaks[i] = open_cell_contains(self.cell.base, u,
-                                          1e-12) == "outside"
-            try:
-                if not leaks[i]:                 # normal offsets
-                    Y[i, m:] -= [float(expr.evaluate(phi, u))
-                                 for phi in self.cell.graph]
-            except SingularPoint:
-                leaks[i] = True
+        rows = np.flatnonzero(w)
+        leaks[rows] = open_cell_outside(self.cell.base, Y[rows, :m], 1e-12)
+        rows = rows[~leaks[rows]]
+        for j, phi in enumerate(self.cell.graph):    # normal offsets
+            offset, singular = expr.evaluate_rows(phi, Y[rows, :m])
+            Y[rows, m + j] -= offset
+            leaks[rows[singular]] = True
         out = np.zeros(len(X))
-        rows = np.flatnonzero((w != 0.0) & ~leaks)
+        rows = rows[~leaks[rows]]
         if len(rows):
-            coeffs = [(beta, _coefficient_rows(fn, Y[rows, :m]))
+            coeffs = [(beta, coefficient_rows(fn, Y[rows, :m]))
                       for beta, fn in self.normal_coeffs.items()]
             out[rows] = _jet_polynomial(coeffs, Y[rows, m:]) * w[rows]
         return out, leaks
@@ -246,13 +243,6 @@ class CellTerm:
                 "cutoff": {"eta": self.omega.spec.eta,
                            "q": self.omega.spec.q},
                 "hash": _term_hash(sorted(self.normal_coeffs))}
-
-
-def _coefficient_rows(fn, U: np.ndarray) -> np.ndarray:
-    """A coefficient on rows ``U``: an expression row by row, else batched."""
-    if isinstance(fn, expr.ExprFn):
-        return np.asarray([float(expr.evaluate(fn, u)) for u in U.tolist()])
-    return np.asarray(fn(U), dtype=float)
 
 
 def _jet_polynomial(coeffs, offsets: np.ndarray) -> np.ndarray:
@@ -425,10 +415,10 @@ def _subtracted_coeff(orig, cell, alpha_int, g: ExtensionFn,
     alpha_amb = cell.to_ambient(alpha_int)
 
     def batch(U):
-        X = np.asarray([[float(v) for v in cell.embed(u)] for u in U.tolist()])
+        X = cell.embed_rows(U)
         d, _ = verify.sampled_derivative_batch(g, X, alpha_amb,
                                                np.full(len(X), h))
-        return _coefficient_rows(orig, U) - d
+        return coefficient_rows(orig, U) - d
 
     return lambda u: _point_or_batch(batch, u)
 
@@ -485,36 +475,22 @@ def _support_fits(cell: GraphCell, z_desc: SetDescriptor, scene: Scene,
     w_desc = geometry.descriptor_of(cell)
     lo, hi = cutoff_mod._sample_box(w_desc, z_desc, scene.box)
     X = lo + (hi - lo) * rng.random((n_samples, scene.n))
-    extra = _frontier_shells(cell, rng, scene)
-    if extra is not None:
-        X = np.vstack([X, extra])
+    X = np.vstack([X, _frontier_shells(cell, rng, scene)])
     member, _ = cutoff_mod.cone_membership_batch(w_desc, z_desc, eta, X,
                                                  scene.box)
-    m = cell.intrinsic_dim
-    for x in X[member == cutoff_mod.IN]:
-        u = cell.to_internal(x)[:m]
-        if open_cell_contains(cell.base, u, 1e-9) == "outside":
-            return False
-    return True
+    U = X[member == cutoff_mod.IN][:, list(cell.perm[:cell.intrinsic_dim])]
+    return not open_cell_outside(cell.base, U, 1e-9).any()
 
 
-def _frontier_shells(cell: GraphCell, rng, scene) -> Optional[np.ndarray]:
+def _frontier_shells(cell: GraphCell, rng, scene) -> np.ndarray:
     """Extra leak-check samples in shrinking shells around the cell's
-    frontier, where cone support violations concentrate."""
-    try:
-        frontier = geometry.graph_cell_frontier(cell, scene.box)
-    except UnsupportedDescriptor:
-        return None
-    pts = [np.asarray([float(v) for v in p.point])
-           for p in frontier.pieces if isinstance(p, PointCell)]
-    if not pts:
-        return None
-    out = []
-    for c in pts:
+    :func:`_frontier_samples`, where cone support violations concentrate."""
+    out = [np.empty((0, scene.n))]
+    for c in _frontier_samples(cell, scene.box):
+        c = np.asarray(c, dtype=float)
         for j in range(2, 14):
             r = 2.0 ** (-j)
-            shell = c + r * (rng.random((16, scene.n)) - 0.5) * 2.0
-            out.append(shell)
+            out.append(c + r * (rng.random((16, scene.n)) - 0.5) * 2.0)
     return np.vstack(out)
 
 

@@ -1,5 +1,5 @@
-"""Cell geometry: membership, bracketed distances, and the sampling probes
-that validate a scene's regularity assumptions.
+"""Cell geometry: membership, bracketed distances, parameter nets and
+samples, and the Lipschitz and distance-sandwich probes of graph cells.
 
 Cells come in three shapes.  An *open cell* lives in its own ambient space
 and is either an interval or a slab between two expression walls over a
@@ -13,14 +13,11 @@ table per descriptor (:class:`DistanceTable`): exact for points, balls,
 the full space and constant graphs over boxes; otherwise ``up`` is the
 best point of a cached embedded net (golden-section polished for single
 points on 1-d cells) and ``lo`` subtracts the net's covering radius.
-Every probe in this module is a sampling probe with a refinement-stability
-verdict, not a proof.
+Both probes sample; neither is a proof.
 """
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -28,10 +25,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import expr
-from .errors import (ConvergenceFailure, MeshDisconnected, SingularPoint,
-                     UnsupportedDescriptor)
+from .errors import SingularPoint, UnsupportedDescriptor
 from .expr import ExprFn
-from .jets import multi_indices, mi_order
 
 DEFAULT_BOX_HALFWIDTH = 10.0
 DEFAULT_COARSE = 65           # base resolution of the parameter nets
@@ -93,6 +88,15 @@ class GraphCell:
         w = tuple(expr.evaluate(phi, u) for phi in self.graph)
         return self.to_ambient(tuple(u) + w)
 
+    def embed_rows(self, U: np.ndarray) -> np.ndarray:
+        """Ambient points over the parameter rows ``U``; raises
+        :class:`SingularPoint` where :meth:`embed` would."""
+        X = np.empty((len(U), self.ambient_dim))
+        X[:, list(self.perm)] = np.hstack(
+            [U] + [expr.evaluate_rows_or_raise(phi, U)[:, None]
+                   for phi in self.graph])
+        return X
+
 
 @dataclass(frozen=True)
 class PointCell:
@@ -105,6 +109,9 @@ class PointCell:
 
     def embed(self, u):
         return self.point
+
+    def embed_rows(self, U: np.ndarray) -> np.ndarray:
+        return np.tile(np.asarray(self.point, dtype=float), (len(U), 1))
 
 
 Cell = Union[GraphCell, PointCell]
@@ -182,6 +189,30 @@ def open_cell_contains(cell: OpenCell, x, tol: float = 1e-9) -> str:
     return INSIDE
 
 
+def open_cell_outside(cell: OpenCell, U: np.ndarray,
+                      tol: float = 1e-9) -> np.ndarray:
+    """The rows of ``U`` that :func:`open_cell_contains` finds OUTSIDE: one
+    :func:`expr.evaluate_rows` per wall, on the rows inside the base; a row
+    where a wall is singular is on the boundary, so not outside."""
+    if isinstance(cell, Interval):
+        lo = -math.inf if cell.lower is None else float(cell.lower)
+        hi = math.inf if cell.upper is None else float(cell.upper)
+        return (U[:, 0] <= lo - tol) | (U[:, 0] >= hi + tol)
+    out = open_cell_outside(cell.base, U[:, :-1], tol)
+    rows = np.flatnonzero(~out)
+    V, t = U[rows, :-1], U[rows, -1]
+    lo, hi = np.full(len(rows), -math.inf), np.full(len(rows), math.inf)
+    singular = np.zeros(len(rows), dtype=bool)
+    if cell.lower is not None:
+        lo, s = expr.evaluate_rows(cell.lower, V)
+        singular |= s
+    if cell.upper is not None:
+        hi, s = expr.evaluate_rows(cell.upper, V)
+        singular |= s
+    out[rows] = ((t <= lo - tol) | (t >= hi + tol)) & ~singular
+    return out
+
+
 def interval_bounds(cell: Interval, box: float) -> tuple[float, float]:
     lo = -box if cell.lower is None else float(cell.lower)
     hi = box if cell.upper is None else float(cell.upper)
@@ -239,23 +270,17 @@ def _exact(v: float) -> Bracket:
     return Bracket(v, v)
 
 
-def set_distance(desc: SetDescriptor, x, tol: float = 1e-6,
-                 box: float = DEFAULT_BOX_HALFWIDTH,
-                 strict: bool = False,
-                 coarse: int = DEFAULT_COARSE) -> Bracket:
+def set_distance(desc: SetDescriptor, x,
+                 box: float = DEFAULT_BOX_HALFWIDTH) -> Bracket:
     """Bracketed distance from ``x`` to the descriptor.  Empty set -> 1.
 
     One row of :func:`distance_brackets`, except that a golden-section
     search around the best net point may lower the upper bracket of 1-d
-    net-backed cells.  ``coarse`` controls the candidate-net resolution
-    for pieces without a closed form; finer nets can only shrink the
-    upper bracket.  ``strict=True`` raises :class:`ConvergenceFailure`
-    when the bracket stays wider than ``tol``; by default the wide
-    bracket is returned.
+    net-backed cells.
     """
     if desc.is_empty:
         return _exact(1.0)
-    table = distance_table(desc, box, coarse)
+    table = distance_table(desc, box, DEFAULT_COARSE)
     x = np.array(x, dtype=float)
     lo = up = min([math.inf] + table.exact(x).tolist())
     for cell, net in table.nets:
@@ -265,9 +290,6 @@ def set_distance(desc: SetDescriptor, x, tol: float = 1e-6,
             t0 = float(net.params[nearest[0], 0])
             n_up = min(n_up, _polish_1d(cell, x, t0, box))
         lo, up = min(lo, n_lo, n_up), min(up, n_up)
-    if strict and up - lo > tol:
-        raise ConvergenceFailure(
-            f"distance bracket width {up - lo:.3e} exceeds {tol:.3e}")
     return Bracket(lo, up)
 
 
@@ -413,8 +435,7 @@ def piece_net(cell: GraphCell, box: float, coarse: int) -> PieceNet:
     """The embedded net of ``cell``, built once per ``(cell, box, coarse)``
     and shared read-only by every caller."""
     params, cov = cell_param_net(cell.base, box, coarse=coarse)
-    points = np.asarray([cell.embed(tuple(u)) for u in params],
-                        dtype=float).reshape(len(params), cell.ambient_dim)
+    points = cell.embed_rows(params)
     slack = cov * (1.0 + _net_lipschitz(cell, params))
     for a in (params, cov, points, slack):
         a.setflags(write=False)
@@ -686,100 +707,6 @@ def graph_cell_frontier(cell: GraphCell, box: float = DEFAULT_BOX_HALFWIDTH
 
 
 @dataclass
-class RegularityReport:
-    """Empirical boundary-scaled derivative constants per multi-index:
-    ``c_hat[alpha] = max |D^alpha f| * d(x, boundary)^(|alpha|-1)``."""
-    c_hat: dict
-    witness: dict
-    ratio: dict
-    verdict: str
-    samples: int
-
-
-def _regularity_samples(cell: OpenCell, grid: int, depth: int, box: float):
-    """Uniform interior samples plus dyadic approaches to each finite
-    boundary wall; ``depth`` controls how close the approach gets, so a
-    refinement level genuinely probes deeper into any blow-up."""
-    dim = open_cell_dim(cell)
-    if dim == 1:
-        lo, hi = interval_bounds(cell, box)
-        span = hi - lo
-        ts = list(lo + span * (np.arange(1, grid + 1) - 0.5) / grid)
-        for j in range(3, depth + 1):
-            off = span * 2.0 ** (-j)
-            if cell.lower is not None:
-                ts.append(lo + off)
-            if cell.upper is not None:
-                ts.append(hi - off)
-        return [(float(t),) for t in ts]
-    if dim == 2 and isinstance(cell, Slab):
-        side = max(4, int(math.sqrt(grid)))
-        out = []
-        for (t,) in _regularity_samples(cell.base, side, depth, box):
-            try:
-                wlo, whi = _wall_interval(cell, t, box)
-            except SingularPoint:
-                continue
-            span = whi - wlo
-            for s in np.linspace(wlo + span / (2 * side),
-                                 whi - span / (2 * side), side):
-                out.append((t, float(s)))
-            for j in range(3, depth + 1):
-                off = span * 2.0 ** (-j)
-                if cell.lower is not None:
-                    out.append((t, wlo + off))
-                if cell.upper is not None:
-                    out.append((t, whi - off))
-        return out
-    raise UnsupportedDescriptor("regularity probe implemented for dim <= 2")
-
-
-def check_cell_regularity(f: ExprFn, cell: OpenCell, order: int,
-                          grid: int = 120,
-                          box: float = DEFAULT_BOX_HALFWIDTH
-                          ) -> RegularityReport:
-    """Probe whether |D^alpha f| stays below C / d(x, boundary)^(|alpha|-1)
-    on the cell, for 1 <= |alpha| <= order.
-
-    Two refinement levels, the finer one approaching the boundary four
-    dyadic levels deeper; the constant is 'plausibly regular' when the
-    finer level grows the observed maximum by less than 2x, and flagged
-    otherwise with the witness sample."""
-    n = f.arity
-    boundary = open_cell_boundary(cell, box)
-    levels = []
-    for grid_k, depth in ((grid, 12), (grid * 2, 16)):
-        samples = _regularity_samples(cell, grid_k, depth, box)
-        dists = [set_distance(boundary, u, box=box).up for u in samples]
-        c_hat: dict = {}
-        witness: dict = {}
-        for alpha in multi_indices(n, order):
-            if mi_order(alpha) == 0:
-                continue
-            df = expr.differentiate(f, alpha)
-            best, best_x = 0.0, None
-            for u, d in zip(samples, dists):
-                try:
-                    val = abs(float(expr.evaluate(df, u)))
-                except SingularPoint:
-                    continue
-                scaled = val * d ** (mi_order(alpha) - 1)
-                if scaled > best:
-                    best, best_x = scaled, u
-            c_hat[alpha] = best
-            witness[alpha] = best_x
-        levels.append((c_hat, witness))
-    coarse, fine = levels[0][0], levels[1][0]
-    ratio = {a: (fine[a] / coarse[a] if coarse[a] > 0 else 1.0)
-             for a in fine}
-    stable = all(r < 2.0 for r in ratio.values())
-    return RegularityReport(
-        c_hat=fine, witness=levels[1][1], ratio=ratio,
-        verdict="plausibly regular" if stable else "unbounded suspicion",
-        samples=len(levels[1][1]))
-
-
-@dataclass
 class LipschitzReport:
     m_hat: float
     l_hat: float
@@ -858,134 +785,3 @@ def distance_sandwich_check(cell: GraphCell, samples: Sequence,
             if d.up < lip.l_hat * db.lo - eps:
                 violations.append((tuple(map(float, x)), d.up, db.lo))
     return SandwichReport(len(samples), violations, max_gap)
-
-
-def simply_separated_probe(a_desc: SetDescriptor, b_desc: SetDescriptor,
-                           intersection: SetDescriptor,
-                           samples_on_a: Sequence,
-                           box: float = DEFAULT_BOX_HALFWIDTH):
-    """Empirical constant for ``d(x, A∩B) <= M d(x, B)`` over samples of A.
-
-    Returns ``(m_hat, flagged)`` where ``flagged`` means the ratio doubled
-    between the far and near halves of the samples sorted by distance to
-    the intersection, i.e. the constant looks unbounded.
-    """
-    ratios = []
-    for x in samples_on_a:
-        d_b = set_distance(b_desc, x, box=box).mid
-        d_i = set_distance(intersection, x, box=box).mid
-        if d_b <= 1e-12:
-            continue
-        ratios.append((d_i, d_i / d_b))
-    if not ratios:
-        return 0.0, False
-    ratios.sort(key=lambda t: t[0])
-    half = max(1, len(ratios) // 2)
-    near = max(r for _, r in ratios[:half])
-    far = max(r for _, r in ratios[half:]) if ratios[half:] else near
-    m_hat = max(near, far)
-    flagged = near > 2.0 * max(far, 1e-12) and near > 4.0
-    return m_hat, flagged
-
-
-def quasi_convexity_probe(cell, pairs: Sequence, mesh: int = 33,
-                          box: float = DEFAULT_BOX_HALFWIDTH) -> float:
-    """Max over pairs of (shortest mesh path inside the cell) / (chord).
-
-    The mesh is a uniform grid of inside points joined to axis and
-    diagonal neighbours; path length is measured in the ambient space
-    (through the graph map when present).
-    """
-    if isinstance(cell, GraphCell) and cell.graph:
-        dim = cell.intrinsic_dim
-        base = cell.base
-        embed = lambda u: np.asarray(cell.embed(tuple(u)), dtype=float)
-    else:
-        base = cell.base if isinstance(cell, GraphCell) else cell
-        dim = open_cell_dim(base)
-        embed = lambda u: np.asarray(u, dtype=float)
-
-    # grid nodes sit at an irrational fraction of each step so they cannot
-    # land exactly on piecewise wall guards
-    def offset_grid(lo, hi, count):
-        return lo + (hi - lo) * (np.arange(count) + 0.381966) / count
-
-    axes = []
-    if dim == 1:
-        lo, hi = interval_bounds(_innermost_interval(base), box)
-        axes = [offset_grid(lo, hi, mesh)]
-    elif dim == 2:
-        lo, hi = interval_bounds(_innermost_interval(base), box)
-        axes = [offset_grid(lo, hi, mesh), None]
-    else:
-        raise UnsupportedDescriptor("mesh probe implemented for dim <= 2")
-
-    nodes = {}
-    if dim == 1:
-        for i, t in enumerate(axes[0]):
-            if open_cell_contains(base, (t,)) == INSIDE:
-                nodes[(i,)] = embed((t,))
-    else:
-        tlo, thi = interval_bounds(_innermost_interval(base), box)
-        wlo = min(-box, tlo)
-        whi = max(box, thi)
-        # second axis range from wall samples
-        vals = []
-        for t in axes[0]:
-            try:
-                if isinstance(base, Slab):
-                    ends = zip(_wall_interval(base, t, box),
-                               (base.lower, base.upper))
-                    vals.extend(w for w, wall in ends if wall is not None)
-            except SingularPoint:
-                pass
-        if vals:
-            wlo, whi = min(vals), max(vals)
-        grid2 = offset_grid(wlo, whi, mesh)
-        for i, t in enumerate(axes[0]):
-            for j, s in enumerate(grid2):
-                if open_cell_contains(base, (t, s)) == INSIDE:
-                    nodes[(i, j)] = embed((t, s))
-
-    if not nodes:
-        raise MeshDisconnected("no mesh node lies inside the cell")
-
-    neighbours = list(itertools.product((-1, 0, 1), repeat=dim))
-    neighbours.remove((0,) * dim)
-
-    def dijkstra(src, dst):
-        dist = {src: 0.0}
-        heap = [(0.0, src)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node == dst:
-                return d
-            if d > dist.get(node, math.inf):
-                continue
-            for off in neighbours:
-                nb = tuple(a + o for a, o in zip(node, off))
-                if nb not in nodes:
-                    continue
-                nd = d + float(np.linalg.norm(nodes[nb] - nodes[node]))
-                if nd < dist.get(nb, math.inf):
-                    dist[nb] = nd
-                    heapq.heappush(heap, (nd, nb))
-        raise MeshDisconnected("mesh path not found; refine the mesh")
-
-    def nearest_node(p):
-        p = np.asarray(p, dtype=float)
-        return min(nodes, key=lambda k: float(np.linalg.norm(nodes[k] - p)))
-
-    worst = 1.0
-    for a, b in pairs:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        chord = float(np.linalg.norm(a - b))
-        if chord <= 1e-12:
-            continue
-        na, nb = nearest_node(a), nearest_node(b)
-        path = dijkstra(na, nb)
-        path += float(np.linalg.norm(nodes[na] - a))
-        path += float(np.linalg.norm(nodes[nb] - b))
-        worst = max(worst, path / chord)
-    return worst

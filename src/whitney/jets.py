@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
+import numpy as np
+
 from . import expr
 from .errors import (ArityMismatch, BaseMismatch, ConsistencyViolation,
-                     NotAGraphCell, ShapeMismatch, UnknownStratum)
+                     ShapeMismatch)
 from .expr import ExprFn
 
 MultiIndex = tuple  # of nonnegative ints
@@ -104,11 +106,6 @@ class PointJet:
     @property
     def constant_term(self):
         return self.coeffs[(0,) * self.n]
-
-
-def zero_jet(n: int, p: int, base) -> PointJet:
-    return PointJet(n, p, tuple(base),
-                    {a: Fraction(0) for a in multi_indices(n, p)})
 
 
 def jet_from_coeffs(n, p, base, coeffs) -> PointJet:
@@ -205,13 +202,6 @@ def jet_eval(a: PointJet, offset: Sequence):
                 term = term * xi ** k
         total = total + term
     return total
-
-
-def unit_jet(n: int, p: int, base) -> PointJet:
-    j = zero_jet(n, p, base)
-    coeffs = dict(j.coeffs)
-    coeffs[(0,) * n] = Fraction(1)
-    return PointJet(n, p, tuple(base), coeffs)
 
 
 def jet_permute(a: PointJet, perm: Sequence[int]) -> PointJet:
@@ -325,6 +315,14 @@ def _eval_coeff(fn: CoeffFn, u: Sequence):
     return fn(u)
 
 
+def coefficient_rows(fn: CoeffFn, U: np.ndarray) -> np.ndarray:
+    """A coefficient on the parameter rows ``U``: an expression through
+    :func:`expr.evaluate_rows_or_raise`, any other callable as one batch."""
+    if isinstance(fn, ExprFn):
+        return expr.evaluate_rows_or_raise(fn, U)
+    return np.asarray(fn(U), dtype=float)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A jet-valued field over one stratum: for every multi-index of order
@@ -355,19 +353,6 @@ class FieldSpec:
     def jet_at(self, u: Sequence, embedded_base: Sequence) -> PointJet:
         vals = {a: _eval_coeff(fn, u) for a, fn in self.coeffs.items()}
         return PointJet(self.n, self.p, tuple(embedded_base), vals)
-
-
-def normal_coefficient_fn(fld: FieldSpec, beta: MultiIndex,
-                          tangent_dim: int) -> CoeffFn:
-    """Coefficient function ``u -> F^{(0, beta)}(u)`` for a graph stratum
-    whose first ``tangent_dim`` internal coordinates are tangential."""
-    normal_dim = fld.n - tangent_dim
-    if normal_dim < 0 or len(beta) != normal_dim:
-        raise NotAGraphCell("beta must index the normal coordinates")
-    key = (0,) * tangent_dim + tuple(beta)
-    if key not in fld.coeffs:
-        raise ShapeMismatch(f"|beta| exceeds field order {fld.p}")
-    return fld.coeffs[key]
 
 
 def check_field_consistency(fld: FieldSpec, tangent_dim: int,
@@ -401,17 +386,6 @@ def check_field_consistency(fld: FieldSpec, tangent_dim: int,
                         f"{tuple(alpha)} of coefficient {tuple(beta)} deviates "
                         f"by {resid:.3e} at u={tuple(u)}")
     return worst
-
-
-def restrict_family(family: Mapping[str, FieldSpec],
-                    keep: Sequence[str]) -> dict[str, FieldSpec]:
-    """Restriction of a field family to a sub-collection of strata."""
-    out = {}
-    for sid in keep:
-        if sid not in family:
-            raise UnknownStratum(f"stratum {sid!r} not in family")
-        out[sid] = family[sid]
-    return out
 
 
 # ---------------------------------------------------------------------------

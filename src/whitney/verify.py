@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateScales, StencilOutOfDomain
-from .jets import (MultiIndex, _eval_coeff, _inv_factorial, mi_order,
+from .jets import (MultiIndex, _inv_factorial, coefficient_rows, mi_order,
                    multi_indices)
 
 # ---------------------------------------------------------------------------
@@ -150,21 +150,6 @@ def straddling_pairs(c: float, scales: Sequence):
     return [((c + s,), (c - s,)) for s in scales]
 
 
-def ball_pairs(c: Sequence, scales: Sequence, rng: np.random.Generator,
-               project=None):
-    """Random pairs in shrinking balls around ``c``; ``project`` maps a raw
-    point back onto the set when the set is not full-dimensional."""
-    c = np.asarray(c, dtype=float)
-    out = []
-    for s in scales:
-        a = c + s * (rng.random(len(c)) - 0.5)
-        b = c + s * (rng.random(len(c)) - 0.5)
-        if project is not None:
-            a, b = project(a), project(b)
-        out.append((tuple(a), tuple(b)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # rate fitting
 
@@ -283,21 +268,21 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
     for stratum in scene.strata:
         fld = scene.fields[stratum.id]
         cell = stratum.cell
-        params = geometry.stratum_samples(cell, samples_per_stratum,
-                                          scene.box, rng=rng)
-        X = np.asarray([[float(v) for v in cell.embed(u)] for u in params])
+        U = np.asarray(geometry.stratum_samples(
+            cell, samples_per_stratum, scene.box, rng=rng), dtype=float)
+        X = cell.embed_rows(U)
+        if not U.shape[1]:              # a point's coefficients read u = 0
+            U = np.zeros((len(U), 1))
         lo, up = geometry.distance_brackets(
             scene.descriptor_for(stratum.boundary_ids), X, scene.box)
         H = np.clip(np.where(lo > 0.0, lo, up) / 10.0, 1e-7, 1e-3)
         for alpha_int in multi_indices(scene.n, scene.p):
             got, _ = sampled_derivative_batch(f, X, cell.to_ambient(alpha_int),
                                               H)
-            expect = np.asarray([float(_eval_coeff(fld.coeffs[alpha_int],
-                                                   u or (0,)))
-                                 for u in params])
+            expect = coefficient_rows(fld.coeffs[alpha_int], U)
             dev = np.abs(got - expect) / (1.0 + np.abs(expect))
             worst = float(dev.max())
             report.entries.append(AgreementEntry(
-                stratum.id, alpha_int, worst, len(params), worst < tol))
+                stratum.id, alpha_int, worst, len(U), worst < tol))
     return report
 

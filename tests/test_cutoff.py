@@ -7,7 +7,6 @@ import pytest
 from whitney import cutoff as co
 from whitney import expr
 from whitney import geometry as geo
-from whitney.errors import OnZ
 
 
 def point_desc(*coords):
@@ -243,11 +242,13 @@ def test_regularized_distance_vanishes_on_its_columns_without_warnings():
 
 def test_cone_membership_arithmetic():
     w, z = point_desc(1.0), point_desc(0.0)
-    assert co.cone_membership((0.9,), w, z, 0.2) == co.IN      # 0.1 < 0.18
-    assert co.cone_membership((0.5,), w, z, 0.2) == co.OUT     # 0.5 >= 0.1
-    assert co.cone_membership((1.0,), w, z, 1e-6) == co.IN     # on W
-    with pytest.raises(OnZ):
-        co.cone_membership((0.0,), w, z, 0.5)
+    X = np.asarray([[0.9], [0.5], [1.0], [0.0]])
+    member, up_z = co.cone_membership_batch(w, z, 0.2, X)
+    assert member[0] == co.IN                                 # 0.1 < 0.18
+    assert member[1] == co.OUT                                # 0.5 >= 0.1
+    member, _ = co.cone_membership_batch(w, z, 1e-6, X[2:3])
+    assert member[0] == co.IN                                 # on W
+    assert up_z[3] == 0.0                                     # on Z
 
 
 def test_cone_membership_indeterminate_between_brackets():
@@ -262,22 +263,8 @@ def test_cone_membership_indeterminate_between_brackets():
     dz = geo.set_distance(z, x)
     assert dw.lo < dw.up
     eta_mid = dw.mid / dz.mid
-    assert co.cone_membership(x, w, z, eta_mid) == co.INDETERMINATE
-
-
-def test_cone_membership_is_a_row_of_the_batch():
-    par = geo.GraphCell(geo.Interval(0.0, 1.0),
-                        (expr.polynomial(1, {(2,): 1}),), (0, 1))
-    w = geo.descriptor_of(par)
-    z = geo.descriptor_of(geo.PointCell((0.0, 0.0)), geo.PointCell((1.0, 1.0)))
-    rng = np.random.default_rng(3)
-    t = rng.uniform(0.0, 1.0, 200)
-    X = np.stack([t, t * t + rng.uniform(-0.3, 0.3, 200)], axis=1)
-    for eta in (0.05, 0.3):
-        batch, _ = co.cone_membership_batch(w, z, eta, X)
-        rows = [co.cone_membership(tuple(x), w, z, eta) for x in X]
-        assert rows == batch.tolist()
-        assert len(set(rows)) > 1
+    member, _ = co.cone_membership_batch(w, z, eta_mid, [x])
+    assert member[0] == co.INDETERMINATE
 
 
 def test_single_constant_graph_w_is_one_segment_column():
@@ -437,11 +424,9 @@ def test_verify_cutoff_passes_and_nests():
     assert omega.rho_prime < spec.eta
     rng = np.random.default_rng(0)
     xs = rng.uniform(0.05, 2.0, size=(2000, 1))
-    vals = omega(xs)
-    for x, v in zip(xs, vals):
-        if v == 1.0:
-            assert co.cone_membership(tuple(x), spec.w_desc, spec.z_desc,
-                                      spec.eta) != co.OUT
+    member, _ = co.cone_membership_batch(spec.w_desc, spec.z_desc, spec.eta,
+                                         xs)
+    assert not np.any(member[omega(xs) == 1.0] == co.OUT)
 
 
 def test_verify_cutoff_flags_misscaled_support():
@@ -463,15 +448,6 @@ def test_scaled_derivative_bound_finite_and_stable():
         assert r < 2.0, (alpha, r)
 
 
-def test_report_formatting():
-    spec = ball_spec(q=1)
-    omega = co.build_cutoff(spec)
-    rep = co.verify_cutoff(omega, spec, n_samples=1500, seed=2)
-    text = co.format_report(rep)
-    assert "plateau" in text and "C_hat" in text
-    assert text.strip().endswith("PASS")
-
-
 def test_cutoff_batched_matches_scalar():
     omega = co.build_cutoff(ball_spec())
     xs = np.linspace(0.05, 2.0, 97).reshape(-1, 1)
@@ -491,7 +467,7 @@ def test_driver_cell_cutoffs_meet_the_contract():
     term = f.terms[0]
     rep = co.verify_cutoff(term.omega, term.omega.spec, n_samples=4000,
                            seed=21)
-    assert rep.passed, co.format_report(rep)
+    assert rep.passed, rep
     assert rep.plateau_checked > 0
 
 

@@ -1,0 +1,53 @@
+"""Dead-code guard: every public top-level function or class of the package
+is named by some other code of the package or by the acceptance gate."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "whitney"
+GATE = ROOT / "tests" / "test_acceptance.py"
+
+# Public names kept although no module or gate calls them, one reason each.
+ALLOWED = {
+    "truncate_poly": "oracle of the jet-algebra tests (ring structure)",
+    "poly_multiply": "oracle of the jet-algebra tests (untruncated product)",
+    "jet_to_json": "serializer of the jet format, round-tripped by tests",
+    "jet_from_json": "parser of the jet format, round-tripped by tests",
+    "cutoff_spec_to_json": "serializer of the cutoff-spec format",
+    "cutoff_spec_from_json": "parser of the cutoff-spec format",
+}
+
+
+def _modules():
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _references(path: Path):
+    """``(name, line)`` of every name, attribute and imported name."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+
+
+def unreferenced_public_names() -> set:
+    defs = {}                   # name -> (file, first line, last line)
+    for path in _modules():
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defs[node.name] = (path, node.lineno, node.end_lineno)
+    used = set()
+    for path in _modules() + [GATE]:
+        for name, line in _references(path):
+            where = defs.get(name)
+            if where and not (where[0] == path and where[1] <= line <= where[2]):
+                used.add(name)
+    return set(defs) - used
+
+
+def test_every_public_name_is_used_or_allowed():
+    assert unreferenced_public_names() == set(ALLOWED)

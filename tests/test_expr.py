@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from whitney import expr
@@ -58,6 +59,72 @@ def test_piecewise_partition():
     assert expr.evaluate(f, (-2,)) == -1
     with pytest.raises(SingularPoint):
         expr.evaluate(f, (0,))
+
+
+# --- row evaluation ------------------------------------------------------
+
+def _scalar_rows(f, U):
+    """``float(evaluate(f, u))`` per row, NaN and True where it raises."""
+    vals, singular = [], []
+    for u in U.tolist():
+        try:
+            vals.append(float(expr.evaluate(f, u)))
+            singular.append(False)
+        except SingularPoint:
+            vals.append(np.nan)
+            singular.append(True)
+    return np.asarray(vals), np.asarray(singular)
+
+
+def _assert_rows_match_scalar(f, U):
+    got, singular = expr.evaluate_rows(f, U)
+    want, want_singular = _scalar_rows(f, U)
+    assert singular.tolist() == want_singular.tolist()
+    assert got[~singular].tobytes() == want[~singular].tobytes()
+    assert np.all(np.isnan(got[singular]))
+
+
+def test_evaluate_rows_bitwise_on_random_polynomials(rng):
+    for _ in range(40):
+        arity = int(rng.integers(1, 4))
+        f = rand_polynomial(rng, arity, int(rng.integers(1, 5)))
+        _assert_rows_match_scalar(f, rng.uniform(-2.0, 2.0, (64, arity)))
+
+
+def test_evaluate_rows_bitwise_and_singular_on_every_node_kind():
+    x, y = expr.var(0), expr.var(1)
+    half = expr.const(Fraction(1, 2))
+    tree = expr.add(
+        expr.piecewise([
+            (expr.sub(x, half),
+             expr.div(expr.sqrt_(y), expr.abs_(expr.sub(x, expr.ONE)))),
+            (expr.sub(half, x),
+             expr.mul(expr.max_(expr.min_(x, y),
+                                expr.pow_(expr.sub(y, x), 3)), y))]),
+        expr.div(x, expr.add(y, expr.const(2))))
+    f = expr.ExprFn(2, tree)
+    g = np.linspace(-2.0, 2.0, 41)      # hits every singular locus exactly
+    U = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    _, singular = expr.evaluate_rows(f, U)
+    assert 0 < np.count_nonzero(singular) < len(U)
+    _assert_rows_match_scalar(f, U)
+
+
+def test_evaluate_rows_singular_inactive_branch_keeps_its_row():
+    x = expr.var(0)
+    f = expr.ExprFn(1, expr.piecewise([(x, expr.sqrt_(x)),
+                                       (expr.sub(expr.ZERO, x), x)]))
+    vals, singular = expr.evaluate_rows(f, [[-1.0], [4.0], [0.0]])
+    assert singular.tolist() == [False, False, True]
+    assert vals[:2].tolist() == [-1.0, 2.0]
+
+
+def test_evaluate_rows_arity_mismatch():
+    f = expr.polynomial(2, {(1, 0): 1})
+    with pytest.raises(ArityMismatch):
+        expr.evaluate_rows(f, np.zeros((3, 3)))
+    with pytest.raises(ArityMismatch):
+        expr.evaluate_rows(f, np.zeros(2))
 
 
 def test_differentiate_power_rule():

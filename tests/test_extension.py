@@ -159,14 +159,14 @@ def test_support_discipline():
     z = scene.descriptor_for(["origin"])
     term = extend_on_cell(scene.fields["ray"], scene.stratum("ray"), z,
                           scene, flat_declared=True)
-    from whitney.cutoff import cone_membership, OUT
+    from whitney.cutoff import cone_membership_batch, OUT
     rng = np.random.default_rng(4)
-    for x in rng.uniform(-3, 3, 60):
-        if abs(x) < 1e-6:
-            continue
-        w_desc = geo.descriptor_of(scene.stratum("ray").cell)
-        if cone_membership((x,), w_desc, z, term.eta) == OUT:
-            assert term((float(x),)) == 0.0
+    X = rng.uniform(-3, 3, (60, 1))
+    X = X[np.abs(X[:, 0]) >= 1e-6]
+    w_desc = geo.descriptor_of(scene.stratum("ray").cell)
+    member, _ = cone_membership_batch(w_desc, z, term.eta, X)
+    assert np.any(member == OUT)
+    assert np.all(term(X[member == OUT]) == 0.0)
 
 
 def test_square_edge_cutoffs_vanish_around_their_endpoint_normals():
@@ -416,6 +416,19 @@ def test_filled_square_full_dimensional_stratum():
         assert by_key[(edge, (0, 0))].max_rel_dev < 1e-4
         assert by_key[(edge, (1, 0))].max_rel_dev < 1e-4     # tangential
         assert by_key[(edge, (0, 1))].max_rel_dev < 1e-2     # normal, C^1 kink
+
+
+def test_filled_square_face_gets_frontier_shells():
+    """The leak check of a cell over a 2-d base samples shells around the
+    base's boundary pieces, as it does around an interval's ends."""
+    from whitney.extension import _frontier_shells
+    scene = filled_square_scene()
+    shells = _frontier_shells(scene.stratum("face").cell,
+                              np.random.default_rng(0), scene)
+    assert shells.shape[0] > 0 and shells.shape[1] == 2
+    edges = scene.descriptor_for(["bottom", "top", "left", "right"])
+    _, up = geo.distance_brackets(edges, shells, scene.box)
+    assert np.all(up <= 0.25 * np.sqrt(2.0) + 1e-12)
 
 
 def test_sum_of_fields_both_extensions_agree():

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +51,25 @@ def test_contains_triangle_cell():
     assert geo.open_cell_contains(tri, (0.5, 0.2)) == "inside"
 
 
+def test_open_cell_outside_matches_scalar_membership():
+    # {-1 < x1 < 1, sqrt(x1) < x2 < 1}: the lower wall is singular for x1 <= 0
+    x = expr.var(0)
+    cell = geo.Slab(geo.Interval(-1.0, 1.0), expr.ExprFn(1, expr.sqrt_(x)),
+                    expr.constant_fn(1, 1))
+    g = np.linspace(-1.5, 1.5, 31)
+    U = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    want = [geo.open_cell_contains(cell, u) == "outside" for u in U.tolist()]
+    assert geo.open_cell_outside(cell, U).tolist() == want
+
+
+def test_embed_rows_matches_embed(rng):
+    cell = geo.GraphCell(geo.Interval(-1.0, 1.0),
+                         (rand_polynomial(rng, 1, 4),), (1, 0))
+    U = rng.uniform(-1.0, 1.0, (50, 1))
+    want = [[float(v) for v in cell.embed(u)] for u in U.tolist()]
+    assert cell.embed_rows(U).tolist() == want
+
+
 def test_contains_point_cell():
     pc = geo.PointCell((1.0, 2.0))
     assert geo.contains(pc, (1.0, 2.0)) == "inside"
@@ -85,19 +103,8 @@ def test_distance_bracket_ordering_and_monotone_refinement(rng):
     desc = geo.descriptor_of(parabola_cell())
     for _ in range(50):
         x = rng.uniform(-1.5, 1.5, size=2)
-        coarse = geo.set_distance(desc, x, coarse=33)
-        fine = geo.set_distance(desc, x, coarse=129)
-        assert coarse.lo <= coarse.up + 1e-15
-        assert fine.lo <= fine.up + 1e-15
-        assert fine.up <= coarse.up + 1e-12
-
-
-def test_distance_strict_mode_raises_on_wide_bracket():
-    from whitney.errors import ConvergenceFailure
-    desc = geo.descriptor_of(parabola_cell())
-    geo.set_distance(desc, (0.4, 2.0), strict=True, tol=0.5)
-    with pytest.raises(ConvergenceFailure):
-        geo.set_distance(desc, (0.4, 2.0), strict=True, tol=1e-12)
+        d = geo.set_distance(desc, x)
+        assert d.lo <= d.up + 1e-15
 
 
 def test_contains_consistent_with_distance():
@@ -184,39 +191,6 @@ def test_sandwich_random_samples_no_violations(rng):
         assert not rep.violations, (cell, rep.violations[:3])
 
 
-# --- regularity probe ----------------------------------------------------
-
-def test_regularity_linear():
-    f = expr.polynomial(1, {(1,): 3})
-    rep = geo.check_cell_regularity(f, geo.Interval(0.0, 1.0), 2)
-    assert rep.verdict == "plausibly regular"
-    assert rep.c_hat[(1,)] == pytest.approx(3.0)
-    assert rep.c_hat[(2,)] == 0.0
-
-
-def test_regularity_three_halves_power():
-    # f = x^(3/2): |f''| = (3/4) x^(-1/2), scaled product <= 3/4 near 0
-    f = expr.ExprFn(1, expr.mul(expr.var(0), expr.sqrt_(expr.var(0))))
-    rep = geo.check_cell_regularity(f, geo.Interval(0.0, 1.0), 2)
-    assert rep.verdict == "plausibly regular"
-    assert rep.c_hat[(2,)] <= 0.75 + 1e-6
-
-
-def test_regularity_sqrt_flagged():
-    f = expr.ExprFn(1, expr.sqrt_(expr.var(0)))
-    rep = geo.check_cell_regularity(f, geo.Interval(0.0, 1.0), 1)
-    assert rep.verdict == "unbounded suspicion"
-    assert rep.ratio[(1,)] >= 2.0
-
-
-def test_regularity_bundled_parabola_wall_stable():
-    # graph map of the bundled parabola cell, probed as a wall function
-    f = expr.polynomial(1, {(2,): 1})
-    rep = geo.check_cell_regularity(f, geo.Interval(0.0, 1.0), 2)
-    assert rep.verdict == "plausibly regular"
-    assert all(r < 2.0 for r in rep.ratio.values())
-
-
 # --- Lipschitz estimate ---------------------------------------------------
 
 def test_lipschitz_constant_map():
@@ -241,65 +215,6 @@ def test_lipschitz_against_difference_quotients(rng):
     worst = max(abs(vals[i] - vals[j]) / abs(ts[i] - ts[j])
                 for i in range(len(ts)) for j in range(i + 1, len(ts)))
     assert worst <= rep.m_hat * 1.05 + 1e-9
-
-
-# --- simple separation ----------------------------------------------------
-
-def test_simply_separated_orthogonal_segments():
-    a = geo.descriptor_of(const_graph(0.0))                     # [0,1] x {0}
-    b = geo.descriptor_of(geo.GraphCell(geo.Interval(0.0, 1.0),
-                                        (expr.constant_fn(0, 1),), (1, 0)))
-    inter = geo.descriptor_of(geo.PointCell((0.0, 0.0)))
-    samples = [(t, 0.0) for t in np.geomspace(1e-4, 0.9, 40)]
-    m_hat, flagged = geo.simply_separated_probe(a, b, inter, samples)
-    assert not flagged
-    assert m_hat == pytest.approx(1.0, rel=1e-3)
-
-
-def test_simply_separated_tangent_flagged():
-    a = geo.descriptor_of(parabola_cell(-1.0, 1.0))
-    b = geo.descriptor_of(geo.GraphCell(geo.Interval(-1.0, 1.0),
-                                        (expr.constant_fn(0, 1),), (0, 1)))
-    inter = geo.descriptor_of(geo.PointCell((0.0, 0.0)))
-    samples = [(t, t * t) for t in np.geomspace(1e-4, 0.9, 40)]
-    m_hat, flagged = geo.simply_separated_probe(a, b, inter, samples)
-    assert flagged
-    assert m_hat > 100
-
-
-def test_simply_separated_subset_degenerate():
-    seg = geo.descriptor_of(const_graph(0.0))
-    samples = [(t, 0.0) for t in np.linspace(0.1, 0.9, 10)]
-    m_hat, flagged = geo.simply_separated_probe(seg, seg, seg, samples)
-    assert m_hat == 0.0 and not flagged
-
-
-# --- quasi-convexity probe -------------------------------------------------
-
-def test_quasi_convex_box():
-    box = geo.Slab(geo.Interval(0.0, 1.0), expr.constant_fn(0, 1),
-                   expr.constant_fn(1, 1))
-    pairs = [((0.1, 0.1), (0.9, 0.9)), ((0.1, 0.9), (0.9, 0.1))]
-    c = geo.quasi_convexity_probe(box, pairs, mesh=41)
-    assert c == pytest.approx(1.0, abs=0.08)
-
-
-def test_quasi_convex_l_shape():
-    # upper wall drops from 1 to 1/2 past x1 = 1/2: an L-shaped cell
-    wall = expr.ExprFn(1, expr.piecewise([
-        (expr.sub(expr.const(Fraction(1, 2)), expr.var(0)), expr.const(1)),
-        (expr.sub(expr.var(0), expr.const(Fraction(1, 2))),
-         expr.const(Fraction(1, 2)))]))
-    lshape = geo.Slab(geo.Interval(0.0, 1.0), expr.constant_fn(0, 1), wall)
-    pairs = [((0.25, 0.9), (0.9, 0.4))]
-    c = geo.quasi_convexity_probe(lshape, pairs, mesh=61)
-    assert 1.0 < c < 2.0
-
-
-def test_quasi_convex_degenerate_pair():
-    box = geo.Slab(geo.Interval(0.0, 1.0), expr.constant_fn(0, 1),
-                   expr.constant_fn(1, 1))
-    assert geo.quasi_convexity_probe(box, [((0.5, 0.5), (0.5, 0.5))]) == 1.0
 
 
 # --- nets and samples -------------------------------------------------------

@@ -3,14 +3,12 @@ from fractions import Fraction
 import pytest
 
 from whitney import expr
-from whitney.errors import (BaseMismatch, ConsistencyViolation,
-                            ShapeMismatch, UnknownStratum)
+from whitney.errors import BaseMismatch, ConsistencyViolation, ShapeMismatch
 from whitney.jets import (FieldSpec, check_field_consistency, jet_add,
                           jet_compose, jet_eval, jet_from_coeffs, jet_mul,
                           jet_permute, jet_to_monomial, mi_order,
-                          multi_indices, normal_coefficient_fn,
-                          poly_multiply, restrict_family, taylor_jet,
-                          truncate_poly, unit_jet, zero_jet)
+                          multi_indices, poly_multiply, taylor_jet,
+                          truncate_poly)
 from whitney.verify import finite_difference
 
 from conftest import rand_fraction, rand_jet, rand_point, rand_polynomial
@@ -33,7 +31,7 @@ def test_add_basic():
 
 def test_add_zero_identity(rng):
     a = rand_jet(rng, 2, 3)
-    z = zero_jet(2, 3, a.base)
+    z = jet_from_coeffs(2, 3, a.base, {})
     assert jet_add(a, z).coeffs == a.coeffs
 
 
@@ -198,7 +196,7 @@ def test_ring_axioms(rng):
         a = rand_jet(rng, n, p)
         b = rand_jet(rng, n, p, base=a.base)
         c = rand_jet(rng, n, p, base=a.base)
-        one = unit_jet(n, p, a.base)
+        one = jet_from_coeffs(n, p, a.base, {(0,) * n: Fraction(1)})
         assert jet_mul(a, b).coeffs == jet_mul(b, a).coeffs
         assert jet_mul(jet_mul(a, b), c).coeffs == \
             jet_mul(a, jet_mul(b, c)).coeffs
@@ -245,22 +243,6 @@ def test_taylor_functorial(rng):
 
 # --- fields over strata -------------------------------------------------
 
-def _flat_line_field(p=1):
-    # field of g(u, w) = u + w over the slice w = 0
-    return FieldSpec(2, p, "slice", 1, {
-        (0, 0): expr.coordinate(0, 1),
-        (1, 0): expr.constant_fn(1, 1),
-        (0, 1): expr.constant_fn(1, 1)})
-
-
-def test_normal_coefficient_lookup():
-    fld = _flat_line_field()
-    fn = normal_coefficient_fn(fld, (0,), tangent_dim=1)
-    assert expr.evaluate(fn, (Fraction(1, 3),)) == Fraction(1, 3)
-    fn1 = normal_coefficient_fn(fld, (1,), tangent_dim=1)
-    assert expr.evaluate(fn1, (0,)) == 1
-
-
 def test_consistency_planted_defect():
     bad = FieldSpec(2, 1, "bad", 1, {
         (0, 0): expr.coordinate(0, 1),
@@ -287,16 +269,6 @@ def test_consistency_random_taylor_fields(rng):
         worst = check_field_consistency(fld, 1, samples, tol=1e-9)
         assert worst < 1e-9
 
-
-def test_restrict_family():
-    fld = _flat_line_field()
-    family = {"a": fld, "b": fld}
-    assert restrict_family(family, ["a", "b"]) == family
-    assert restrict_family(family, []) == {}
-    sub = restrict_family(family, ["b"])
-    assert set(sub) == {"b"}
-    with pytest.raises(UnknownStratum):
-        restrict_family(family, ["zzz"])
 
 
 def test_jet_permute_roundtrip(rng):

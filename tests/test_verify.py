@@ -10,7 +10,7 @@ from whitney.extension import extend_field
 from whitney.jets import jet_from_coeffs, taylor_jet
 from whitney.verify import (check_extension, finite_difference, radial_pairs,
                             rate_fit, sampled_derivative_batch,
-                            straddling_pairs, whitney_residual, ball_pairs)
+                            straddling_pairs, whitney_residual)
 
 from conftest import load_corpus_scene, rand_point, rand_polynomial
 
@@ -114,15 +114,6 @@ def test_residual_flags_sign_field():
     assert all(abs(float(r.residual)) == 2 for r in samples)
     fit = rate_fit([(r.separation, r.residual) for r in samples], 0)
     assert not fit.passed
-
-
-def test_ball_pairs_on_full_dimensional_set(rng):
-    g = expr.polynomial(2, {(1, 1): 1})
-    jets_at = _taylor_jets_at(g, 2)
-    scales = [2.0 ** -j for j in range(1, 9)]
-    pairs = ball_pairs((0.0, 0.0), scales, rng)
-    for r in whitney_residual(jets_at, (0, 0), (0, 0), pairs):
-        assert abs(float(r.residual)) < 1e-12   # degree <= p: exact
 
 
 # --- rate fitting ----------------------------------------------------------------
