@@ -32,7 +32,7 @@ from . import geometry
 from .errors import SlackTooLarge, UnsupportedDescriptor
 from .geometry import Ball, GraphCell, PointCell, SetDescriptor
 from .jets import multi_indices, mi_order
-from .verify import sampled_derivative_batch
+from .verify import sampled_derivatives
 
 IN, OUT, INDETERMINATE = 1, 0, -1
 
@@ -522,6 +522,7 @@ def verify_cutoff(omega: CutoffFn, spec: CutoffSpec, grid: int = 100,
     support_viol = int(np.sum(vals[support_mask] != 0.0))
 
     q = spec.q if max_order is None else max_order
+    alphas = [a for a in multi_indices(n, q) if mi_order(a)]
     consts, ratios = {}, {}
     for level, count in enumerate((len(X) // 2, len(X))):
         sel = np.arange(count) if level else rng.permutation(len(X))[:count]
@@ -530,14 +531,10 @@ def verify_cutoff(omega: CutoffFn, spec: CutoffSpec, grid: int = 100,
         active = (t > -1.0) & (t < 2.0) & np.isfinite(t)
         Xa, dz_a = Xs[active], dz_up[active]
         h = np.maximum(dz_a / 100.0, 1e-9)
-        for alpha in multi_indices(n, q):
-            if mi_order(alpha) == 0:
-                continue
-            if len(Xa):
-                d, _ = sampled_derivative_batch(omega, Xa, alpha, h)
-                c = float(np.max(np.abs(d) * dz_a ** mi_order(alpha)))
-            else:
-                c = 0.0
+        derivs = sampled_derivatives(omega, [(Xa, a, h) for a in alphas])
+        for alpha, (d, _) in zip(alphas, derivs):
+            c = float(np.max(np.abs(d) * dz_a ** mi_order(alpha),
+                             initial=0.0))
             if level == 0:
                 consts[alpha] = c
             else:

@@ -130,30 +130,52 @@ def pow_(base: Node, exponent: int) -> Node:
 
 
 def sqrt_(a: Node) -> Node:
-    return Node("sqrt", None, (a,))
+    return _fold(Node("sqrt", None, (a,)))
 
 
 def abs_(a: Node) -> Node:
-    return Node("abs", None, (a,))
+    return _fold(Node("abs", None, (a,)))
 
 
 def min_(a: Node, b: Node) -> Node:
-    return Node("min", None, (a, b))
+    return _fold(Node("min", None, (a, b)))
 
 
 def max_(a: Node, b: Node) -> Node:
-    return Node("max", None, (a, b))
+    return _fold(Node("max", None, (a, b)))
 
 
 def piecewise(branches) -> Node:
     """``branches`` is a sequence of (guard, expr) Node pairs; a branch is
     active where its guard is strictly positive, and exactly one guard may
-    be positive at any queried point."""
+    be positive at any queried point.  Constant guards that select one
+    branch without a singularity give that branch's body."""
     flat = []
     for guard, body in branches:
         flat.append(guard)
         flat.append(body)
+    guards = flat[0::2]
+    if all(_is_const(g) for g in guards):
+        on = [g.payload > 0 for g in guards]
+        if sum(on) == 1 and all(abs(g.payload) > TAU_SING for g in guards):
+            return flat[2 * on.index(True) + 1]
     return Node("piecewise", None, tuple(flat))
+
+
+def _fold(node: Node) -> Node:
+    """The constant :func:`evaluate` reads off ``node`` when its operands
+    are constants and it is not singular there (a ``sqrt`` only when that
+    value is an exact Fraction), so that :func:`evaluate_rows` reads the
+    same exact value; otherwise ``node`` itself."""
+    if not all(_is_const(a) for a in node.args):
+        return node
+    try:
+        value = _eval(node, (), TAU_SING)
+    except SingularPoint:
+        return node
+    if node.op == "sqrt" and not isinstance(value, Fraction):
+        return node
+    return const(value)
 
 
 @dataclass(frozen=True)
@@ -309,8 +331,10 @@ def evaluate_rows(f: ExprFn, U):
     float array ``U``: ``singular`` marks the rows where :func:`evaluate`
     raises :class:`SingularPoint`, and their values are NaN.  A piecewise
     body is evaluated on its active rows only.  Every other row equals
-    ``float(evaluate(f, u))`` bit for bit, save where a variable-free
-    subtree the builders do not fold (``sqrt(1/9)``, say) is exact there.
+    ``float(evaluate(f, u))`` bit for bit on trees made by the builders,
+    which fold every variable-free subtree that :func:`evaluate` computes
+    exactly (trees assembled from raw :class:`Node` s, as
+    :func:`substitute` does, may differ in the last bit there).
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != f.arity:

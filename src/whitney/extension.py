@@ -396,7 +396,8 @@ def subtract_taylor(fields: Mapping[str, FieldSpec], scene: Scene,
     """New field family with coefficients ``F^alpha - D^alpha g`` sampled
     along every stratum.  Where ``g`` already realizes the field the
     result is numerically flat.  ``g`` and each new coefficient take row
-    batches; one batch of a coefficient is one stencil call on ``g``."""
+    batches; one batch of a coefficient evaluates ``g`` once, on the
+    stencil rows of both Richardson steps."""
     out = {}
     for stratum in scene.strata:
         fld = fields[stratum.id]
@@ -584,7 +585,10 @@ def flatness_rate_probe(h: Callable, z_desc: SetDescriptor,
                         kappas: Optional[Sequence] = None) -> FlatnessReport:
     """Normalized derivative decay of ``h`` along an approach sequence:
     for each |kappa| <= p the values ``|D^kappa h(x_j)| * d(x_j,Z)^(|kappa|-p)``
-    must eventually fall below ``theta``.
+    must eventually fall below ``theta``.  ``h`` takes a row batch, like
+    every evaluator; one :func:`verify.sampled_derivatives` call samples
+    every kappa at every point, with the step ``d(x_j,Z)/20`` clamped to
+    [1e-8, 1e-3].
 
     The sequence must approach within a cone ``d(x, cell) <= C d(x, Z)``.
     Points whose two distances agree (the approach hugging Z, with the
@@ -613,13 +617,14 @@ def flatness_rate_probe(h: Callable, z_desc: SetDescriptor,
 
     if kappas is None:
         kappas = [k for k in multi_indices(n, p)]
+    X = np.asarray(points, dtype=float)
+    steps = np.asarray([max(min(1e-3, dz / 20.0), 1e-8) for dz in dzs])
+    derivs = verify.sampled_derivatives(h, [(X, kappa, steps)
+                                            for kappa in kappas])
     per_kappa, flat = {}, {}
-    for kappa in kappas:
-        vals = []
-        for x, dz in zip(points, dzs):
-            step = max(min(1e-3, dz / 20.0), 1e-8)
-            d, _ = verify.finite_difference(h, kappa, x, step)
-            vals.append(abs(d) * dz ** (mi_order(kappa) - p))
+    for kappa, (d, _) in zip(kappas, derivs):
+        vals = [abs(v) * dz ** (mi_order(kappa) - p)
+                for v, dz in zip(d.tolist(), dzs)]
         per_kappa[tuple(kappa)] = vals
         tail = vals[max(0, len(vals) - max(3, len(vals) // 3)):]
         flat[tuple(kappa)] = max(tail) < theta

@@ -68,28 +68,64 @@ def finite_difference(f: Callable, alpha: MultiIndex, x: Sequence[float],
 
 def sampled_derivative_batch(fn, X: np.ndarray, alpha, h: np.ndarray):
     """Richardson-extrapolated central differences of mixed order ``alpha``
-    of a batched callable at the rows of ``X``, with per-row steps ``h``.
+    of a batched callable at the rows of ``X``, with per-row steps ``h``:
+    the one request of :func:`sampled_derivatives`.
 
     Returns ``(values, error_estimates)``; an estimate is the disagreement
     between the steps ``h`` and ``h/2`` scaled by the extrapolation factor,
     so for smooth inputs halving ``h`` shrinks it by about 4x.
     """
-    k = mi_order(alpha)
-    if k == 0:
-        return np.asarray(fn(X), dtype=float), np.zeros(len(X))
-    stencil = _tensor_stencil(tuple(alpha))
-    offs = np.asarray([off for off, _ in stencil], dtype=float)
-    wts = np.asarray([wt for _, wt in stencil])
+    return sampled_derivatives(fn, [(X, alpha, h)])[0]
 
-    def level(step):
-        pts = X[:, None, :] + offs[None, :, :] * step[:, None, None]
-        flat = pts.reshape(-1, X.shape[1])
-        vals = np.asarray(fn(flat)).reshape(len(X), len(offs))
-        return (vals * wts[None, :]).sum(axis=1) / step ** k
 
-    d1 = level(h)
-    d2 = level(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0, np.abs(d2 - d1) / 3.0
+def sampled_derivatives(fn, requests) -> list:
+    """One ``(values, error_estimates)`` pair of
+    :func:`sampled_derivative_batch` per ``(X, alpha, h)`` request, from a
+    single call of ``fn`` per row width.
+
+    The stencil rows of every request at the steps ``h`` and ``h/2`` (its
+    own rows once when ``alpha`` is 0) are stacked, evaluated together and
+    split back; each request then combines its own values exactly as a
+    call of its own would.  A ``fn`` that returns a scalar for a batch is
+    broadcast to the batch; no rows at all make no call.
+    """
+    blocks: dict = {}           # row width -> stencil rows to evaluate
+    plans = []
+    for X, alpha, h in requests:
+        X = np.asarray(X, dtype=float)
+        k = mi_order(alpha)
+        if k == 0:
+            rows, stencil, steps = [X], (), ()
+        else:
+            stencil = _tensor_stencil(tuple(alpha))
+            offs = np.asarray([off for off, _ in stencil], dtype=float)
+            steps = (h, h / 2.0)
+            rows = [(X[:, None, :] + offs[None, :, :] * step[:, None, None]
+                     ).reshape(-1, X.shape[1]) for step in steps]
+        group = blocks.setdefault(X.shape[1], [])
+        plans.append((len(X), k, stencil, steps, X.shape[1],
+                      range(len(group), len(group) + len(rows))))
+        group.extend(rows)
+
+    values = {}
+    for width, group in blocks.items():
+        flat = np.concatenate(group)
+        out = np.asarray(fn(flat) if len(flat) else (), dtype=float)
+        if out.ndim == 0:
+            out = np.full(len(flat), out)
+        values[width] = np.split(out, np.cumsum([len(b) for b in group])[:-1])
+
+    results = []
+    for count, k, stencil, steps, width, parts in plans:
+        vals = [values[width][i] for i in parts]
+        if k == 0:
+            results.append((vals[0], np.zeros(count)))
+            continue
+        wts = np.asarray([wt for _, wt in stencil])
+        d1, d2 = ((v.reshape(count, len(wts)) * wts[None, :]).sum(axis=1)
+                  / step ** k for v, step in zip(vals, steps))
+        results.append(((4.0 * d2 - d1) / 3.0, np.abs(d2 - d1) / 3.0))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +293,16 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
     """Compare sampled derivatives of an extension against the scene's
     declared jet coefficients on every stratum.
 
-    One batched stencil call of ``f`` per (stratum, alpha); deviation is
+    Every stratum's samples, steps and expected coefficients are drawn
+    first; then one :func:`sampled_derivatives` call evaluates ``f`` once
+    on the stencils of all strata and multi-indices.  Deviation is
     relative to ``1 + |F^alpha|``; the step is a tenth of the bracketed
     distance to the stratum's boundary (1 without one), within [1e-7, 1e-3].
     """
     from . import geometry  # local import to keep module layers acyclic
 
     rng = np.random.default_rng(seed)
-    report = AgreementReport(tolerance=tol)
+    requests, expected = [], []
     for stratum in scene.strata:
         fld = scene.fields[stratum.id]
         cell = stratum.cell
@@ -277,12 +315,14 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
             scene.descriptor_for(stratum.boundary_ids), X, scene.box)
         H = np.clip(np.where(lo > 0.0, lo, up) / 10.0, 1e-7, 1e-3)
         for alpha_int in multi_indices(scene.n, scene.p):
-            got, _ = sampled_derivative_batch(f, X, cell.to_ambient(alpha_int),
-                                              H)
-            expect = coefficient_rows(fld.coeffs[alpha_int], U)
-            dev = np.abs(got - expect) / (1.0 + np.abs(expect))
-            worst = float(dev.max())
-            report.entries.append(AgreementEntry(
-                stratum.id, alpha_int, worst, len(U), worst < tol))
+            requests.append((X, cell.to_ambient(alpha_int), H))
+            expected.append((stratum.id, alpha_int, len(U),
+                             coefficient_rows(fld.coeffs[alpha_int], U)))
+    report = AgreementReport(tolerance=tol)
+    for (sid, alpha_int, count, expect), (got, _) in zip(
+            expected, sampled_derivatives(f, requests)):
+        dev = np.abs(got - expect) / (1.0 + np.abs(expect))
+        worst = float(dev.max())
+        report.entries.append(AgreementEntry(
+            sid, alpha_int, worst, count, worst < tol))
     return report
-

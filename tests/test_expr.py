@@ -110,6 +110,31 @@ def test_evaluate_rows_bitwise_and_singular_on_every_node_kind():
     _assert_rows_match_scalar(f, U)
 
 
+def test_evaluate_rows_bitwise_on_constant_subtrees():
+    """Variable-free abs, min, max, exact sqrt and piecewise subtrees are
+    folded, so the rows read the scalar evaluator's exact sums: 1/10 + 2/10
+    is 0.3, not 0.1 + 0.2."""
+    x, c = expr.var(0), lambda s: expr.const(Fraction(s))
+    pairs = [
+        (expr.abs_(c("1/10")), expr.abs_(c("-2/10"))),
+        (expr.max_(c("1/10"), c(0)), expr.min_(c("2/10"), c(1))),
+        (expr.sqrt_(c("1/100")), expr.sqrt_(c("4/100"))),
+        (expr.piecewise([(c(1), c("1/10")), (c(-1), x)]), c("2/10")),
+        (expr.sqrt_(c(2)), expr.sqrt_(c(3))),
+    ]
+    U = np.asarray([[0.0], [0.25], [-1.5]])
+    for a, b in pairs:
+        f = expr.ExprFn(1, expr.add(expr.add(a, b), x))
+        _assert_rows_match_scalar(f, U)
+        if f.root.args[0].op == "const":
+            assert expr.evaluate_rows(f, U)[0][0] == 0.3
+    for singular in (expr.abs_(c(0)), expr.max_(c(1), c(1)),
+                     expr.piecewise([(c(0), x)])):
+        f = expr.ExprFn(1, expr.add(singular, x))
+        assert expr.evaluate_rows(f, U)[1].all()
+        _assert_rows_match_scalar(f, U)
+
+
 def test_evaluate_rows_singular_inactive_branch_keeps_its_row():
     x = expr.var(0)
     f = expr.ExprFn(1, expr.piecewise([(x, expr.sqrt_(x)),

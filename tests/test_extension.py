@@ -584,7 +584,7 @@ def test_flatness_probe_zero_function():
 def test_flatness_probe_planted_defect():
     scene = halfline_scene()
     z = scene.descriptor_for(["origin"])
-    rep = flatness_rate_probe(lambda x: float(x[0]), z,
+    rep = flatness_rate_probe(lambda X: X[:, 0], z,
                               scene.stratum("ray").cell, 0.5, 1,
                               [(2.0 ** -j,) for j in range(3, 12)])
     assert not rep.flat[(0,)]       # |x| * |x|^-1 = 1, never decays
@@ -605,8 +605,8 @@ def test_leibniz_flatness_product():
     z = scene.descriptor_for(["origin"])
     w = geo.descriptor_of(geo.Ball((1.0,), 0.25))
     omega = build_cutoff(CutoffSpec(w, z, 0.5, 2))
-    flat = lambda x: float(x[0]) ** 2           # rate p+1 = 2 at 0
-    prod = lambda x: flat(x) * omega(np.asarray(x, dtype=float))
+    flat = lambda X: X[:, 0] ** 2               # rate p+1 = 2 at 0
+    prod = lambda X: flat(X) * omega(X)
     pts = [(2.0 ** -j,) for j in range(3, 14)]
     rep = flatness_rate_probe(prod, z, scene.stratum("ray").cell, 0.5, 1, pts)
     assert rep.all_flat

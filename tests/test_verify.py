@@ -4,13 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from whitney import expr
+from whitney import expr, geometry
 from whitney.errors import DegenerateScales
 from whitney.extension import extend_field
-from whitney.jets import jet_from_coeffs, taylor_jet
+from whitney.jets import (coefficient_rows, jet_from_coeffs, multi_indices,
+                          taylor_jet)
 from whitney.verify import (check_extension, finite_difference, radial_pairs,
                             rate_fit, sampled_derivative_batch,
-                            straddling_pairs, whitney_residual)
+                            sampled_derivatives, straddling_pairs,
+                            whitney_residual)
 
 from conftest import load_corpus_scene, rand_point, rand_polynomial
 
@@ -65,6 +67,33 @@ def test_finite_difference_is_a_row_of_the_batched_kernel(rng):
         vals, errs = sampled_derivative_batch(rows, X, alpha, H)
         for x, h, v, e in zip(X, H, vals, errs):
             assert finite_difference(point, alpha, tuple(x), h) == (v, e)
+
+
+def test_sampled_derivatives_match_single_requests(rng):
+    """Requests of several widths, row counts and orders 0-3 (mixed
+    partials too) share one call per width and equal their own calls."""
+    widths = []
+
+    def fn(X):
+        widths.append(X.shape[1])
+        return np.cos(X[:, 0]) * np.exp(X[:, -1] / 2) + X.sum(axis=1) ** 3
+
+    requests = []
+    for alpha in ((0,), (1,), (3,), (0, 0), (1, 1), (0, 2), (2, 1),
+                  (1, 0, 1), (0, 3, 0), (1, 1, 1)):
+        rows = int(rng.integers(1, 9))
+        requests.append((rng.uniform(-1.0, 1.0, (rows, len(alpha))), alpha,
+                         rng.uniform(1e-3, 3e-2, rows)))
+    batched = sampled_derivatives(fn, requests)
+    assert sorted(widths) == [1, 2, 3]
+    for (X, alpha, h), (vals, errs) in zip(requests, batched):
+        want_vals, want_errs = sampled_derivative_batch(fn, X, alpha, h)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert errs.tobytes() == want_errs.tobytes()
+    # a callable that returns a scalar for a batch is broadcast to it
+    (d0, _), (d1, _) = sampled_derivatives(
+        lambda X: 1.5, [(X, (0,) * X.shape[1], h), (X, (1,) * X.shape[1], h)])
+    assert d0.tolist() == [1.5] * len(X) and d1.tolist() == [0.0] * len(X)
 
 
 # --- compatibility residuals ---------------------------------------------------
@@ -184,6 +213,39 @@ def test_check_extension_planted_defect_fails():
                       bad.flat_on, bad.box)
     rep = check_extension(f, bad_scene, tol=1e-4, samples_per_stratum=40)
     assert not rep.passed
+
+
+def test_check_extension_evaluates_f_once():
+    """The agreement check evaluates the extension once, and each entry
+    equals a stencil call of its own on the same samples and steps."""
+    scene = load_corpus_scene("square").scene
+    f = extend_field(scene)
+    calls = []
+
+    def counted(X):
+        calls.append(len(X))
+        return f(X)
+
+    rep = check_extension(counted, scene, samples_per_stratum=30, seed=4)
+    assert len(calls) == 1
+    rng = np.random.default_rng(4)
+    want = []
+    for stratum in scene.strata:
+        cell = stratum.cell
+        U = np.asarray(geometry.stratum_samples(cell, 30, scene.box, rng=rng))
+        X = cell.embed_rows(U)
+        U = U if U.shape[1] else np.zeros((len(U), 1))
+        lo, up = geometry.distance_brackets(
+            scene.descriptor_for(stratum.boundary_ids), X, scene.box)
+        H = np.clip(np.where(lo > 0.0, lo, up) / 10.0, 1e-7, 1e-3)
+        for alpha in multi_indices(scene.n, scene.p):
+            got, _ = sampled_derivative_batch(f, X, cell.to_ambient(alpha), H)
+            expect = coefficient_rows(scene.fields[stratum.id].coeffs[alpha],
+                                      U)
+            want.append((stratum.id, alpha, float(np.max(
+                np.abs(got - expect) / (1.0 + np.abs(expect))))))
+    assert [(e.stratum_id, e.alpha, e.max_rel_dev)
+            for e in rep.entries] == want
 
 
 def test_check_extension_stable_under_reseeding():
