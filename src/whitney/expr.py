@@ -38,7 +38,6 @@ Number = Union[int, float, Fraction]
 
 TAU_SING = 1e-9
 
-_LEAF_OPS = ("const", "var")
 _BINARY_OPS = ("add", "sub", "mul", "div", "min", "max")
 _UNARY_OPS = ("sqrt", "abs")
 
@@ -333,8 +332,7 @@ def evaluate_rows(f: ExprFn, U):
     body is evaluated on its active rows only.  Every other row equals
     ``float(evaluate(f, u))`` bit for bit on trees made by the builders,
     which fold every variable-free subtree that :func:`evaluate` computes
-    exactly (trees assembled from raw :class:`Node` s, as
-    :func:`substitute` does, may differ in the last bit there).
+    exactly.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != f.arity:
@@ -478,9 +476,15 @@ def differentiate(f: ExprFn, alpha) -> ExprFn:
 # substitution (used for composing explicit functions in oracles)
 
 
+_CONSTRUCTORS = {"add": add, "sub": sub, "mul": mul, "div": div,
+                 "min": min_, "max": max_, "sqrt": sqrt_, "abs": abs_}
+
+
 def substitute(f: ExprFn, inner: list[ExprFn]) -> ExprFn:
     """Replace every variable of ``f`` by the corresponding expression in
-    ``inner``; all inner expressions must share one arity."""
+    ``inner``; all inner expressions must share one arity.  Every node is
+    rebuilt through its folding constructor (``add``, ``pow_``,
+    ``piecewise``, ...), so constant subtrees fold as in any other tree."""
     if len(inner) != f.arity:
         raise ArityMismatch("need one inner expression per variable of f")
     arity = inner[0].arity
@@ -493,16 +497,18 @@ def substitute(f: ExprFn, inner: list[ExprFn]) -> ExprFn:
             return roots[node.payload]
         if node.op == "const":
             return node
-        return Node(node.op, node.payload, tuple(walk(a) for a in node.args))
+        args = [walk(a) for a in node.args]
+        if node.op == "pow":
+            return pow_(args[0], node.payload)
+        if node.op == "piecewise":
+            return piecewise(zip(args[0::2], args[1::2]))
+        return _CONSTRUCTORS[node.op](*args)
 
     return ExprFn(arity, walk(f.root))
 
 
 # ---------------------------------------------------------------------------
 # serialization: nested arrays, e.g. ["add", ["var", 0], ["const", "3/2"]]
-
-_PARSE_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div,
-                 "min": min_, "max": max_}
 
 
 def node_from_json(obj) -> Node:
@@ -515,14 +521,13 @@ def node_from_json(obj) -> Node:
         return var(int(obj[1]))
     if op == "neg":
         return sub(ZERO, node_from_json(obj[1]))
-    if op in _PARSE_BINARY:
-        return _PARSE_BINARY[op](node_from_json(obj[1]), node_from_json(obj[2]))
+    if op in _BINARY_OPS:
+        return _CONSTRUCTORS[op](node_from_json(obj[1]),
+                                 node_from_json(obj[2]))
+    if op in _UNARY_OPS:
+        return _CONSTRUCTORS[op](node_from_json(obj[1]))
     if op == "pow":
         return pow_(node_from_json(obj[1]), int(obj[2]))
-    if op == "sqrt":
-        return sqrt_(node_from_json(obj[1]))
-    if op == "abs":
-        return abs_(node_from_json(obj[1]))
     if op == "piecewise":
         branches = [(node_from_json(b[0]), node_from_json(b[1]))
                     for b in obj[1:]]

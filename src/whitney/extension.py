@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -23,13 +22,13 @@ import numpy as np
 from . import cutoff as cutoff_mod
 from . import expr, geometry, verify
 from .cutoff import CutoffFn, CutoffSpec, build_cutoff, _point_or_batch
-from .errors import (FlatnessDeclarationMissing, SequenceLeavesCone,
-                     StratificationInvalid, SupportLeak,
+from .errors import (ConsistencyViolation, FlatnessDeclarationMissing,
+                     SequenceLeavesCone, StratificationInvalid, SupportLeak,
                      UnsupportedDescriptor)
 from .geometry import (EMPTY_SET, GraphCell, PointCell, SetDescriptor,
                        open_cell_outside)
-from .jets import (FieldSpec, PointJet, coefficient_rows, jet_compose,
-                   mi_factorial, mi_order, multi_indices, taylor_jet)
+from .jets import (FieldSpec, PointJet, coefficient_rows, mi_add,
+                   mi_factorial, mi_order, multi_indices)
 
 # ---------------------------------------------------------------------------
 # scenes
@@ -141,17 +140,13 @@ class Scene:
             except UnsupportedDescriptor as exc:
                 out.append(f"stratum {s.id!r}: disjointness unchecked ({exc})")
                 continue
+            points = [s.cell.embed(u) for u in params]
             for other in self.strata:
-                if other.id == s.id:
-                    continue
-                for u in params[:8]:
-                    x = s.cell.embed(u)
-                    if geometry.contains(other.cell, x, 1e-9) == "inside":
-                        out.append(f"strata {s.id!r} and {other.id!r} overlap")
-                        break
-                else:
-                    continue
-                break
+                if other.id != s.id and any(
+                        geometry.contains(other.cell, x, 1e-9) == "inside"
+                        for x in points):
+                    out.append(f"strata {s.id!r} and {other.id!r} overlap")
+                    break
         return out
 
 
@@ -296,93 +291,47 @@ class ExtensionFn:
 
 
 # ---------------------------------------------------------------------------
-# field shifting (graph cell straightened onto its parameter plane)
-
-
-def shift_field(fld: FieldSpec, cell: GraphCell) -> FieldSpec:
-    """Field over the flattened cell ``D x {0}``: composing each jet of the
-    original field with the jet of the straightening map
-    ``(u, w) -> (u, w + phi(u))``.  Coefficients become callables of ``u``
-    (exact at rational parameters)."""
-    if not isinstance(cell, GraphCell):
-        raise StratificationInvalid("shift_field needs a graph cell")
-    n, p = fld.n, fld.p
-    m = cell.intrinsic_dim
-    cache: dict = {}
-
-    def shifted_jet(u: tuple) -> PointJet:
-        jet = cache.get(u)
-        if jet is not None:
-            return jet
-        phi_vals = tuple(expr.evaluate(phi, u) for phi in cell.graph)
-        base_src = tuple(u) + phi_vals
-        h_jet = fld.jet_at(u, base_src)
-        inner = []
-        flat_base = tuple(u) + tuple(0 * v for v in phi_vals)
-        for i in range(m):
-            coeffs = {a: Fraction(0) for a in multi_indices(n, p)}
-            coeffs[(0,) * n] = u[i]
-            e_i = tuple(1 if j == i else 0 for j in range(n))
-            coeffs[e_i] = Fraction(1)
-            inner.append(PointJet(n, p, flat_base, coeffs))
-        for j, phi in enumerate(cell.graph):
-            tj = taylor_jet(phi, p, u)
-            coeffs = {a: Fraction(0) for a in multi_indices(n, p)}
-            for a_m, c in tj.coeffs.items():
-                coeffs[tuple(a_m) + (0,) * (n - m)] = c
-            e_w = tuple(1 if i == m + j else 0 for i in range(n))
-            coeffs[e_w] = coeffs[e_w] + 1
-            inner.append(PointJet(n, p, flat_base, coeffs))
-        jet = jet_compose(h_jet, inner)
-        cache[u] = jet
-        return jet
-
-    def make_coeff(alpha):
-        return lambda u: shifted_jet(tuple(u)).coeffs[alpha]
-
-    coeffs = {alpha: make_coeff(alpha) for alpha in multi_indices(n, p)}
-    return FieldSpec(n, p, fld.stratum_id + "/shifted", fld.param_arity,
-                     coeffs)
+# field consistency along a graph cell
 
 
 def check_stratum_consistency(fld: FieldSpec, cell: GraphCell,
                               samples: Sequence, tol: float = 1e-5) -> float:
-    """Tangential-derivative compatibility of a field over a graph cell.
+    """Chain-rule compatibility of a field over the graph cell
+    ``{(u, phi(u))}``: for every ``|gamma| < p``, tangential axis ``i < m``
+    and sample ``u``,
 
-    Over a flat slice the identity is symbolic: differentiating the
-    coefficient function along the parameter reproduces the stored mixed
-    coefficient.  Over a curved cell it holds for the field shifted onto
-    the parameter plane, whose coefficients are exact callables, so the
-    tangential derivative is sampled by finite differences instead.
-    Returns the worst relative residual; raises
+        D_{u_i} F^gamma = F^{gamma+e_i} + sum_j D_{u_i} phi_j F^{gamma+e_{m+j}}.
+
+    Both sides come from :func:`expr.differentiate` and
+    :func:`expr.evaluate` on the expression coefficients, so they are
+    exact Fractions at rational samples.  Over a constant graph the sum
+    vanishes; higher tangential orders follow by induction.  Returns the
+    worst relative residual ``|lhs - rhs| / (1 + |rhs|)``; raises
     :class:`~whitney.errors.ConsistencyViolation` beyond ``tol``.
     """
-    from .errors import ConsistencyViolation
-    from .jets import check_field_consistency
-    m = cell.intrinsic_dim
-    curved = any(g.root.op != "const" for g in cell.graph)
-    if not curved:
-        return check_field_consistency(fld, m, samples, tol)
-    shifted = shift_field(fld, cell)
+    m, n = cell.intrinsic_dim, fld.n
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     worst = 0.0
-    for beta in multi_indices(fld.n - m, fld.p):
-        key0 = (0,) * m + beta
-        fn0 = shifted.coeffs[key0]
-        g0 = lambda u: float(fn0(tuple(u)))
-        for alpha in multi_indices(m, fld.p - mi_order(beta)):
-            if mi_order(alpha) == 0:
-                continue
-            stored = shifted.coeffs[tuple(alpha) + beta]
+    for gamma in multi_indices(n, fld.p - 1):
+        for i in range(m):
+            along = unit[i][:m]
+            d_fn = expr.differentiate(fld.coeffs[gamma], along)
+            tangent = fld.coeffs[mi_add(gamma, unit[i])]
+            normal = [(expr.differentiate(phi, along),
+                       fld.coeffs[mi_add(gamma, unit[m + j])])
+                      for j, phi in enumerate(cell.graph)]
             for u in samples:
-                got, _ = verify.finite_difference(g0, alpha, u, 1e-3)
-                want = float(stored(tuple(u)))
-                resid = abs(got - want) / (1.0 + abs(want))
+                lhs = expr.evaluate(d_fn, u)
+                rhs = expr.evaluate(tangent, u) + sum(
+                    expr.evaluate(slope, u) * expr.evaluate(c, u)
+                    for slope, c in normal)
+                resid = float(abs(lhs - rhs) / (1 + abs(rhs)))
                 worst = max(worst, resid)
                 if resid > tol:
                     raise ConsistencyViolation(
-                        f"stratum {fld.stratum_id!r}: shifted tangential "
-                        f"derivative {tuple(alpha)} of normal coefficient "
-                        f"{tuple(beta)} deviates by {resid:.3e} at u={tuple(u)}")
+                        f"stratum {fld.stratum_id!r}: chain rule for "
+                        f"coefficient {gamma} along axis {i} deviates by "
+                        f"{resid:.3e} at u={tuple(u)}")
     return worst
 
 

@@ -1,5 +1,5 @@
-"""Truncated-jet algebra: order-p Taylor polynomials at points, fields of
-jets over strata, and the compatibility machinery between them.
+"""Truncated-jet algebra: order-p Taylor polynomials at points and fields
+of jets over strata.
 
 A :class:`PointJet` stores *derivative values* ``coeffs[alpha] = F^alpha``;
 the polynomial it represents is ``sum (1/alpha!) F^alpha X^alpha`` where
@@ -18,8 +18,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from . import expr
-from .errors import (ArityMismatch, BaseMismatch, ConsistencyViolation,
-                     ShapeMismatch)
+from .errors import ArityMismatch, BaseMismatch, ShapeMismatch
 from .expr import ExprFn
 
 MultiIndex = tuple  # of nonnegative ints
@@ -353,39 +352,6 @@ class FieldSpec:
     def jet_at(self, u: Sequence, embedded_base: Sequence) -> PointJet:
         vals = {a: _eval_coeff(fn, u) for a, fn in self.coeffs.items()}
         return PointJet(self.n, self.p, tuple(embedded_base), vals)
-
-
-def check_field_consistency(fld: FieldSpec, tangent_dim: int,
-                            samples: Sequence[Sequence],
-                            tol: float = 1e-7) -> float:
-    """Sampled compatibility of tangential derivatives: differentiating the
-    coefficient function ``F^{(0,beta)}`` along the stratum must reproduce
-    the stored ``F^{(alpha,beta)}``.  Only possible (and only meaningful)
-    for expression-backed coefficients; returns the worst residual and
-    raises :class:`ConsistencyViolation` beyond ``tol``."""
-    normal_dim = fld.n - tangent_dim
-    worst = 0.0
-    for beta in multi_indices(normal_dim, fld.p):
-        base_fn = fld.coeffs[(0,) * tangent_dim + beta]
-        if not isinstance(base_fn, ExprFn):
-            continue
-        for alpha in multi_indices(tangent_dim, fld.p - mi_order(beta)):
-            if mi_order(alpha) == 0:
-                continue
-            derived = expr.differentiate(base_fn, alpha)
-            stored = fld.coeffs[tuple(alpha) + beta]
-            for u in samples:
-                lhs = expr.evaluate(derived, u)
-                rhs = _eval_coeff(stored, u)
-                resid = abs(float(lhs) - float(rhs))
-                scale = 1.0 + abs(float(rhs))
-                worst = max(worst, resid / scale)
-                if resid > tol * scale:
-                    raise ConsistencyViolation(
-                        f"stratum {fld.stratum_id!r}: tangential derivative "
-                        f"{tuple(alpha)} of coefficient {tuple(beta)} deviates "
-                        f"by {resid:.3e} at u={tuple(u)}")
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from whitney.cli import main
 from whitney.errors import SceneFormatError
 from whitney.sceneio import load_scene, parse_scene
 
-from conftest import scene_path
+from conftest import SCENES_DIR, scene_path
 
 
 def run(*argv) -> int:
@@ -16,10 +16,32 @@ def run(*argv) -> int:
 
 # --- validate -----------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["points", "halfline", "parabola",
-                                  "square", "fullspace"])
+# exit code of `validate` for every bundled scene
+VALIDATE_EXIT = {
+    "points": 0, "halfline": 0, "parabola": 0, "square": 0, "fullspace": 0,
+    "defect_incompatible_jet": 0,      # cross-stratum defect, see verify
+    "defect_missing_boundary": 2,
+    "defect_inconsistent_far_end": 2,
+    "defect_overlapping_strata": 2,
+}
+
+
+@pytest.mark.parametrize("name",
+                         sorted(p.stem for p in SCENES_DIR.glob("*.json")))
 def test_validate_corpus(name):
-    assert run("validate", scene_path(name)) == 0
+    assert name in VALIDATE_EXIT, f"scene {name!r} has no expected exit code"
+    assert run("validate", scene_path(name)) == VALIDATE_EXIT[name]
+
+
+def test_validate_names_the_far_end_inconsistency(capsys):
+    assert run("validate", scene_path("defect_inconsistent_far_end")) == 2
+    out = capsys.readouterr().out
+    assert "field consistency on 'arc'" in out and "u=(0.7" in out
+
+
+def test_validate_names_the_overlapping_pair(capsys):
+    assert run("validate", scene_path("defect_overlapping_strata")) == 2
+    assert "strata 'A' and 'B' overlap" in capsys.readouterr().out
 
 
 def test_validate_missing_boundary(capsys):

@@ -15,6 +15,8 @@ ALLOWED = {
     "jet_from_json": "parser of the jet format, round-tripped by tests",
     "cutoff_spec_to_json": "serializer of the cutoff-spec format",
     "cutoff_spec_from_json": "parser of the cutoff-spec format",
+    "finite_difference": "1-row stencil call of the derivative tests and "
+                         "the perfbench tracer",
 }
 
 

@@ -239,6 +239,19 @@ def test_substitute_composes():
     assert expr.evaluate(hg, (2, 3)) == 25
 
 
+def test_substitute_folds_constant_subtrees():
+    """Substituting 1/10 and 2/10 into x0 + x1 + x2 folds their sum to the
+    exact 3/10, so the rows read 0.3 like the scalar evaluator."""
+    f = (expr.coordinate(0, 3) + expr.coordinate(1, 3)
+         + expr.coordinate(2, 3))
+    g = expr.substitute(f, [expr.constant_fn(Fraction(1, 10)),
+                            expr.constant_fn(Fraction(2, 10)),
+                            expr.coordinate(0, 1)])
+    U = np.asarray([[0.0], [0.25], [-1.5]])
+    _assert_rows_match_scalar(g, U)
+    assert expr.evaluate_rows(g, U)[0][0] == 0.3
+
+
 def test_serialization_roundtrip():
     obj = ["add", ["pow", ["var", 0], 3],
            ["piecewise", [["var", 1], ["const", "3/2"]],

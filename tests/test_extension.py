@@ -11,9 +11,8 @@ from whitney.errors import (ConsistencyViolation, FlatnessDeclarationMissing,
 from whitney.extension import (CellTerm, Scene, Stratum,
                                check_stratum_consistency,
                                extend_field, extend_on_cell,
-                               flatness_rate_probe, shift_field,
-                               subtract_taylor)
-from whitney.jets import FieldSpec, multi_indices, taylor_jet
+                               flatness_rate_probe, subtract_taylor)
+from whitney.jets import FieldSpec, multi_indices
 from whitney.verify import check_extension, finite_difference
 
 from conftest import load_corpus_scene, rand_point, rand_polynomial
@@ -35,59 +34,37 @@ def halfline_scene(f1=None):
     return Scene(1, 1, 2, strata, fields, frozenset({"origin"}), box=4.0)
 
 
-# --- field shifting -------------------------------------------------------
-
-
-def test_shift_identity_when_graph_constant():
-    cell = geo.GraphCell(geo.Interval(0.0, 1.0), (C(0, 1),), (0, 1))
-    fld = FieldSpec(2, 1, "s", 1, {(0, 0): expr.coordinate(0, 1),
-                                   (1, 0): C(1, 1), (0, 1): C(2, 1)})
-    shifted = shift_field(fld, cell)
-    for u in [(Fraction(1, 4),), (Fraction(2, 3),)]:
-        for alpha in multi_indices(2, 1):
-            assert shifted.coeffs[alpha](u) == expr.evaluate(
-                fld.coeffs[alpha], u)
-
-
-def test_shift_picks_up_graph_derivative():
-    # g(x1, x2) = x2 restricted to the line w = u
-    cell = geo.GraphCell(geo.Interval(0.0, 1.0),
-                         (expr.coordinate(0, 1),), (0, 1))
-    fld = FieldSpec(2, 1, "line", 1, {(0, 0): expr.coordinate(0, 1),
-                                      (1, 0): C(0, 1), (0, 1): C(1, 1)})
-    shifted = shift_field(fld, cell)
-    u = (Fraction(1, 3),)
-    assert shifted.coeffs[(0, 0)](u) == Fraction(1, 3)
-    assert shifted.coeffs[(1, 0)](u) == 1        # chain rule: 0 + 1 * phi'
-    assert shifted.coeffs[(0, 1)](u) == 1
-
-
-def test_shift_matches_symbolic_composition(rng):
-    """Shifting the jets of g equals the jets of g composed with the
-    straightening map, coefficientwise and exactly."""
-    base = geo.Interval(0.0, 1.0)
-    for _ in range(20):
-        p = int(rng.integers(1, 4))
-        g = rand_polynomial(rng, 2, 3)
-        phi = rand_polynomial(rng, 1, 3)
-        cell = geo.GraphCell(base, (phi,), (0, 1))
-        coeffs = {}
-        for alpha in multi_indices(2, p):
-            dg = expr.differentiate(g, alpha)
-            coeffs[alpha] = expr.substitute(dg, [expr.coordinate(0, 1), phi])
-        fld = FieldSpec(2, p, "t", 1, coeffs)
-        shifted = shift_field(fld, cell)
-        phi2 = expr.substitute(phi, [expr.coordinate(0, 2)])
-        g_phi = expr.substitute(
-            g, [expr.coordinate(0, 2),
-                expr.ExprFn(2, expr.add(expr.var(1), phi2.root))])
-        u0 = rand_point(rng, 1, 0, 1)
-        want = taylor_jet(g_phi, p, (u0[0], Fraction(0)))
-        for alpha in multi_indices(2, p):
-            assert shifted.coeffs[alpha](u0) == want.coeffs[alpha]
-
-
 # --- consistency over curved cells -----------------------------------------
+
+
+def test_stratum_consistency_random_curved_fields(rng):
+    """The jets D^alpha g of a random polynomial g, restricted to a random
+    curved cell (m = 1 and 2 in R^3, p = 1..3), pass the chain-rule check
+    exactly at rational samples; moving one coefficient with a tangential
+    index by 1/100 breaks it."""
+    n = 3
+    for trial in range(60):
+        m, p = 1 + trial % 2, 1 + trial % 3
+        base = (geo.Interval(0.0, 1.0) if m == 1
+                else geo.Slab(geo.Interval(0.0, 1.0), C(0, 1), C(1, 1)))
+        quartic = expr.polynomial(m, {(4,) + (0,) * (m - 1): 1})
+        graph = tuple(rand_polynomial(rng, m, 3) + quartic
+                      for _ in range(n - m))
+        cell = geo.GraphCell(base, graph, (0, 1, 2))
+        inner = [expr.coordinate(i, m) for i in range(m)] + list(graph)
+        g = rand_polynomial(rng, n, p + 2)
+        coeffs = {alpha: expr.substitute(expr.differentiate(g, alpha), inner)
+                  for alpha in multi_indices(n, p)}
+        samples = [rand_point(rng, m, 0, 1) for _ in range(5)]
+        fld = FieldSpec(n, p, "c", m, coeffs)
+        assert check_stratum_consistency(fld, cell, samples, tol=1e-12) == 0
+        tangential = [a for a in multi_indices(n, p) if any(a[:m])]
+        alpha = tangential[int(rng.integers(len(tangential)))]
+        bad = dict(coeffs)
+        bad[alpha] = coeffs[alpha] + Fraction(1, 100)
+        with pytest.raises(ConsistencyViolation, match="chain rule"):
+            check_stratum_consistency(FieldSpec(n, p, "c", m, bad), cell,
+                                      samples, tol=1e-12)
 
 
 def test_stratum_consistency_accepts_valid_curved_field():
@@ -95,7 +72,7 @@ def test_stratum_consistency_accepts_valid_curved_field():
     arc = sf.scene.stratum("arc")
     samples = geo.stratum_samples(arc.cell, 16, sf.scene.box)
     worst = check_stratum_consistency(sf.scene.fields["arc"], arc.cell,
-                                      samples[:16])
+                                      samples)
     assert worst < 1e-6
 
 
@@ -107,7 +84,7 @@ def test_stratum_consistency_rejects_broken_curved_field():
                                      (0, 1): C(0, 1)})   # kills the chain rule
     samples = geo.stratum_samples(arc.cell, 8, sf.scene.box)
     with pytest.raises(ConsistencyViolation):
-        check_stratum_consistency(bad, arc.cell, samples[:8])
+        check_stratum_consistency(bad, arc.cell, samples)
 
 
 # --- single-cell extension -------------------------------------------------
@@ -480,7 +457,7 @@ def test_permuted_curved_cell_scene():
                                              (0, 1): C(0, 1)})
     scene = Scene(2, 1, 2, strata, fields, frozenset(), box=3.0)
     samples = geo.stratum_samples(arc, 12, scene.box)
-    assert check_stratum_consistency(fields["arc"], arc, samples[:12]) < 1e-6
+    assert check_stratum_consistency(fields["arc"], arc, samples) < 1e-6
     f = extend_field(scene)
     assert f((0.25, 0.5)) == pytest.approx(0.25, abs=1e-12)  # on the arc
     rep = check_extension(f, scene, tol=1e-4, samples_per_stratum=80)

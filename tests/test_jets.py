@@ -4,11 +4,12 @@ import pytest
 
 from whitney import expr
 from whitney.errors import BaseMismatch, ConsistencyViolation, ShapeMismatch
-from whitney.jets import (FieldSpec, check_field_consistency, jet_add,
-                          jet_compose, jet_eval, jet_from_coeffs, jet_mul,
-                          jet_permute, jet_to_monomial, mi_order,
-                          multi_indices, poly_multiply, taylor_jet,
-                          truncate_poly)
+from whitney.extension import check_stratum_consistency
+from whitney.geometry import GraphCell, Interval
+from whitney.jets import (FieldSpec, jet_add, jet_compose, jet_eval,
+                          jet_from_coeffs, jet_mul, jet_permute,
+                          jet_to_monomial, mi_order, multi_indices,
+                          poly_multiply, taylor_jet, truncate_poly)
 from whitney.verify import finite_difference
 
 from conftest import rand_fraction, rand_jet, rand_point, rand_polynomial
@@ -243,6 +244,9 @@ def test_taylor_functorial(rng):
 
 # --- fields over strata -------------------------------------------------
 
+FLAT_CELL = GraphCell(Interval(0.0, 1.0), (expr.constant_fn(0, 1),), (0, 1))
+
+
 def test_consistency_planted_defect():
     bad = FieldSpec(2, 1, "bad", 1, {
         (0, 0): expr.coordinate(0, 1),
@@ -250,7 +254,7 @@ def test_consistency_planted_defect():
         (0, 1): expr.constant_fn(1, 1)})
     samples = [(0.1,), (0.5,), (0.9,)]
     with pytest.raises(ConsistencyViolation):
-        check_field_consistency(bad, 1, samples)
+        check_stratum_consistency(bad, FLAT_CELL, samples)
 
 
 def test_consistency_random_taylor_fields(rng):
@@ -266,7 +270,7 @@ def test_consistency_random_taylor_fields(rng):
                 dg, [expr.coordinate(0, 1), expr.constant_fn(0, 1)])
         fld = FieldSpec(2, p, "t", 1, coeffs)
         samples = [(float(k) / 51,) for k in range(1, 51)]
-        worst = check_field_consistency(fld, 1, samples, tol=1e-9)
+        worst = check_stratum_consistency(fld, FLAT_CELL, samples, tol=1e-9)
         assert worst < 1e-9
 
 
