@@ -235,7 +235,7 @@ class _Segments:
 
     def columns(self, X: np.ndarray) -> np.ndarray:
         """``(N, S)`` segment columns for the rows of ``X``, one coordinate
-        at a time as in :func:`geometry._distances`."""
+        at a time as in :func:`geometry._distance_blocks`."""
         t = np.zeros((len(X), len(self.length)))
         for k in range(X.shape[1]):
             t += (X[:, k, None] - self.start[:, k]) * self.axis[:, k]
@@ -279,31 +279,30 @@ class RegularizedDistance:
             self.c1 /= float(segments.kappa.max())
         self._points = (np.concatenate([net.points for net in nets])
                         if nets else None)
-        # a row chunk's distance matrix stays near 200,000 entries
-        self._chunk = max(1, 200_000 // max(1, total))
+        self._exact = 0 if table is None else len(table.lows)
+        self._closed = closed
 
     def __call__(self, x):
         return _point_or_batch(self._eval, x)
 
     def _eval(self, X: np.ndarray) -> np.ndarray:
-        if (self.table is None and self.segments is None
-                and self._points is None):
+        if not self._closed and self._points is None:
             return np.ones(len(X))
         out = np.empty(len(X))
-        for start in range(0, len(X), self._chunk):
-            rows = X[start:start + self._chunk]
-            cols = [] if self.table is None else [self.table.exact(rows)]
+        # the exact and segment columns lead each row block, then the nets
+        for rows, d in geometry._distance_blocks(X, self._points,
+                                                 self._closed):
+            x = X[rows]
+            if self.table is not None:
+                d[:, :self._exact] = self.table.exact(x)
             if self.segments is not None:
-                cols.append(self.segments.columns(rows))
-            if self._points is not None:
-                cols.append(geometry._distances(rows, self._points))
-            d = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
+                d[:, self._exact:self._closed] = self.segments.columns(x)
             m = d.min(axis=1)
             # on the set (m == 0) every ratio is inf and d~ is exactly 0,
             # without forming (1/d)^s
-            r = np.where(m > 0.0, m, np.inf)[:, None] / d
-            out[start:start + len(rows)] = (
-                m * (r ** self.exponent).sum(axis=1) ** (-1.0 / self.exponent))
+            np.divide(np.where(m > 0.0, m, np.inf)[:, None], d, out=d)
+            np.power(d, self.exponent, out=d)
+            out[rows] = m * d.sum(axis=1) ** (-1.0 / self.exponent)
         return out
 
 

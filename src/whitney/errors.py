@@ -74,7 +74,12 @@ class FlatnessDeclarationMissing(InputError):
 
 
 class StratificationInvalid(InputError):
-    pass
+    """The scene's stratification is unsound; ``problems`` lists what
+    ``Scene.validate`` found (empty when raised elsewhere)."""
+
+    def __init__(self, message: str, problems=()):
+        super().__init__(message)
+        self.problems = list(problems)
 
 
 class SequenceLeavesCone(EngineError):

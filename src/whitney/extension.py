@@ -459,7 +459,7 @@ def extend_field(scene: Scene, *, seed: int = 0,
     """
     problems = scene.validate()
     if problems:
-        raise StratificationInvalid("; ".join(problems))
+        raise StratificationInvalid("; ".join(problems), problems)
     return _extend(scene, seed, skip_skeleton_subtraction)
 
 

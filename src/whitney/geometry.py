@@ -386,17 +386,38 @@ def _row_norms(D: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(D * D, -1))
 
 
-def _distances(X: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Distances from every row of ``X`` (axis 0) to every row of ``points``
-    (axis 1), summed one coordinate at a time so that each numpy pass runs
-    over a whole matrix instead of a length-``n`` last axis.  Below 8
-    coordinates numpy sums a last axis in order too, so this is
+# Entries of one row block of a distance kernel: 32,768 float64 values are
+# 256 KiB, which stays in a core's L2 cache across the block's passes.
+_BLOCK_ENTRIES = 32_768
+
+
+def _distance_blocks(X: np.ndarray, points: Optional[np.ndarray],
+                     lead: int = 0):
+    """Stream the distances from the rows of ``X`` to the rows of ``points``
+    in row blocks of about ``_BLOCK_ENTRIES`` entries.
+
+    Yields ``(rows, block)``: ``rows`` slices ``X`` and ``block`` is a
+    ``(len(rows), lead + len(points))`` view of one reused buffer, which the
+    caller may overwrite.  Its first ``lead`` columns are the caller's to
+    fill; the others hold the distances (none when ``points`` is None),
+    summed one coordinate at a time, which below 8 coordinates is
     ``_row_norms(X[:, None] - points)`` bit for bit."""
-    acc = np.zeros((len(X), len(points)))
-    for k in range(X.shape[1]):
-        diff = X[:, k, None] - points[:, k]
-        acc += diff * diff
-    return np.sqrt(acc)
+    n, m = len(X), 0 if points is None else len(points)
+    step = max(1, min(n, _BLOCK_ENTRIES // max(1, lead + m)))
+    buf, tmp = np.empty((step, lead + m)), np.empty((step, m))
+    for start in range(0, n, step):
+        rows = slice(start, min(n, start + step))
+        block = buf[:rows.stop - start]
+        if m:
+            x, acc, diff = X[rows], block[:, lead:], tmp[:len(block)]
+            np.subtract(x[:, 0, None], points[:, 0], out=acc)
+            np.multiply(acc, acc, out=acc)
+            for k in range(1, X.shape[1]):
+                np.subtract(x[:, k, None], points[:, k], out=diff)
+                np.multiply(diff, diff, out=diff)
+                np.add(acc, diff, out=acc)
+            np.sqrt(acc, out=acc)
+        yield rows, block
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,19 +436,16 @@ class PieceNet:
     def scan(self, X: np.ndarray):
         """``(lo, up, nearest)`` per row of ``X``: ``up = min_i d_i``,
         ``lo = max(0, min_i(d_i - slack_i))`` and the index of the best
-        net point.  Rows go in chunks whose distance matrix stays near
-        200,000 entries, which bounds the memory of a batched call."""
+        net point, read off the row blocks of :func:`_distance_blocks`
+        (the ``- slack`` pass writes into the block)."""
         n = len(X)
         lo, up = np.empty(n), np.empty(n)
         nearest = np.empty(n, dtype=int)
-        chunk = max(1, 200_000 // len(self.points))
-        for start in range(0, n, chunk):
-            sl = slice(start, min(n, start + chunk))
-            d = _distances(X[sl], self.points)
-            nearest[sl] = np.argmin(d, axis=1)
-            up[sl] = d.min(axis=1)
-            lo[sl] = np.maximum(0.0, (d - self.slack).min(axis=1))
-        return lo, up, nearest
+        for rows, d in _distance_blocks(X, self.points):
+            np.argmin(d, axis=1, out=nearest[rows])
+            np.min(d, axis=1, out=up[rows])
+            np.min(np.subtract(d, self.slack, out=d), axis=1, out=lo[rows])
+        return np.maximum(0.0, lo, out=lo), up, nearest
 
 
 @functools.lru_cache(maxsize=32)

@@ -197,6 +197,45 @@ def test_verify_wrong_artifact_rejected(tmp_path):
     assert run("verify", scene_path("points"), out) == 2
 
 
+def test_each_command_validates_the_scene_once(tmp_path, monkeypatch,
+                                              capsys):
+    from whitney.extension import Scene
+    calls = []
+    validate = Scene.validate
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scene, "validate", counted)
+    out, bad = tmp_path / "run", scene_path("defect_missing_boundary")
+    for argv, code in (
+            (("validate", scene_path("halfline")), 0),
+            (("extend", scene_path("halfline"), "-o", out, "--grid=0:1:0.5"),
+             0),
+            (("verify", scene_path("halfline"), out), 0),
+            (("extend", bad, "-o", tmp_path / "bad"), 2)):
+        calls.clear()
+        assert run(*argv) == code
+        assert len(calls) == 1, argv
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "INVALID  stratification not closed")
+
+
+def test_verify_stops_on_an_invalid_scene_before_any_check(tmp_path,
+                                                           capsys):
+    import hashlib
+    scene = scene_path("defect_overlapping_strata")
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "report.json").write_text(json.dumps(
+        {"schema": "jetfield-run/1", "seed": 0,
+         "scene_sha": hashlib.sha256(scene.read_bytes()).hexdigest()}))
+    assert run("verify", scene, out, "--checks", "structure") == 2
+    assert "strata 'A' and 'B' overlap" in capsys.readouterr().err
+    assert not (out / "verify_report.json").exists()
+
+
 # --- plotdata ----------------------------------------------------------------------
 
 def test_plotdata_selectors(tmp_path, capsys):

@@ -238,6 +238,84 @@ def test_regularized_distance_vanishes_on_its_columns_without_warnings():
     assert np.all(d.c1 * up <= val * (1 + 1e-12))
 
 
+# --- blocked distance kernel -------------------------------------------------
+
+def _parabola_rows():
+    """Parabola's scene, its arc descriptor and 2,601 grid rows over the
+    scene box."""
+    from conftest import load_corpus_scene
+    scene = load_corpus_scene("parabola").scene
+    arc = scene.descriptor_for(["arc"])
+    g = np.linspace(-scene.box, scene.box, 51)
+    X = np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
+    return scene, arc, X
+
+
+def _whole_matrix_distances(X, points):
+    return np.sqrt(np.add.reduce((X[:, None, :] - points) ** 2, -1))
+
+
+def _whole_matrix_soft_min(d, X):
+    """The power mean of ``d`` over one whole matrix of columns, in the
+    column order of its row blocks: exact, segment, then net columns."""
+    cols = [] if d.table is None else [d.table.exact(X)]
+    if d.segments is not None:
+        cols.append(d.segments.columns(X))
+    cols += [_whole_matrix_distances(X, net.points) for net in d.nets]
+    cols = np.concatenate(cols, axis=1)
+    m = cols.min(axis=1)
+    r = np.where(m > 0.0, m, np.inf)[:, None] / cols
+    return m * (r ** d.exponent).sum(axis=1) ** (-1.0 / d.exponent)
+
+
+@pytest.mark.parametrize("budget", [1, geo._BLOCK_ENTRIES, 10 ** 9])
+def test_blocked_kernels_match_the_whole_matrix_bit_for_bit(monkeypatch,
+                                                            budget):
+    """Row blocks of one row, of the default budget and of every row give
+    the whole-matrix scan and soft minimum bit for bit: on parabola's arc
+    net, and on points, a segment and the arc net together."""
+    scene, arc, X = _parabola_rows()
+    net = geo.piece_net(arc.pieces[0], scene.box, geo.DEFAULT_COARSE)
+    X = np.concatenate([X, net.points[::140], [[1.0, 1.0]]])
+    mixed = geo.descriptor_of(*(s.cell for s in scene.strata),
+                              _segment(-1.0, 0.5, -0.25))
+    arc_d, mixed_d = (co.regularized_distance(desc, scene.box)
+                      for desc in (arc, mixed))
+    assert arc_d.table is None and arc_d.segments is None
+    assert (len(mixed_d.table.lows) == 2 and len(mixed_d.segments.length) == 1
+            and len(mixed_d.nets) == 1)
+    d = _whole_matrix_distances(X, net.points)
+    ref_scan = (np.maximum(0.0, (d - net.slack).min(axis=1)), d.min(axis=1),
+                d.argmin(axis=1))
+    ref_arc, ref_mixed = (_whole_matrix_soft_min(rd, X)
+                          for rd in (arc_d, mixed_d))
+    monkeypatch.setattr(geo, "_BLOCK_ENTRIES", budget)
+    for got, ref in zip(net.scan(X), ref_scan):
+        assert np.array_equal(got, ref)
+    assert np.array_equal(arc_d._eval(X), ref_arc)
+    assert np.array_equal(mixed_d._eval(X), ref_mixed)
+    # on the set: six net points, (1, 1) and the grid's origin
+    assert np.count_nonzero(ref_mixed == 0.0) == 8
+
+
+def test_distance_kernels_work_in_row_blocks_under_one_mebibyte():
+    """The traced peak of parabola's soft minimum and distance brackets on
+    2,601 grid rows stays under 1 MiB."""
+    import tracemalloc
+    scene, arc, X = _parabola_rows()
+    d = co.regularized_distance(arc, scene.box)
+    for kernel in (lambda: d._eval(X),
+                   lambda: geo.distance_brackets(arc, X, scene.box)):
+        kernel()                  # the cached net and table are built once
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
 # --- cone membership ---------------------------------------------------------
 
 def test_cone_membership_arithmetic():
