@@ -23,7 +23,7 @@ from .errors import (EngineError, InputError, StratificationInvalid,
                      WhitneyError)
 from .extension import (check_stratum_consistency, extend_field,
                         flatness_rate_probe)
-from .geometry import GraphCell, PointCell
+from .geometry import INSIDE, OUTSIDE, GraphCell, PointCell
 from .jets import jet_permute, multi_indices
 from .sceneio import SceneFile, dump_deterministic, load_scene
 from .verify import rate_fit, whitney_residual
@@ -128,12 +128,13 @@ def cmd_extend(args) -> int:
                                         scene.box)
 
     vals, leaks = f.evaluate(pts)
-    lines = [",".join([f"x{i + 1}" for i in range(scene.n)] + ["f", "d_skel"])]
-    # row by row: one whole .tolist() would add about 1 MB at 8,001 rows
-    lines.extend(",".join(map(repr, row.tolist()))
-                 for row in np.column_stack([pts, vals, 0.5 * (lo + up)]))
     samples_path = outdir / "samples.csv"
-    samples_path.write_text("\n".join(lines) + "\n")
+    with samples_path.open("w") as fh:
+        fh.write(",".join([f"x{i + 1}" for i in range(scene.n)]
+                          + ["f", "d_skel"]) + "\n")
+        # row by row: one whole .tolist() would add about 1 MB at 8,001 rows
+        for row in np.column_stack([pts, vals, 0.5 * (lo + up)]):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
     report = {
         "schema": "jetfield-run/1",
@@ -168,32 +169,47 @@ def _write_manifest(outdir: Path):
 # verify
 
 
-def _scene_jets_at(scene):
-    """Point -> ambient-frame jet of the scene's field, looked up by
-    stratum membership."""
-    inv_perms = {}
+def _scene_jets_at(scene, points):
+    """Point -> ambient-frame jet of the scene's field at each of
+    ``points``, looked up by stratum membership: the first stratum in
+    scene order that holds a point gives its jet.  Looking up a point on
+    no stratum, or one whose jet failed, raises that error."""
+    keys = list(dict.fromkeys(tuple(x) for x in points))
+    X = np.asarray(keys, dtype=float).reshape(len(keys), scene.n)
+    jets = {}
+    pending = np.arange(len(keys))
     for s in scene.strata:
-        if isinstance(s.cell, GraphCell):
-            inv = [0] * scene.n
-            for i, a in enumerate(s.cell.perm):
-                inv[a] = i
-            inv_perms[s.id] = tuple(inv)
+        if isinstance(s.cell, PointCell):
+            hit = geometry.membership(s.cell, X[pending], 1e-9) == INSIDE
+        else:
+            hit = geometry.membership(s.cell, X[pending], 1e-7) != OUTSIDE
+        for k in pending[hit].tolist():
+            try:
+                jets[keys[k]] = _stratum_jet(s.cell, scene.fields[s.id],
+                                             keys[k])
+            except WhitneyError as exc:
+                jets[keys[k]] = exc
+        pending = pending[~hit]
+    for k in pending.tolist():
+        jets[keys[k]] = EngineError(f"point {keys[k]} not on any stratum")
 
     def jets_at(x):
-        for s in scene.strata:
-            cell = s.cell
-            if isinstance(cell, PointCell):
-                if geometry.contains(cell, x, 1e-9) == "inside":
-                    return scene.fields[s.id].jet_at((0,), cell.point)
-            else:
-                if geometry.contains(cell, x, 1e-7) != "outside":
-                    m = cell.intrinsic_dim
-                    u = cell.to_internal(x)[:m]
-                    jet = scene.fields[s.id].jet_at(u, cell.to_internal(x))
-                    return jet_permute(jet, inv_perms[s.id])
-        raise EngineError(f"point {tuple(x)} not on any stratum")
+        jet = jets[tuple(x)]
+        if isinstance(jet, WhitneyError):
+            raise jet
+        return jet
 
     return jets_at
+
+
+def _stratum_jet(cell, fld, x):
+    """The ambient-frame jet of the field ``fld`` at the point ``x`` of
+    ``cell``."""
+    if isinstance(cell, PointCell):
+        return fld.jet_at((0,), cell.point)
+    y = cell.to_internal(x)
+    jet = fld.jet_at(y[:cell.intrinsic_dim], y)
+    return jet_permute(jet, tuple(np.argsort(cell.perm).tolist()))
 
 
 def _whitney_probes(scene, cfg):
@@ -232,9 +248,12 @@ def _whitney_probes(scene, cfg):
 
 
 def _run_whitney_check(scene, plan) -> list[dict]:
-    jets_at = _scene_jets_at(scene)
+    probes = list(_whitney_probes(scene, plan.whitney or {}))
+    jets_at = _scene_jets_at(scene, [x for _, families in probes
+                                     for pairs in families.values()
+                                     for pair in pairs for x in pair])
     results = []
-    for target, families in _whitney_probes(scene, plan.whitney or {}):
+    for target, families in probes:
         for beta in multi_indices(scene.n, scene.p):
             exponent = scene.p - sum(beta)
             for family, pairs in families.items():

@@ -60,43 +60,17 @@ class TransitionProfile:
     rising: tuple  # Fraction coefficients of the degree-(2q+1) ramp, low->high
 
     def __call__(self, s):
-        s_mid, mid = _clipped_horner(self.rising, s)
+        # s clipped to [-1, 2] (NaN to 2), the ramp by Horner there
+        s_mid = np.clip(np.nan_to_num(np.asarray(s, dtype=float), nan=2.0,
+                                      posinf=2.0, neginf=-1.0), -1.0, 2.0)
+        mid = np.zeros_like(s_mid)
+        for coeff in reversed([float(v) for v in self.rising]):
+            mid = mid * s_mid + coeff
         # Horner rounding can overshoot the exact ramp by ~1 ulp at the
         # joints; fold it back so the range is exactly [0, 1]
         ramp = np.clip(1.0 - mid, 0.0, 1.0)
         out = np.where(s_mid <= 0.0, 1.0, np.where(s_mid >= 1.0, 0.0, ramp))
         return float(out) if np.isscalar(s) or out.ndim == 0 else out
-
-    def eval_exact(self, s: Fraction) -> Fraction:
-        if s <= 0:
-            return Fraction(1)
-        if s >= 1:
-            return Fraction(0)
-        acc = Fraction(0)
-        for coeff in reversed(self.rising):
-            acc = acc * s + coeff
-        return 1 - acc
-
-    def derivative(self, s, k: int):
-        """k-th derivative; identically zero on both plateaus."""
-        if k == 0:
-            return self(s)
-        coeffs = list(self.rising)
-        for _ in range(k):
-            coeffs = [c * (i + 1) for i, c in enumerate(coeffs[1:])]
-        s_mid, mid = _clipped_horner(coeffs, s)
-        out = np.where((s_mid <= 0.0) | (s_mid >= 1.0), 0.0, -mid)
-        return float(out) if np.isscalar(s) or out.ndim == 0 else out
-
-
-def _clipped_horner(coeffs, s):
-    """``s`` clipped to [-1, 2] (NaN to 2) and ``coeffs`` by Horner there."""
-    s_mid = np.clip(np.nan_to_num(np.asarray(s, dtype=float), nan=2.0,
-                                  posinf=2.0, neginf=-1.0), -1.0, 2.0)
-    mid = np.zeros_like(s_mid)
-    for coeff in reversed([float(v) for v in coeffs]):
-        mid = mid * s_mid + coeff
-    return s_mid, mid
 
 
 def smooth_transition(q: int) -> TransitionProfile:

@@ -348,7 +348,7 @@ def evaluate_rows_or_raise(f: ExprFn, U) -> np.ndarray:
     values, singular = evaluate_rows(f, U)
     if singular.any():
         u = tuple(np.asarray(U, dtype=float)[np.argmax(singular)].tolist())
-        raise SingularPoint(f"expression singular at {u}")
+        raise SingularPoint(f"expression singular at u={u}")
     return values
 
 

@@ -23,10 +23,10 @@ from . import cutoff as cutoff_mod
 from . import expr, geometry, verify
 from .cutoff import CutoffFn, CutoffSpec, build_cutoff, _point_or_batch
 from .errors import (ConsistencyViolation, FlatnessDeclarationMissing,
-                     SequenceLeavesCone, StratificationInvalid, SupportLeak,
-                     UnsupportedDescriptor)
-from .geometry import (EMPTY_SET, GraphCell, PointCell, SetDescriptor,
-                       open_cell_outside)
+                     SequenceLeavesCone, SingularPoint, StratificationInvalid,
+                     SupportLeak, UnsupportedDescriptor)
+from .geometry import (EMPTY_SET, INSIDE, OUTSIDE, GraphCell, PointCell,
+                       SetDescriptor, membership)
 from .jets import (FieldSpec, PointJet, coefficient_rows, mi_add,
                    mi_factorial, mi_order, multi_indices)
 
@@ -92,6 +92,7 @@ class Scene:
         if not self.strata:
             problems.append("scene has no strata")
         known = set(ids)
+        singular = set()
         for s in self.strata:
             if s.id not in self.fields:
                 problems.append(f"stratum {s.id!r} has no field")
@@ -105,8 +106,13 @@ class Scene:
             if isinstance(s.cell, GraphCell):
                 if sorted(s.cell.perm) != list(range(self.n)):
                     problems.append(f"stratum {s.id!r}: bad permutation")
-                problems.extend(self._closure_check(s, tol))
-        problems.extend(self._disjointness_check())
+                try:
+                    problems.extend(self._closure_check(s, tol))
+                except SingularPoint as exc:
+                    problems.append(f"stratum {s.id!r}: singular graph map "
+                                    f"({exc})")
+                    singular.add(s.id)
+        problems.extend(self._disjointness_check(singular))
         return problems
 
     def _closure_check(self, s: Stratum, tol: float) -> list[str]:
@@ -117,7 +123,7 @@ class Scene:
             frontier = _frontier_samples(s.cell, self.box)
         except UnsupportedDescriptor as exc:
             return [f"stratum {s.id!r}: closure unchecked ({exc})"]
-        if not frontier:
+        if not len(frontier):
             return []
         if not s.boundary_ids:
             x = frontier[0]
@@ -132,35 +138,44 @@ class Scene:
                     f"{s.id!r} misses its declared boundary by {worst:.2e}"]
         return []
 
-    def _disjointness_check(self) -> list[str]:
+    def _disjointness_check(self, singular: set) -> list[str]:
+        """Samples of each stratum must lie on no other stratum; the
+        ``singular`` strata, already reported, are skipped."""
         out = []
         for s in self.strata:
+            if s.id in singular:
+                continue
             try:
                 params = geometry.stratum_samples(s.cell, 16, self.box)
+                X = s.cell.embed_rows(np.asarray(params, dtype=float))
             except UnsupportedDescriptor as exc:
                 out.append(f"stratum {s.id!r}: disjointness unchecked ({exc})")
                 continue
-            points = [s.cell.embed(u) for u in params]
+            except SingularPoint as exc:
+                out.append(f"stratum {s.id!r}: singular graph map ({exc})")
+                continue
             for other in self.strata:
-                if other.id != s.id and any(
-                        geometry.contains(other.cell, x, 1e-9) == "inside"
-                        for x in points):
+                if other.id != s.id and (
+                        membership(other.cell, X, 1e-9) == INSIDE).any():
                     out.append(f"strata {s.id!r} and {other.id!r} overlap")
                     break
         return out
 
 
-def _frontier_samples(cell: GraphCell, box: float) -> list:
-    """Points of a graph cell's frontier: the limit points at an interval
-    base's ends, or samples along every piece of a 2-d base's boundary
-    lifted through the graph.  Raises :class:`UnsupportedDescriptor` for
-    other bases."""
+def _frontier_samples(cell: GraphCell, box: float) -> np.ndarray:
+    """Rows of points of a graph cell's frontier: the limit points at an
+    interval base's ends, or samples along every piece of a 2-d base's
+    boundary lifted through the graph.  Raises
+    :class:`UnsupportedDescriptor` for other bases."""
     if isinstance(cell.base, geometry.Interval):
-        return [p.point
-                for p in geometry.graph_cell_frontier(cell, box).pieces]
-    return [cell.embed(piece.embed(u))
-            for piece in geometry.open_cell_boundary(cell.base, box).pieces
-            for u in geometry.stratum_samples(piece, 8, box)]
+        points = [p.point
+                  for p in geometry.graph_cell_frontier(cell, box).pieces]
+        return np.asarray(points, dtype=float).reshape(-1, cell.ambient_dim)
+    U = [np.empty((0, cell.intrinsic_dim))] + [
+        piece.embed_rows(np.asarray(geometry.stratum_samples(piece, 8, box),
+                                    dtype=float))
+        for piece in geometry.open_cell_boundary(cell.base, box).pieces]
+    return cell.embed_rows(np.vstack(U))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +234,8 @@ class CellTerm:
         Y = X[:, list(self.cell.perm)]           # internal coordinates
         leaks = np.zeros(len(X), dtype=bool)
         rows = np.flatnonzero(w)
-        leaks[rows] = open_cell_outside(self.cell.base, Y[rows, :m], 1e-12)
+        leaks[rows] = (membership(self.cell.base, Y[rows, :m], 1e-12)
+                       == OUTSIDE)
         rows = rows[~leaks[rows]]
         for j, phi in enumerate(self.cell.graph):    # normal offsets
             offset, singular = expr.evaluate_rows(phi, Y[rows, :m])
@@ -429,7 +445,7 @@ def _support_fits(cell: GraphCell, z_desc: SetDescriptor, scene: Scene,
     member, _ = cutoff_mod.cone_membership_batch(w_desc, z_desc, eta, X,
                                                  scene.box)
     U = X[member == cutoff_mod.IN][:, list(cell.perm[:cell.intrinsic_dim])]
-    return not open_cell_outside(cell.base, U, 1e-9).any()
+    return not (membership(cell.base, U, 1e-9) == OUTSIDE).any()
 
 
 def _frontier_shells(cell: GraphCell, rng, scene) -> np.ndarray:
@@ -437,7 +453,6 @@ def _frontier_shells(cell: GraphCell, rng, scene) -> np.ndarray:
     :func:`_frontier_samples`, where cone support violations concentrate."""
     out = [np.empty((0, scene.n))]
     for c in _frontier_samples(cell, scene.box):
-        c = np.asarray(c, dtype=float)
         for j in range(2, 14):
             r = 2.0 ** (-j)
             out.append(c + r * (rng.random((16, scene.n)) - 0.5) * 2.0)
@@ -521,10 +536,6 @@ class FlatnessReport:
     flat: dict                      # kappa -> bool
     theta: float
     cone_ratio_max: float
-
-    @property
-    def all_flat(self) -> bool:
-        return all(self.flat.values())
 
 
 def flatness_rate_probe(h: Callable, z_desc: SetDescriptor,

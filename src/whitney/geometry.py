@@ -133,74 +133,45 @@ def identity_graph_cell(base: OpenCell) -> GraphCell:
 # ---------------------------------------------------------------------------
 # membership
 
-INSIDE, BOUNDARY, OUTSIDE = "inside", "boundary", "outside"
+# Ternary membership codes; for graph and point cells INSIDE means on the
+# set within the tolerance.
+OUTSIDE, BOUNDARY, INSIDE = 0, 1, 2
 
 
-def contains(cell, x, tol: float = 1e-9) -> str:
-    """Ternary membership; for graph and point cells "inside" means on the
-    set within ``tol``."""
+def membership(cell, X, tol: float = 1e-9) -> np.ndarray:
+    """The ``int8`` membership code of every row of ``X`` in a point, graph
+    or open cell.  A graph map or wall goes through
+    :func:`expr.evaluate_rows` once, on the rows not yet OUTSIDE; a row
+    where one is singular is on the BOUNDARY, whatever the other maps say."""
+    X = np.asarray(X, dtype=float)
     if isinstance(cell, PointCell):
-        d = math.dist([float(v) for v in x], [float(v) for v in cell.point])
-        return INSIDE if d <= tol else OUTSIDE
+        d = _row_norms(X - np.asarray(cell.point, dtype=float))
+        status = np.zeros(len(X), dtype=np.int8)
+        status[d <= tol] = INSIDE
+        return status
     if isinstance(cell, GraphCell):
-        y = cell.to_internal(x)
         m = cell.intrinsic_dim
-        u, w = y[:m], y[m:]
-        status = open_cell_contains(cell.base, u, tol)
-        if status == OUTSIDE:
-            return OUTSIDE
-        try:
-            offs = [abs(float(wi) - float(expr.evaluate(phi, u)))
-                    for wi, phi in zip(w, cell.graph)]
-        except SingularPoint:
-            return BOUNDARY
-        if any(o > tol for o in offs):
-            return OUTSIDE
-        return INSIDE if status == INSIDE else BOUNDARY
-    return open_cell_contains(cell, x, tol)
-
-
-def open_cell_contains(cell: OpenCell, x, tol: float = 1e-9) -> str:
-    if isinstance(cell, Interval):
-        (t,) = x
-        t = float(t)
-        lo = -math.inf if cell.lower is None else float(cell.lower)
-        hi = math.inf if cell.upper is None else float(cell.upper)
-        if t <= lo - tol or t >= hi + tol:
-            return OUTSIDE
-        if t < lo + tol or t > hi - tol:
-            return BOUNDARY
-        return INSIDE
-    base_status = open_cell_contains(cell.base, x[:-1], tol)
-    if base_status == OUTSIDE:
-        return OUTSIDE
-    t = float(x[-1])
-    try:
-        lo = (-math.inf if cell.lower is None
-              else float(expr.evaluate(cell.lower, x[:-1])))
-        hi = (math.inf if cell.upper is None
-              else float(expr.evaluate(cell.upper, x[:-1])))
-    except SingularPoint:
-        return BOUNDARY
-    if t <= lo - tol or t >= hi + tol:
-        return OUTSIDE
-    if t < lo + tol or t > hi - tol or base_status == BOUNDARY:
-        return BOUNDARY
-    return INSIDE
-
-
-def open_cell_outside(cell: OpenCell, U: np.ndarray,
-                      tol: float = 1e-9) -> np.ndarray:
-    """The rows of ``U`` that :func:`open_cell_contains` finds OUTSIDE: one
-    :func:`expr.evaluate_rows` per wall, on the rows inside the base; a row
-    where a wall is singular is on the boundary, so not outside."""
+        Y = X[:, list(cell.perm)]
+        status = membership(cell.base, Y[:, :m], tol)
+        rows = np.flatnonzero(status)
+        U = Y[rows, :m]
+        off = np.zeros(len(rows), dtype=bool)
+        singular = np.zeros(len(rows), dtype=bool)
+        for j, phi in enumerate(cell.graph):
+            w, s = expr.evaluate_rows(phi, U)
+            off |= np.abs(Y[rows, m + j] - w) > tol
+            singular |= s
+        status[rows[off]] = OUTSIDE
+        status[rows[singular]] = BOUNDARY
+        return status
     if isinstance(cell, Interval):
         lo = -math.inf if cell.lower is None else float(cell.lower)
         hi = math.inf if cell.upper is None else float(cell.upper)
-        return (U[:, 0] <= lo - tol) | (U[:, 0] >= hi + tol)
-    out = open_cell_outside(cell.base, U[:, :-1], tol)
-    rows = np.flatnonzero(~out)
-    V, t = U[rows, :-1], U[rows, -1]
+        return _fibre_status(np.full(len(X), INSIDE, dtype=np.int8),
+                             X[:, 0], lo, hi, tol)
+    status = membership(cell.base, X[:, :-1], tol)
+    rows = np.flatnonzero(status)
+    V = X[rows, :-1]
     lo, hi = np.full(len(rows), -math.inf), np.full(len(rows), math.inf)
     singular = np.zeros(len(rows), dtype=bool)
     if cell.lower is not None:
@@ -209,8 +180,19 @@ def open_cell_outside(cell: OpenCell, U: np.ndarray,
     if cell.upper is not None:
         hi, s = expr.evaluate_rows(cell.upper, V)
         singular |= s
-    out[rows] = ((t <= lo - tol) | (t >= hi + tol)) & ~singular
-    return out
+    sub = _fibre_status(status[rows], X[rows, -1], lo, hi, tol)
+    sub[singular] = BOUNDARY
+    status[rows] = sub
+    return status
+
+
+def _fibre_status(status, t, lo, hi, tol):
+    """``status`` (the base's codes) with ``t`` compared to the walls
+    ``lo < t < hi``: OUTSIDE beyond a wall by ``tol``, BOUNDARY within
+    ``tol`` of one."""
+    status[(t < lo + tol) | (t > hi - tol)] = BOUNDARY
+    status[(t <= lo - tol) | (t >= hi + tol)] = OUTSIDE
+    return status
 
 
 def interval_bounds(cell: Interval, box: float) -> tuple[float, float]:
@@ -489,24 +471,30 @@ def _as_box(cell: OpenCell, box: float):
 
 
 def _net_lipschitz(cell: GraphCell, net: np.ndarray) -> float:
-    """Crude bound on |phi'| over the net, for covering-radius brackets."""
+    """Crude bound on |phi'| over the net, for covering-radius brackets; a
+    singular Jacobian entry counts as 0."""
     if not cell.graph:
         return 0.0
-    m = cell.intrinsic_dim
+    jac, _ = _jacobian_rows(cell.graph, net[::max(1, len(net) // 64)])
     worst = 0.0
-    step = max(1, len(net) // 64)
-    for u in net[::step]:
-        row = 0.0
-        for phi in cell.graph:
-            for i in range(m):
-                alpha = tuple(1 if j == i else 0 for j in range(m))
-                try:
-                    g = expr.evaluate(expr.differentiate(phi, alpha), tuple(u))
-                except SingularPoint:
-                    continue
-                row += float(g) ** 2
-        worst = max(worst, math.sqrt(row))
+    for row in jac.reshape(len(jac), -1).tolist():
+        worst = max(worst, math.sqrt(sum(g ** 2 for g in row if g == g)))
     return 1.5 * worst
+
+
+def _jacobian_rows(graph: Sequence[ExprFn], U: np.ndarray):
+    """``(jac, singular)``: the ``(N, k, m)`` Jacobian of the graph map on
+    the rows of ``U``, NaN at a singular entry, and the rows with any."""
+    m = U.shape[1]
+    jac = np.empty((len(U), len(graph), m))
+    singular = np.zeros(len(U), dtype=bool)
+    for r, phi in enumerate(graph):
+        for i in range(m):
+            alpha = tuple(1 if j == i else 0 for j in range(m))
+            jac[:, r, i], s = expr.evaluate_rows(
+                expr.differentiate(phi, alpha), U)
+            singular |= s
+    return jac, singular
 
 
 def _polish_1d(cell: GraphCell, x: np.ndarray, t0: float, box: float) -> float:
@@ -711,12 +699,11 @@ def graph_cell_frontier(cell: GraphCell, box: float = DEFAULT_BOX_HALFWIDTH
     if isinstance(base, Interval):
         lo, hi = interval_bounds(base, box)
         eps = 1e-9 * max(1.0, hi - lo)
-        pieces = []
-        if base.lower is not None:
-            pieces.append(PointCell(cell.embed((lo + eps,))))
-        if base.upper is not None:
-            pieces.append(PointCell(cell.embed((hi - eps,))))
-        return SetDescriptor(tuple(pieces))
+        ends = [t for t, bound in ((lo + eps, base.lower),
+                                   (hi - eps, base.upper))
+                if bound is not None]
+        X = cell.embed_rows(np.asarray(ends, dtype=float).reshape(-1, 1))
+        return SetDescriptor(tuple(PointCell(tuple(x)) for x in X.tolist()))
     raise UnsupportedDescriptor("frontier descriptors need interval bases")
 
 
@@ -739,22 +726,10 @@ def lipschitz_estimate(graph: Sequence[ExprFn], base: OpenCell,
     ``1/sqrt(1 + M^2)`` used by the distance sandwich."""
     if not graph:
         return LipschitzReport(0.0, 1.0, 0)
-    m = graph[0].arity
     pts = stratum_samples(identity_graph_cell(base), samples, box)
-    worst = 0.0
-    for u in pts:
-        jac = np.zeros((len(graph), m))
-        ok = True
-        for r, phi in enumerate(graph):
-            for i in range(m):
-                alpha = tuple(1 if j == i else 0 for j in range(m))
-                try:
-                    jac[r, i] = float(
-                        expr.evaluate(expr.differentiate(phi, alpha), u))
-                except SingularPoint:
-                    ok = False
-        if ok:
-            worst = max(worst, float(np.linalg.norm(jac, 2)))
+    jac, singular = _jacobian_rows(graph, np.asarray(pts, dtype=float))
+    worst = float(np.linalg.norm(jac[~singular], 2, axis=(1, 2))
+                  .max(initial=0.0))
     return LipschitzReport(worst, 1.0 / math.sqrt(1.0 + worst * worst),
                            len(pts))
 
@@ -781,11 +756,14 @@ def distance_sandwich_check(cell: GraphCell, samples: Sequence,
     violations = []
     max_gap = 0.0
     graph_const = all(g.root.op == "const" for g in cell.graph)
-    for x in samples:
+    U = np.asarray(samples, dtype=float).reshape(
+        len(samples), cell.ambient_dim)[:, list(cell.perm[:m])]
+    inside = membership(cell.base, U) == INSIDE
+    for x, on_base in zip(samples, inside):
         y = cell.to_internal(x)
         u, w = y[:m], y[m:]
         d = set_distance(desc, x, box=box)
-        if open_cell_contains(cell.base, u) == INSIDE:
+        if on_base:
             try:
                 offs = [float(wi) - float(expr.evaluate(phi, u))
                         for wi, phi in zip(w, cell.graph)]

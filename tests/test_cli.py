@@ -23,6 +23,7 @@ VALIDATE_EXIT = {
     "defect_missing_boundary": 2,
     "defect_inconsistent_far_end": 2,
     "defect_overlapping_strata": 2,
+    "defect_singular_graph": 2,
 }
 
 
@@ -47,6 +48,15 @@ def test_validate_names_the_overlapping_pair(capsys):
 def test_validate_missing_boundary(capsys):
     assert run("validate", scene_path("defect_missing_boundary")) == 2
     assert "stratification not closed" in capsys.readouterr().out
+
+
+def test_validate_names_the_singular_graph_map(capsys, tmp_path):
+    scene = scene_path("defect_singular_graph")
+    assert run("validate", scene) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("INVALID  stratum 'arc': singular graph map "
+                      "(expression singular at u=(1e-09,))")
+    assert run("extend", scene, "-o", tmp_path / "run") == 2
 
 
 def test_validate_incompatible_jet_scene_is_structurally_fine():
@@ -90,8 +100,8 @@ def test_parse_slab_stratum(tmp_path):
     cell = sf.scene.strata[0].cell
     assert cell.intrinsic_dim == 2 and not cell.graph
     from whitney import geometry as geo
-    assert geo.contains(cell, (0.5, 0.2)) == "inside"
-    assert geo.contains(cell, (0.5, 0.7)) == "outside"
+    assert geo.membership(cell, [(0.5, 0.2), (0.5, 0.7)]).tolist() == [
+        geo.INSIDE, geo.OUTSIDE]
 
 
 def test_scene_roundtrip():
@@ -189,6 +199,25 @@ def test_verify_checks_flag_restricts(tmp_path):
                "--checks", "whitney") == 1
     rep = json.loads((out / "verify_report.json").read_text())
     assert "agreement" not in rep["verdicts"]
+
+
+def test_whitney_probe_off_every_stratum_fails_only_its_entries(tmp_path):
+    raw = json.loads(scene_path("halfline").read_text())
+    raw["plan"]["whitney"] = {"probes": [
+        {"target": [0.0], "direction": [1.0]},
+        {"target": [-1.0], "direction": [1.0]}]}    # x < 0: no stratum
+    scene = tmp_path / "halfline_off.json"
+    scene.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert run("extend", scene, "-o", out, "--grid=-1:1:0.1") == 0
+    assert run("verify", scene, out, "--checks", "whitney") == 1
+    entries = json.loads((out / "verify_report.json").read_text())["whitney"]
+    on = [e for e in entries if e["target"] == [0.0]]
+    off = [e for e in entries if e["target"] == [-1.0]]
+    assert len(on) == len(off) == 4
+    assert {e["verdict"] for e in on} == {"PASS"}
+    for e in off:
+        assert e["verdict"] == "FAIL" and "not on any stratum" in e["error"]
 
 
 def test_verify_wrong_artifact_rejected(tmp_path):

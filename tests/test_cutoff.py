@@ -15,40 +15,53 @@ def point_desc(*coords):
 
 # --- transition profile ---------------------------------------------------
 
+def ramp_derivative(prof, k):
+    """Exact coefficients (low -> high) of the k-th derivative of the ramp;
+    the profile is ``1 - ramp`` between its joints."""
+    coeffs = list(prof.rising)
+    for _ in range(k):
+        coeffs = [c * (i + 1) for i, c in enumerate(coeffs[1:])]
+    return coeffs
+
+
+def horner(coeffs, s):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
+
+
 def test_profile_q1_is_cubic_hermite():
     prof = co.smooth_transition(1)
     assert prof.rising == (Fraction(0), Fraction(0), Fraction(3), Fraction(-2))
-    assert prof.eval_exact(Fraction(1, 2)) == Fraction(1, 2)
+    assert 1 - horner(prof.rising, Fraction(1, 2)) == Fraction(1, 2)
     assert prof(-0.5) == 1.0 and prof(1.5) == 0.0
 
 
 def test_profile_q1_flat_joints():
     prof = co.smooth_transition(1)
-    assert prof.derivative(0.0, 1) == 0.0
-    assert prof.derivative(1.0, 1) == 0.0
+    d1 = ramp_derivative(prof, 1)
+    assert horner(d1, Fraction(0)) == horner(d1, Fraction(1)) == 0
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_profile_joint_derivatives_vanish(q):
-    """Derivatives through order q vanish at both joints.
-
-    The analytic derivative is first validated against a Richardson FD
-    oracle at interior points; the joint limits are then taken with the
-    validated analytic path (an FD stencil straddling a C^q joint cannot
-    itself resolve 1e-7 for k = q)."""
+    """Derivatives through order q vanish at both joints, exactly: the
+    derivative polynomials come from the ramp's Fraction coefficients.
+    Inside the ramp they match a Richardson FD oracle on the float
+    profile (an FD stencil straddling a C^q joint cannot itself resolve
+    the joint for k = q)."""
     from whitney.verify import finite_difference
     prof = co.smooth_transition(q)
     fd_tol = {1: 1e-7, 2: 1e-6, 3: 1e-5}  # k=3 stencils sit near the
     for k in range(1, q + 1):             # double-precision noise floor
+        dk = ramp_derivative(prof, k)
+        assert horner(dk, Fraction(0)) == horner(dk, Fraction(1)) == 0
         for s0 in (0.21, 0.5, 0.83):
             fd, _ = finite_difference(lambda s: prof(s[0]), (k,), (s0,),
                                       h=1e-3)
-            assert abs(fd - prof.derivative(s0, k)) < fd_tol[k] * (1 + abs(fd))
-    for joint in (0.0, 1.0):
-        for k in range(1, q + 1):
-            assert prof.derivative(joint, k) == 0.0
-            inside = joint + (1e-10 if joint == 0.0 else -1e-10)
-            assert abs(prof.derivative(inside, k)) < 1e-7, (q, joint, k)
+            exact = -float(horner(dk, Fraction(s0)))
+            assert abs(fd - exact) < fd_tol[k] * (1 + abs(fd))
 
 
 def test_profile_monotone_in_unit_range():

@@ -1,5 +1,6 @@
-"""Dead-code guard: every public top-level function or class of the package
-is named by some other code of the package or by the acceptance gate."""
+"""Dead-code guard: every public top-level function or class of the package,
+and every public method or property of a public class, is named by some
+other code of the package or by the acceptance gate."""
 import ast
 from pathlib import Path
 
@@ -35,18 +36,31 @@ def _references(path: Path):
             yield node.name, node.lineno
 
 
+def _public_defs(tree):
+    """Public top-level functions and classes, and the public methods and
+    properties of those classes."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (item for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+
+
 def unreferenced_public_names() -> set:
-    defs = {}                   # name -> (file, first line, last line)
+    defs = {}                   # name -> [(file, first line, last line)]
     for path in _modules():
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defs[node.name] = (path, node.lineno, node.end_lineno)
+        for node in _public_defs(ast.parse(path.read_text())):
+            defs.setdefault(node.name, []).append(
+                (path, node.lineno, node.end_lineno))
     used = set()
     for path in _modules() + [GATE]:
         for name, line in _references(path):
-            where = defs.get(name)
-            if where and not (where[0] == path and where[1] <= line <= where[2]):
+            if name in defs and not any(
+                    where == path and first <= line <= last
+                    for where, first, last in defs[name]):
                 used.add(name)
     return set(defs) - used
 

@@ -5,7 +5,7 @@ import pytest
 
 from whitney import expr
 from whitney import geometry as geo
-from whitney.errors import UnsupportedDescriptor
+from whitney.errors import SingularPoint, UnsupportedDescriptor
 
 from conftest import rand_polynomial
 
@@ -31,35 +31,82 @@ def const_graph(c=2.0):
 
 # --- membership ---------------------------------------------------------
 
+IN, BD, OUT = geo.INSIDE, geo.BOUNDARY, geo.OUTSIDE
+
+
+def status(cell, x, tol=1e-9):
+    """Membership code of one point, as a 1-row batch."""
+    return int(geo.membership(cell, [x], tol)[0])
+
+
 def test_contains_interval():
-    assert geo.contains(interval_cell(), (0.5,)) == "inside"
-    assert geo.contains(interval_cell(), (1.5,)) == "outside"
-    assert geo.contains(interval_cell(), (1.0,)) == "boundary"
+    assert status(interval_cell(), (0.5,)) == IN
+    assert status(interval_cell(), (1.5,)) == OUT
+    assert status(interval_cell(), (1.0,)) == BD
 
 
 def test_contains_on_graph():
     cell = parabola_cell()
-    assert geo.contains(cell, (0.5, 0.25), 1e-9) == "inside"
-    assert geo.contains(cell, (0.5, 0.7), 1e-9) == "outside"
+    assert status(cell, (0.5, 0.25), 1e-9) == IN
+    assert status(cell, (0.5, 0.7), 1e-9) == OUT
 
 
 def test_contains_triangle_cell():
     # {0 < x1 < 1, 0 < x2 < x1}
     tri = geo.Slab(geo.Interval(0.0, 1.0), expr.constant_fn(0, 1),
                    expr.coordinate(0, 1))
-    assert geo.open_cell_contains(tri, (0.5, 0.7)) == "outside"
-    assert geo.open_cell_contains(tri, (0.5, 0.2)) == "inside"
+    assert status(tri, (0.5, 0.7)) == OUT
+    assert status(tri, (0.5, 0.2)) == IN
 
 
-def test_open_cell_outside_matches_scalar_membership():
+def test_membership_table_on_a_singular_wall():
     # {-1 < x1 < 1, sqrt(x1) < x2 < 1}: the lower wall is singular for x1 <= 0
     x = expr.var(0)
     cell = geo.Slab(geo.Interval(-1.0, 1.0), expr.ExprFn(1, expr.sqrt_(x)),
                     expr.constant_fn(1, 1))
-    g = np.linspace(-1.5, 1.5, 31)
-    U = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-    want = [geo.open_cell_contains(cell, u) == "outside" for u in U.tolist()]
-    assert geo.open_cell_outside(cell, U).tolist() == want
+    table = [
+        ((0.25, 0.75), IN),
+        ((0.25, 0.5), BD),                  # on the lower wall
+        ((0.25, 0.5 + 5e-10), BD),          # within tol of it
+        ((0.25, 0.5 - 5e-10), BD),
+        ((0.25, 0.5 - 2e-9), OUT),
+        ((0.25, 1.0), BD),                  # on the upper wall
+        ((0.25, 0.2), OUT),
+        ((0.25, 1.5), OUT),
+        ((-1.0, 0.5), BD),                  # base end, wall singular there
+        ((1.5, 1.2), OUT),                  # off the base
+        ((-2.0, 0.5), OUT),                 # off the base, wall singular
+        ((-0.5, 0.0), BD),                  # wall singular
+        ((-0.5, 7.0), BD),                  # singular beats the upper wall
+        ((0.0, 0.5), BD),                   # sqrt at zero is singular
+    ]
+    got = geo.membership(cell, [row for row, _ in table])
+    assert got.dtype == np.int8
+    assert got.tolist() == [want for _, want in table]
+    assert [status(cell, row) for row, _ in table] == got.tolist()
+
+
+def test_membership_codim2_graph_singular_map_is_boundary():
+    # (x, x, sqrt(x)) over (-1, 1) in R^3
+    x = expr.var(0)
+    cell = geo.GraphCell(geo.Interval(-1.0, 1.0),
+                         (expr.coordinate(0, 1),
+                          expr.ExprFn(1, expr.sqrt_(x))), (0, 1, 2))
+    rows = [(0.25, 0.25, 0.5), (0.25, 0.25, 0.6), (0.25, 0.3, 0.5),
+            (-0.5, 5.0, 0.0),               # second map singular, first off
+            (1.0, 1.0, 1.0), (2.0, 2.0, 0.0)]
+    assert geo.membership(cell, rows).tolist() == [IN, OUT, OUT, BD, BD,
+                                                   OUT]
+
+
+def test_membership_full_dimensional_graph_is_its_base():
+    base = geo.Slab(geo.Interval(0.0, 1.0), expr.constant_fn(0, 1),
+                    expr.coordinate(0, 1))
+    cell = geo.GraphCell(base, (), (1, 0))          # coordinates swapped
+    rows = [(0.2, 0.5), (0.7, 0.5), (0.5, 0.5), (0.5, 2.0)]
+    assert geo.membership(cell, rows).tolist() == \
+        geo.membership(base, [r[::-1] for r in rows]).tolist() == \
+        [IN, OUT, BD, OUT]
 
 
 def test_embed_rows_matches_embed(rng):
@@ -72,8 +119,14 @@ def test_embed_rows_matches_embed(rng):
 
 def test_contains_point_cell():
     pc = geo.PointCell((1.0, 2.0))
-    assert geo.contains(pc, (1.0, 2.0)) == "inside"
-    assert geo.contains(pc, (1.0, 2.1)) == "outside"
+    assert status(pc, (1.0, 2.0)) == IN
+    assert status(pc, (1.0, 2.1)) == OUT
+
+
+def test_membership_point_cell_at_tol():
+    pc = geo.PointCell((0.0, 0.0))
+    rows = [(0.0, 1e-9), (0.0, np.nextafter(1e-9, 1.0)), (-1e-9, 0.0)]
+    assert geo.membership(pc, rows, 1e-9).tolist() == [IN, OUT, IN]
 
 
 # --- distances ----------------------------------------------------------
@@ -113,9 +166,9 @@ def test_contains_consistent_with_distance():
     tau = 1e-7
     on = (0.5, 0.25)
     off = (0.5, 0.6)
-    assert geo.contains(cell, on, tau) == "inside"
+    assert status(cell, on, tau) == IN
     assert geo.set_distance(desc, on).up <= tau
-    assert geo.contains(cell, off, tau) == "outside"
+    assert status(cell, off, tau) == OUT
     assert geo.set_distance(desc, off).lo > tau
 
 
@@ -215,6 +268,46 @@ def test_lipschitz_against_difference_quotients(rng):
     worst = max(abs(vals[i] - vals[j]) / abs(ts[i] - ts[j])
                 for i in range(len(ts)) for j in range(i + 1, len(ts)))
     assert worst <= rep.m_hat * 1.05 + 1e-9
+
+
+
+def slopes(graph, u):
+    """The 1-d Jacobian column at ``u`` by the exact scalar evaluator, None
+    at a singular entry."""
+    out = []
+    for phi in graph:
+        try:
+            out.append(float(expr.evaluate(expr.differentiate(phi, (1,)), u)))
+        except SingularPoint:
+            out.append(None)
+    return out
+
+
+X0 = expr.var(0)
+
+
+@pytest.mark.parametrize("phi", [
+    expr.polynomial(1, {(2,): 1}), expr.coordinate(0, 1),
+    expr.ExprFn(1, expr.div(expr.const(1), expr.add(X0, expr.const(2)))),
+    expr.ExprFn(1, expr.sqrt_(expr.add(X0, expr.const(1))))],
+    ids=["parabola", "slope-one", "inverse", "sqrt"])
+def test_slope_probes_match_scalar_jacobian_loops(phi):
+    """Bit for bit against per-sample loops: the net bound drops a singular
+    entry, the Lipschitz estimate a sample with any."""
+    base = geo.Interval(-3.0, 3.0)
+    graph = (phi, expr.polynomial(1, {(2,): 1}))
+    net, _ = geo.cell_param_net(base)
+    worst = 0.0
+    for u in net[::max(1, len(net) // 64)].tolist():
+        worst = max(worst, math.sqrt(sum(g ** 2 for g in slopes(graph, u)
+                                         if g is not None)))
+    cell = geo.GraphCell(base, graph, (0, 1, 2))
+    assert geo._net_lipschitz(cell, net) == 1.5 * worst
+    norms = [float(np.linalg.norm(np.array([col]).T, 2))
+             for col in (slopes(graph, u) for u in geo.stratum_samples(
+                 geo.identity_graph_cell(base), 400))
+             if None not in col]
+    assert geo.lipschitz_estimate(graph, base).m_hat == max(norms)
 
 
 # --- nets and samples -------------------------------------------------------
