@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -25,7 +24,8 @@ from .extension import (check_stratum_consistency, extend_field,
                         flatness_rate_probe)
 from .geometry import INSIDE, OUTSIDE, GraphCell, PointCell
 from .jets import jet_permute, multi_indices
-from .sceneio import SceneFile, dump_deterministic, load_scene
+from .rng import sha256
+from .sceneio import SceneFile, dump_deterministic, load_scene, parse_seed
 from .verify import rate_fit, whitney_residual
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_ENGINE = 0, 1, 2, 3
@@ -43,7 +43,7 @@ def _load(path: str) -> SceneFile:
 
 def _file_sha(path: Path) -> str:
     """SHA-256 of a file, read in 64 KiB pieces rather than whole."""
-    digest = hashlib.sha256()
+    digest = sha256()
     with path.open("rb") as fh:
         for piece in iter(lambda: fh.read(1 << 16), b""):
             digest.update(piece)
@@ -57,9 +57,9 @@ def _file_sha(path: Path) -> str:
 def cmd_validate(args) -> int:
     sf = _load(args.scene)
     scene = sf.scene
-    problems = scene.validate()
+    problems, singular = scene.validation()
     problems.extend(f"field consistency on {sid!r}: {exc}"
-                    for sid, exc in _consistency_failures(scene))
+                    for sid, exc in _consistency_failures(scene, singular))
     if problems:
         for p in problems:
             print(f"INVALID  {p}")
@@ -69,12 +69,14 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _consistency_failures(scene) -> list[tuple[str, WhitneyError]]:
-    """``(stratum id, error)`` for every graph stratum whose field fails
-    the chain-rule check at any of its parameter samples."""
+def _consistency_failures(scene, skip=frozenset()
+                          ) -> list[tuple[str, WhitneyError]]:
+    """``(stratum id, error)`` for every graph stratum outside ``skip``
+    whose field fails the chain-rule check at any of its parameter
+    samples."""
     out = []
     for s in scene.strata:
-        if isinstance(s.cell, GraphCell):
+        if isinstance(s.cell, GraphCell) and s.id not in skip:
             try:
                 samples = geometry.stratum_samples(s.cell, 24, scene.box)
                 check_stratum_consistency(scene.fields[s.id], s.cell, samples)
@@ -108,7 +110,8 @@ def _parse_grid(specs, n: int, box: float):
 def cmd_extend(args) -> int:
     sf = _load(args.scene)
     scene = sf.scene
-    seed = args.seed if args.seed is not None else sf.plan.seed
+    seed = (sf.plan.seed if args.seed is None
+            else parse_seed(args.seed, "--seed"))
     try:
         f = extend_field(scene, seed=seed)     # validates the scene first
     except StratificationInvalid as exc:
@@ -307,7 +310,7 @@ def cmd_verify(args) -> int:
     if run_report.get("scene_sha") != _file_sha(Path(args.scene)):
         raise InputError("artifact was produced from a different scene file")
 
-    seed = run_report["seed"]
+    seed = parse_seed(run_report.get("seed"), "report.json seed")
     f = extend_field(scene, seed=seed)
     if f.assembly_trace() != run_report["assembly"]:
         raise InputError("assembly trace mismatch; artifact out of date")

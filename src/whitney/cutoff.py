@@ -32,6 +32,7 @@ from . import geometry
 from .errors import SlackTooLarge, UnsupportedDescriptor
 from .geometry import Ball, GraphCell, PointCell, SetDescriptor
 from .jets import multi_indices, mi_order
+from .rng import SeededStream
 from .verify import sampled_derivatives
 
 IN, OUT, INDETERMINATE = 1, 0, -1
@@ -476,9 +477,8 @@ def verify_cutoff(omega: CutoffFn, spec: CutoffSpec, grid: int = 100,
     below 2) under one refinement of the sample count.
     """
     n = _descriptor_dim(spec)
-    rng = np.random.default_rng(seed)
     lo, hi = _sample_box(spec.w_desc, spec.z_desc, spec.box)
-    X = lo + (hi - lo) * rng.random((n_samples, n))
+    X = lo + (hi - lo) * SeededStream(seed).random((n_samples, n))
     lo_w, up_w = geometry.distance_brackets(spec.w_desc, X, spec.box)
     lo_z, up_z = geometry.distance_brackets(spec.z_desc, X, spec.box)
     scene_scale = float(np.max(hi - lo))
@@ -498,8 +498,7 @@ def verify_cutoff(omega: CutoffFn, spec: CutoffSpec, grid: int = 100,
     alphas = [a for a in multi_indices(n, q) if mi_order(a)]
     consts, ratios = {}, {}
     for level, count in enumerate((len(X) // 2, len(X))):
-        sel = np.arange(count) if level else rng.permutation(len(X))[:count]
-        Xs, dz_up = X[sel], up_z[sel]
+        Xs, dz_up = X[:count], up_z[:count]     # the rows are i.i.d.
         t = omega.transition(Xs)
         active = (t > -1.0) & (t < 2.0) & np.isfinite(t)
         Xa, dz_a = Xs[active], dz_up[active]

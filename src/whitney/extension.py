@@ -12,7 +12,6 @@ vanishes, so the assembled function is total on all of R^n.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -29,6 +28,7 @@ from .geometry import (EMPTY_SET, INSIDE, OUTSIDE, GraphCell, PointCell,
                        SetDescriptor, membership)
 from .jets import (FieldSpec, PointJet, coefficient_rows, mi_add,
                    mi_factorial, mi_order, multi_indices)
+from .rng import SeededStream, sha256
 
 # ---------------------------------------------------------------------------
 # scenes
@@ -85,6 +85,12 @@ class Scene:
     def validate(self, tol: float = 1e-7) -> list[str]:
         """Structural validation; returns a list of human-readable
         problems (empty means the stratification looks sound)."""
+        return self.validation(tol)[0]
+
+    def validation(self, tol: float = 1e-7) -> tuple[list[str], set[str]]:
+        """The problems of :meth:`validate`, and the ids of the strata
+        reported with a singular graph map, whose other checks are
+        skipped."""
         problems = []
         ids = [s.id for s in self.strata]
         if len(set(ids)) != len(ids):
@@ -113,7 +119,7 @@ class Scene:
                                     f"({exc})")
                     singular.add(s.id)
         problems.extend(self._disjointness_check(singular))
-        return problems
+        return problems, singular
 
     def _closure_check(self, s: Stratum, tol: float) -> list[str]:
         """Frontier sample points must land on declared boundary strata;
@@ -270,7 +276,7 @@ def _jet_polynomial(coeffs, offsets: np.ndarray) -> np.ndarray:
 
 def _term_hash(payload) -> str:
     blob = json.dumps(repr(payload), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return sha256(blob).hexdigest()[:16]
 
 
 class ExtensionFn:
@@ -337,10 +343,16 @@ def check_stratum_consistency(fld: FieldSpec, cell: GraphCell,
                        fld.coeffs[mi_add(gamma, unit[m + j])])
                       for j, phi in enumerate(cell.graph)]
             for u in samples:
-                lhs = expr.evaluate(d_fn, u)
-                rhs = expr.evaluate(tangent, u) + sum(
-                    expr.evaluate(slope, u) * expr.evaluate(c, u)
-                    for slope, c in normal)
+                try:
+                    lhs = expr.evaluate(d_fn, u)
+                    rhs = expr.evaluate(tangent, u) + sum(
+                        expr.evaluate(slope, u) * expr.evaluate(c, u)
+                        for slope, c in normal)
+                except SingularPoint as exc:
+                    raise SingularPoint(
+                        f"stratum {fld.stratum_id!r}: chain rule for "
+                        f"coefficient {gamma} along axis {i} is singular "
+                        f"at u={tuple(u)} ({exc})") from exc
                 resid = float(abs(lhs - rhs) / (1 + abs(rhs)))
                 worst = max(worst, resid)
                 if resid > tol:
@@ -417,9 +429,10 @@ def extend_on_cell(fld: FieldSpec, stratum: Stratum, z_desc: SetDescriptor,
         key = (0,) * m + beta
         normal[beta] = fld.coeffs[key]
 
+    X = _leak_samples(cell, z_desc, scene, leak_samples, seed)
     eta = eta0
     for _ in range(max_halvings + 1):
-        if _support_fits(cell, z_desc, scene, eta, leak_samples, seed):
+        if _support_fits(cell, z_desc, scene, eta, X):
             break
         eta /= 2.0
     else:
@@ -434,29 +447,36 @@ def extend_on_cell(fld: FieldSpec, stratum: Stratum, z_desc: SetDescriptor,
 
 
 def _support_fits(cell: GraphCell, z_desc: SetDescriptor, scene: Scene,
-                  eta: float, n_samples: int, seed: int) -> bool:
-    """Sample certificate: no point certified inside the eta-cone may
-    project outside the closed parameter domain."""
-    rng = np.random.default_rng(seed)
-    w_desc = geometry.descriptor_of(cell)
-    lo, hi = cutoff_mod._sample_box(w_desc, z_desc, scene.box)
-    X = lo + (hi - lo) * rng.random((n_samples, scene.n))
-    X = np.vstack([X, _frontier_shells(cell, rng, scene)])
-    member, _ = cutoff_mod.cone_membership_batch(w_desc, z_desc, eta, X,
-                                                 scene.box)
+                  eta: float, X: np.ndarray) -> bool:
+    """Sample certificate: no row of ``X`` certified inside the eta-cone
+    may project outside the closed parameter domain."""
+    member, _ = cutoff_mod.cone_membership_batch(
+        geometry.descriptor_of(cell), z_desc, eta, X, scene.box)
     U = X[member == cutoff_mod.IN][:, list(cell.perm[:cell.intrinsic_dim])]
     return not (membership(cell.base, U, 1e-9) == OUTSIDE).any()
 
 
-def _frontier_shells(cell: GraphCell, rng, scene) -> np.ndarray:
-    """Extra leak-check samples in shrinking shells around the cell's
-    :func:`_frontier_samples`, where cone support violations concentrate."""
-    out = [np.empty((0, scene.n))]
-    for c in _frontier_samples(cell, scene.box):
-        for j in range(2, 14):
-            r = 2.0 ** (-j)
-            out.append(c + r * (rng.random((16, scene.n)) - 0.5) * 2.0)
-    return np.vstack(out)
+_SHELL_RADII = 2.0 ** -np.arange(2, 14)
+_SHELL_POINTS = 16
+
+
+def _leak_samples(cell: GraphCell, z_desc: SetDescriptor, scene: Scene,
+                  n_samples: int, seed: int) -> np.ndarray:
+    """Rows of the leak check: ``n_samples`` uniform rows of the cutoff's
+    sample box, then 16 rows in each of shrinking shells around every
+    :func:`_frontier_samples` point, where cone support violations
+    concentrate.  One draw of the seeded stream, in that order."""
+    lo, hi = cutoff_mod._sample_box(geometry.descriptor_of(cell), z_desc,
+                                    scene.box)
+    centers = _frontier_samples(cell, scene.box)
+    n_shell = len(centers) * len(_SHELL_RADII) * _SHELL_POINTS
+    draws = SeededStream(seed).random((n_samples + n_shell, scene.n))
+    shells = draws[n_samples:].reshape(len(centers), len(_SHELL_RADII),
+                                       _SHELL_POINTS, scene.n)
+    shells = (centers[:, None, None, :]
+              + _SHELL_RADII[:, None, None] * (shells - 0.5) * 2.0)
+    return np.vstack([lo + (hi - lo) * draws[:n_samples],
+                      shells.reshape(n_shell, scene.n)])
 
 
 # ---------------------------------------------------------------------------

@@ -615,10 +615,12 @@ def _slab_net_2d(base: Slab, box, coarse, ratio, floor):
 
 
 def stratum_samples(cell, k: int, box: float = DEFAULT_BOX_HALFWIDTH,
-                    rng: Optional[np.random.Generator] = None):
+                    rng=None):
     """Deterministic parameter samples on a stratum: uniform interior
     coverage plus dyadic approaches to each finite endpoint.  Returns a
-    list of parameter tuples (empty tuple for point cells)."""
+    list of parameter tuples (empty tuple for point cells).  An ``rng``
+    (anything whose ``random(k)`` gives k uniform doubles, such as
+    :class:`whitney.rng.SeededStream`) jitters the 1-d samples."""
     if isinstance(cell, PointCell):
         return [()]
     base = cell.base

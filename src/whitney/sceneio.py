@@ -60,6 +60,13 @@ def _num(value, path: str):
     _fail(path, f"expected a number, got {type(value).__name__}")
 
 
+def parse_seed(value, path: str) -> int:
+    """A seed of the sampled certificates: a non-negative integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        _fail(path, f"must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _opt_num(value, path: str):
     return None if value is None else _num(value, path)
 
@@ -176,7 +183,7 @@ def parse_scene(raw: dict) -> SceneFile:
     scene = Scene(n, p, q, tuple(strata), fields, frozenset(flat), box)
     plan_raw = raw.get("plan", {})
     plan = Plan(
-        seed=int(plan_raw.get("seed", 0)),
+        seed=parse_seed(plan_raw.get("seed", 0), "plan.seed"),
         samples_per_stratum=int(plan_raw.get("samples_per_stratum", 100)),
         tolerance=float(plan_raw.get("tolerance", 1e-4)),
         checks=tuple(plan_raw.get("checks",

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DegenerateScales, StencilOutOfDomain
 from .jets import (MultiIndex, _inv_factorial, coefficient_rows, mi_order,
                    multi_indices)
+from .rng import SeededStream
 
 # ---------------------------------------------------------------------------
 # finite differences
@@ -301,7 +302,7 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
     """
     from . import geometry  # local import to keep module layers acyclic
 
-    rng = np.random.default_rng(seed)
+    rng = SeededStream(seed)
     requests, expected = [], []
     for stratum in scene.strata:
         fld = scene.fields[stratum.id]

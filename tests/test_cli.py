@@ -56,6 +56,9 @@ def test_validate_names_the_singular_graph_map(capsys, tmp_path):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == ("INVALID  stratum 'arc': singular graph map "
                       "(expression singular at u=(1e-09,))")
+    arc = [line for line in out
+           if line.startswith("INVALID") and "'arc'" in line]
+    assert len(arc) == 1 and "u=" in arc[0]
     assert run("extend", scene, "-o", tmp_path / "run") == 2
 
 
@@ -146,6 +149,25 @@ def test_extend_rejects_invalid_scene(tmp_path):
                "-o", tmp_path / "r") == 2
 
 
+def test_extend_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run("extend", scene_path("halfline"), "-o", out,
+               "--seed", "-1") == 2
+    assert ("--seed: must be a non-negative integer, got -1"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_extend_rejects_a_negative_plan_seed(tmp_path, capsys):
+    raw = json.loads(scene_path("halfline").read_text())
+    raw["plan"]["seed"] = -1
+    scene = tmp_path / "negative_seed.json"
+    scene.write_text(json.dumps(raw))
+    assert run("extend", scene, "-o", tmp_path / "run") == 2
+    assert ("plan.seed: must be a non-negative integer, got -1"
+            in capsys.readouterr().err)
+
+
 # --- verify ----------------------------------------------------------------------
 
 def test_verify_corpus_scene_passes(tmp_path):
@@ -230,13 +252,13 @@ def test_each_command_validates_the_scene_once(tmp_path, monkeypatch,
                                               capsys):
     from whitney.extension import Scene
     calls = []
-    validate = Scene.validate
+    validation = Scene.validation       # what Scene.validate returns from
 
     def counted(self, *args, **kwargs):
         calls.append(self)
-        return validate(self, *args, **kwargs)
+        return validation(self, *args, **kwargs)
 
-    monkeypatch.setattr(Scene, "validate", counted)
+    monkeypatch.setattr(Scene, "validation", counted)
     out, bad = tmp_path / "run", scene_path("defect_missing_boundary")
     for argv, code in (
             (("validate", scene_path("halfline")), 0),
@@ -262,6 +284,18 @@ def test_verify_stops_on_an_invalid_scene_before_any_check(tmp_path,
          "scene_sha": hashlib.sha256(scene.read_bytes()).hexdigest()}))
     assert run("verify", scene, out, "--checks", "structure") == 2
     assert "strata 'A' and 'B' overlap" in capsys.readouterr().err
+    assert not (out / "verify_report.json").exists()
+
+
+def test_verify_rejects_a_negative_recorded_seed(tmp_path, capsys):
+    scene, out = scene_path("halfline"), tmp_path / "run"
+    assert run("extend", scene, "-o", out, "--grid=0:1:0.5") == 0
+    report = json.loads((out / "report.json").read_text())
+    report["seed"] = -1
+    (out / "report.json").write_text(json.dumps(report))
+    assert run("verify", scene, out) == 2
+    assert ("report.json seed: must be a non-negative integer, got -1"
+            in capsys.readouterr().err)
     assert not (out / "verify_report.json").exists()
 
 

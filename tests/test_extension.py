@@ -7,7 +7,8 @@ from whitney import expr
 from whitney import geometry as geo
 from whitney.cutoff import CutoffSpec, build_cutoff
 from whitney.errors import (ConsistencyViolation, FlatnessDeclarationMissing,
-                            SequenceLeavesCone, StratificationInvalid)
+                            SequenceLeavesCone, SingularPoint,
+                            StratificationInvalid)
 from whitney.extension import (CellTerm, Scene, Stratum,
                                check_stratum_consistency,
                                extend_field, extend_on_cell,
@@ -85,6 +86,16 @@ def test_stratum_consistency_rejects_broken_curved_field():
     samples = geo.stratum_samples(arc.cell, 8, sf.scene.box)
     with pytest.raises(ConsistencyViolation):
         check_stratum_consistency(bad, arc.cell, samples)
+
+
+def test_stratum_consistency_names_where_the_graph_map_is_singular():
+    """A slope singular at a sample is reported with the stratum and the
+    parameter, as a chain-rule deviation is."""
+    sf = load_corpus_scene("defect_singular_graph")
+    arc = sf.scene.stratum("arc")
+    samples = geo.stratum_samples(arc.cell, 24, sf.scene.box)
+    with pytest.raises(SingularPoint, match=r"stratum 'arc': .* at u=\(0\.0"):
+        check_stratum_consistency(sf.scene.fields["arc"], arc.cell, samples)
 
 
 # --- single-cell extension -------------------------------------------------
@@ -398,12 +409,11 @@ def test_filled_square_full_dimensional_stratum():
 def test_filled_square_face_gets_frontier_shells():
     """The leak check of a cell over a 2-d base samples shells around the
     base's boundary pieces, as it does around an interval's ends."""
-    from whitney.extension import _frontier_shells
+    from whitney.extension import _leak_samples
     scene = filled_square_scene()
-    shells = _frontier_shells(scene.stratum("face").cell,
-                              np.random.default_rng(0), scene)
-    assert shells.shape[0] > 0 and shells.shape[1] == 2
     edges = scene.descriptor_for(["bottom", "top", "left", "right"])
+    shells = _leak_samples(scene.stratum("face").cell, edges, scene, 0, 0)
+    assert shells.shape[0] > 0 and shells.shape[1] == 2
     _, up = geo.distance_brackets(edges, shells, scene.box)
     assert np.all(up <= 0.25 * np.sqrt(2.0) + 1e-12)
 
