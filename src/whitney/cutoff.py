@@ -301,12 +301,10 @@ def regularized_distance(desc: SetDescriptor,
             ends.append(corners[:2])
         elif corners is None or graph:
             # curved cells, and flat patches over 2-d boxes (no potential yet)
-            nets.append(geometry.piece_net(piece, box,
-                                           geometry.DEFAULT_COARSE))
+            nets.append(geometry.piece_net(piece, box))
         else:
             exact.append(piece)
-    table = (geometry.distance_table(SetDescriptor(tuple(exact)), box,
-                                     geometry.DEFAULT_COARSE)
+    table = (geometry.distance_table(SetDescriptor(tuple(exact)), box)
              if exact else None)
     segments = _Segments.of(ends, box) if ends else None
     return RegularizedDistance(table, segments, nets)
@@ -337,14 +335,11 @@ class CutoffSpec:
     z_desc: SetDescriptor
     eta: float
     q: int
-    rho: Optional[float] = None  # transition start in regularized ratio units
     box: float = geometry.DEFAULT_BOX_HALFWIDTH
 
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if self.rho is not None and not (0 < self.rho < self.eta):
-            raise ValueError("rho must lie in (0, eta)")
 
 
 class CutoffFn:
@@ -391,9 +386,9 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
     does.
 
     Both distances are :func:`regularized_distance`.  The transition
-    starts at ``rho`` (default ``eta * c^2 / 2`` with ``c`` the smaller
-    ``c1``) in regularized-ratio units, so comparability slack cannot push
-    the plateau past the support ratio; the certified plateau
+    starts at ``rho = eta * c^2 / 2``, with ``c`` the smaller ``c1``, in
+    regularized-ratio units, so comparability slack cannot push the
+    plateau past the support ratio; the certified plateau
     ``rho_prime = 0.9 c rho`` is in true-distance units.
     """
     profile = smooth_transition(max(spec.q, 4))
@@ -408,9 +403,7 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
             f"comparability ratio {c_ratio:.3f} leaves no plateau below "
             f"eta={spec.eta}")
     eta_int = spec.eta * c_ratio
-    rho_int = spec.rho if spec.rho is not None else eta_int * c_ratio / 2.0
-    if not rho_int < eta_int:
-        raise SlackTooLarge("requested rho does not clear the support ratio")
+    rho_int = eta_int * c_ratio / 2.0
     rho_prime = 0.9 * c_ratio * rho_int
     return CutoffFn(spec, d_w, d_z, profile, eta_int, rho_int, rho_prime)
 
@@ -455,8 +448,7 @@ def _sample_box(w_desc, z_desc, box):
                     # a constant graph: its clamp ends span its net
                     pts.extend([list(ends[0]), list(ends[1])])
                     continue
-                net = geometry.piece_net(piece, box,
-                                         geometry.DEFAULT_COARSE).points
+                net = geometry.piece_net(piece, box).points
                 pts.extend(net[::max(1, len(net) // 32)].tolist())
     arr = np.asarray(pts)
     lo = arr.min(axis=0)
@@ -465,16 +457,16 @@ def _sample_box(w_desc, z_desc, box):
     return lo - pad, hi + pad
 
 
-def verify_cutoff(omega: CutoffFn, spec: CutoffSpec, grid: int = 100,
-                  n_samples: int = 10_000, seed: int = 0,
-                  max_order: Optional[int] = None) -> CutoffReport:
+def verify_cutoff(omega: CutoffFn, spec: CutoffSpec,
+                  n_samples: int = 10_000, seed: int = 0) -> CutoffReport:
     """Sample the three contract clauses of a cutoff.
 
     plateau: every sample certified inside the ``rho_prime`` cone must give
     exactly 1.  support: every sample certified outside the ``eta`` cone
     must give exactly 0.  bounds: the scaled derivative maxima
     ``max |D^a omega| * d(x,Z)^{|a|}`` must be finite and stable (ratio
-    below 2) under one refinement of the sample count.
+    below 2) under one refinement of the sample count, for every
+    ``0 < |a| <= q``.
     """
     n = _descriptor_dim(spec)
     lo, hi = _sample_box(spec.w_desc, spec.z_desc, spec.box)
@@ -494,8 +486,7 @@ def verify_cutoff(omega: CutoffFn, spec: CutoffSpec, grid: int = 100,
     support_mask = lo_w >= spec.eta * up_z
     support_viol = int(np.sum(vals[support_mask] != 0.0))
 
-    q = spec.q if max_order is None else max_order
-    alphas = [a for a in multi_indices(n, q) if mi_order(a)]
+    alphas = [a for a in multi_indices(n, spec.q) if mi_order(a)]
     consts, ratios = {}, {}
     for level, count in enumerate((len(X) // 2, len(X))):
         Xs, dz_up = X[:count], up_z[:count]     # the rows are i.i.d.

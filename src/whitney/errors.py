@@ -69,10 +69,6 @@ class SupportLeak(EngineError):
     even at the smallest tried ratio."""
 
 
-class FlatnessDeclarationMissing(InputError):
-    pass
-
-
 class StratificationInvalid(InputError):
     """The scene's stratification is unsound; ``problems`` lists what
     ``Scene.validate`` found (empty when raised elsewhere)."""

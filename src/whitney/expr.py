@@ -14,7 +14,7 @@ Two conventions matter throughout:
   an exact rational, which the jet-algebra tests rely on.
 * Kinks and poles (abs/min/max ties, zero denominators, sqrt at 0,
   piecewise guard boundaries) are *errors* within a tolerance
-  ``tau_sing``, never silently resolved.  Derivatives of abs/min/max
+  ``TAU_SING``, never silently resolved.  Derivatives of abs/min/max
   select the active branch and keep the guard, so differentiation of a
   derived tree errors on the ridge too.
 
@@ -169,7 +169,7 @@ def _fold(node: Node) -> Node:
     if not all(_is_const(a) for a in node.args):
         return node
     try:
-        value = _eval(node, (), TAU_SING)
+        value = _eval(node, ())
     except SingularPoint:
         return node
     if node.op == "sqrt" and not isinstance(value, Fraction):
@@ -190,8 +190,8 @@ class ExprFn:
             raise ArityMismatch(
                 f"variable index {top} exceeds arity {self.arity}")
 
-    def __call__(self, x, tau_sing: float = TAU_SING):
-        return evaluate(self, x, tau_sing)
+    def __call__(self, x):
+        return evaluate(self, x)
 
     # Arithmetic sugar so jets and tests can combine expressions directly.
     def _wrap(self, other) -> "ExprFn":
@@ -245,65 +245,65 @@ def coordinate(index: int, arity: int) -> ExprFn:
 # evaluation
 
 
-def evaluate(f: ExprFn, x, tau_sing: float = TAU_SING):
+def evaluate(f: ExprFn, x):
     """Value of ``f`` at the point ``x`` (sequence of numbers).
 
     Exact when all constants and coordinates are rational and the tree is
-    sqrt-free.  Raises :class:`SingularPoint` within ``tau_sing`` of any
+    sqrt-free.  Raises :class:`SingularPoint` within ``TAU_SING`` of any
     declared singular locus.
     """
     if len(x) != f.arity:
         raise ArityMismatch(f"expected {f.arity} coordinates, got {len(x)}")
-    return _eval(f.root, tuple(x), tau_sing)
+    return _eval(f.root, tuple(x))
 
 
-def _eval(node: Node, x, tau):
+def _eval(node: Node, x):
     op = node.op
     if op == "const":
         return node.payload
     if op == "var":
         return x[node.payload]
     if op == "add":
-        return _eval(node.args[0], x, tau) + _eval(node.args[1], x, tau)
+        return _eval(node.args[0], x) + _eval(node.args[1], x)
     if op == "sub":
-        return _eval(node.args[0], x, tau) - _eval(node.args[1], x, tau)
+        return _eval(node.args[0], x) - _eval(node.args[1], x)
     if op == "mul":
-        return _eval(node.args[0], x, tau) * _eval(node.args[1], x, tau)
+        return _eval(node.args[0], x) * _eval(node.args[1], x)
     if op == "div":
-        num = _eval(node.args[0], x, tau)
-        den = _eval(node.args[1], x, tau)
-        if abs(den) <= tau:
-            raise SingularPoint(f"denominator {den} within {tau} of zero")
+        num = _eval(node.args[0], x)
+        den = _eval(node.args[1], x)
+        if abs(den) <= TAU_SING:
+            raise SingularPoint(f"denominator {den} within {TAU_SING} of zero")
         return num / den
     if op == "pow":
-        return _int_power(_eval(node.args[0], x, tau), node.payload)
+        return _int_power(_eval(node.args[0], x), node.payload)
     if op == "sqrt":
-        a = _eval(node.args[0], x, tau)
-        if a <= tau:
-            raise SingularPoint(f"sqrt argument {a} within {tau} of zero")
+        a = _eval(node.args[0], x)
+        if a <= TAU_SING:
+            raise SingularPoint(f"sqrt argument {a} within {TAU_SING} of zero")
         if isinstance(a, Fraction):
             r = _exact_sqrt(a)
             if r is not None:
                 return r
         return math.sqrt(a)
     if op == "abs":
-        a = _eval(node.args[0], x, tau)
-        if abs(a) <= tau:
+        a = _eval(node.args[0], x)
+        if abs(a) <= TAU_SING:
             raise SingularPoint("abs argument on its kink")
         return a if a > 0 else -a
     if op in ("min", "max"):
-        a = _eval(node.args[0], x, tau)
-        b = _eval(node.args[1], x, tau)
-        if abs(a - b) <= tau:
-            raise SingularPoint(f"{op} arguments tie within {tau}")
+        a = _eval(node.args[0], x)
+        b = _eval(node.args[1], x)
+        if abs(a - b) <= TAU_SING:
+            raise SingularPoint(f"{op} arguments tie within {TAU_SING}")
         if op == "min":
             return a if a < b else b
         return a if a > b else b
     if op == "piecewise":
         active = None
         for i in range(0, len(node.args), 2):
-            g = _eval(node.args[i], x, tau)
-            if abs(g) <= tau:
+            g = _eval(node.args[i], x)
+            if abs(g) <= TAU_SING:
                 raise SingularPoint("piecewise guard boundary")
             if g > 0:
                 if active is not None:
@@ -311,7 +311,7 @@ def _eval(node: Node, x, tau):
                 active = node.args[i + 1]
         if active is None:
             raise SingularPoint("no piecewise guard active at point")
-        return _eval(active, x, tau)
+        return _eval(active, x)
     raise UnsupportedNode(f"unknown node op {op!r}")
 
 
@@ -338,7 +338,7 @@ def evaluate_rows(f: ExprFn, U):
     if U.ndim != 2 or U.shape[1] != f.arity:
         raise ArityMismatch(
             f"expected rows of {f.arity} coordinates, got shape {U.shape}")
-    values, singular = _eval_rows(f.root, U, TAU_SING)
+    values, singular = _eval_rows(f.root, U)
     return np.where(singular, np.nan, values), singular
 
 
@@ -352,7 +352,7 @@ def evaluate_rows_or_raise(f: ExprFn, U) -> np.ndarray:
     return values
 
 
-def _eval_rows(node: Node, U: np.ndarray, tau):
+def _eval_rows(node: Node, U: np.ndarray):
     """``(values, singular)`` of a subtree on the rows of ``U``.  A singular
     operand is replaced by 1 before the operation, so no row warns."""
     op = node.op
@@ -361,8 +361,8 @@ def _eval_rows(node: Node, U: np.ndarray, tau):
     if op == "var":
         return U[:, node.payload], np.zeros(len(U), bool)
     if op == "piecewise":
-        return _piecewise_rows(node, U, tau)
-    args = [_eval_rows(arg, U, tau) for arg in node.args]
+        return _piecewise_rows(node, U)
+    args = [_eval_rows(arg, U) for arg in node.args]
     bad = np.logical_or.reduce([s for _, s in args])
     a, b = args[0][0], args[-1][0]
     if op == "add":
@@ -372,31 +372,32 @@ def _eval_rows(node: Node, U: np.ndarray, tau):
     if op == "mul":
         return a * b, bad
     if op == "div":
-        near = np.abs(b) <= tau
+        near = np.abs(b) <= TAU_SING
         return a / np.where(near, 1.0, b), bad | near
     if op == "pow":
         return _int_power(a, node.payload), bad
     if op == "sqrt":
-        near = a <= tau
+        near = a <= TAU_SING
         return np.sqrt(np.where(near, 1.0, a)), bad | near
     if op == "abs":
-        return np.where(a > 0, a, -a), bad | (np.abs(a) <= tau)
+        return np.where(a > 0, a, -a), bad | (np.abs(a) <= TAU_SING)
     if op in ("min", "max"):
         pick = a < b if op == "min" else a > b
-        return np.where(pick, a, b), bad | (np.abs(a - b) <= tau)
+        return np.where(pick, a, b), bad | (np.abs(a - b) <= TAU_SING)
     raise UnsupportedNode(f"unknown node op {op!r}")
 
 
-def _piecewise_rows(node: Node, U: np.ndarray, tau):
-    guards = [_eval_rows(g, U, tau) for g in node.args[0::2]]
-    bad = np.logical_or.reduce([b | (np.abs(g) <= tau) for g, b in guards])
+def _piecewise_rows(node: Node, U: np.ndarray):
+    guards = [_eval_rows(g, U) for g in node.args[0::2]]
+    bad = np.logical_or.reduce([b | (np.abs(g) <= TAU_SING)
+                                for g, b in guards])
     active = np.asarray([g > 0 for g, _ in guards])
     bad |= active.sum(axis=0) != 1
     out = np.zeros(len(U))
     for on, body in zip(active, node.args[1::2]):
         rows = np.flatnonzero(on & ~bad)
         if len(rows):
-            out[rows], body_bad = _eval_rows(body, U[rows], tau)
+            out[rows], body_bad = _eval_rows(body, U[rows])
             bad[rows] |= body_bad
     return out, bad
 
@@ -508,7 +509,7 @@ def substitute(f: ExprFn, inner: list[ExprFn]) -> ExprFn:
 
 
 # ---------------------------------------------------------------------------
-# serialization: nested arrays, e.g. ["add", ["var", 0], ["const", "3/2"]]
+# parsing: nested arrays, e.g. ["add", ["var", 0], ["const", "3/2"]]
 
 
 def node_from_json(obj) -> Node:
@@ -547,35 +548,8 @@ def _number_from_json(v) -> Number:
     raise UnsupportedNode(f"bad numeric literal {v!r}")
 
 
-def number_to_json(v: Number):
-    if isinstance(v, Fraction):
-        return str(v) if v.denominator != 1 else int(v)
-    return v
-
-
-def node_to_json(node: Node):
-    op = node.op
-    if op == "const":
-        return ["const", number_to_json(node.payload)]
-    if op == "var":
-        return ["var", node.payload]
-    if op == "pow":
-        return ["pow", node_to_json(node.args[0]), node.payload]
-    if op == "piecewise":
-        out = ["piecewise"]
-        for i in range(0, len(node.args), 2):
-            out.append([node_to_json(node.args[i]),
-                        node_to_json(node.args[i + 1])])
-        return out
-    return [op] + [node_to_json(a) for a in node.args]
-
-
 def exprfn_from_json(obj, arity: int) -> ExprFn:
     return ExprFn(arity, node_from_json(obj))
-
-
-def exprfn_to_json(f: ExprFn):
-    return node_to_json(f.root)
 
 
 # ---------------------------------------------------------------------------

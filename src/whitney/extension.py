@@ -21,9 +21,9 @@ import numpy as np
 from . import cutoff as cutoff_mod
 from . import expr, geometry, verify
 from .cutoff import CutoffFn, CutoffSpec, build_cutoff, _point_or_batch
-from .errors import (ConsistencyViolation, FlatnessDeclarationMissing,
-                     SequenceLeavesCone, SingularPoint, StratificationInvalid,
-                     SupportLeak, UnsupportedDescriptor)
+from .errors import (ConsistencyViolation, SequenceLeavesCone, SingularPoint,
+                     StratificationInvalid, SupportLeak, UnsupportedDescriptor,
+                     WhitneyError)
 from .geometry import (EMPTY_SET, INSIDE, OUTSIDE, GraphCell, PointCell,
                        SetDescriptor, membership)
 from .jets import (FieldSpec, PointJet, coefficient_rows, mi_add,
@@ -82,15 +82,11 @@ class Scene:
     def dim(self) -> int:
         return max((s.dim for s in self.strata), default=0)
 
-    def validate(self, tol: float = 1e-7) -> list[str]:
-        """Structural validation; returns a list of human-readable
-        problems (empty means the stratification looks sound)."""
-        return self.validation(tol)[0]
-
-    def validation(self, tol: float = 1e-7) -> tuple[list[str], set[str]]:
-        """The problems of :meth:`validate`, and the ids of the strata
-        reported with a singular graph map, whose other checks are
-        skipped."""
+    def validate(self) -> list[str]:
+        """Structural validation and the chain-rule check of every graph
+        stratum's field; returns a list of human-readable problems (empty
+        means the scene looks sound).  A stratum reported with a singular
+        graph map skips the later checks."""
         problems = []
         ids = [s.id for s in self.strata]
         if len(set(ids)) != len(ids):
@@ -113,15 +109,16 @@ class Scene:
                 if sorted(s.cell.perm) != list(range(self.n)):
                     problems.append(f"stratum {s.id!r}: bad permutation")
                 try:
-                    problems.extend(self._closure_check(s, tol))
+                    problems.extend(self._closure_check(s))
                 except SingularPoint as exc:
                     problems.append(f"stratum {s.id!r}: singular graph map "
                                     f"({exc})")
                     singular.add(s.id)
         problems.extend(self._disjointness_check(singular))
-        return problems, singular
+        problems.extend(self._consistency_check(singular))
+        return problems
 
-    def _closure_check(self, s: Stratum, tol: float) -> list[str]:
+    def _closure_check(self, s: Stratum) -> list[str]:
         """Frontier sample points must land on declared boundary strata;
         one problem per stratum names the first uncovered point or the
         worst miss.  A frontier that cannot be sampled is unchecked."""
@@ -165,6 +162,21 @@ class Scene:
                         membership(other.cell, X, 1e-9) == INSIDE).any():
                     out.append(f"strata {s.id!r} and {other.id!r} overlap")
                     break
+        return out
+
+    def _consistency_check(self, singular: set) -> list[str]:
+        """One problem per graph stratum outside ``singular`` whose field
+        fails :func:`check_stratum_consistency` at any of its parameter
+        samples, or cannot be checked there."""
+        out = []
+        for s in self.strata:
+            if isinstance(s.cell, GraphCell) and s.id not in singular:
+                try:
+                    samples = geometry.stratum_samples(s.cell, 24, self.box)
+                    check_stratum_consistency(self.fields[s.id], s.cell,
+                                              samples)
+                except WhitneyError as exc:
+                    out.append(f"field consistency on {s.id!r}: {exc}")
         return out
 
 
@@ -284,12 +296,10 @@ class ExtensionFn:
     lower-dimensional skeleton.  Total on R^n; derivatives are sampled by
     finite differences."""
 
-    def __init__(self, n: int, terms: Sequence, sub: Optional["ExtensionFn"],
-                 label: str = ""):
+    def __init__(self, n: int, terms: Sequence, sub: Optional["ExtensionFn"]):
         self.n = n
         self.terms = list(terms)
         self.sub = sub
-        self.label = label
 
     def __call__(self, x):
         return _point_or_batch(lambda X: self.evaluate(X)[0], x)
@@ -367,14 +377,16 @@ def check_stratum_consistency(fld: FieldSpec, cell: GraphCell,
 # Taylor-data subtraction
 
 
+_SUBTRACT_STEP = 1e-4         # finite-difference step of D^alpha g
+
+
 def subtract_taylor(fields: Mapping[str, FieldSpec], scene: Scene,
-                    g: ExtensionFn, h: float = 1e-4
-                    ) -> dict[str, FieldSpec]:
+                    g: ExtensionFn) -> dict[str, FieldSpec]:
     """New field family with coefficients ``F^alpha - D^alpha g`` sampled
-    along every stratum.  Where ``g`` already realizes the field the
-    result is numerically flat.  ``g`` and each new coefficient take row
-    batches; one batch of a coefficient evaluates ``g`` once, on the
-    stencil rows of both Richardson steps."""
+    along every stratum, at the step ``_SUBTRACT_STEP``.  Where ``g``
+    already realizes the field the result is numerically flat.  ``g`` and
+    each new coefficient take row batches; one batch of a coefficient
+    evaluates ``g`` once, on the stencil rows of both Richardson steps."""
     out = {}
     for stratum in scene.strata:
         fld = fields[stratum.id]
@@ -382,20 +394,19 @@ def subtract_taylor(fields: Mapping[str, FieldSpec], scene: Scene,
         coeffs = {}
         for alpha in multi_indices(scene.n, scene.p):
             coeffs[alpha] = _subtracted_coeff(fld.coeffs[alpha], cell,
-                                              alpha, g, h)
+                                              alpha, g)
         out[stratum.id] = FieldSpec(scene.n, scene.p, fld.stratum_id,
                                     fld.param_arity, coeffs)
     return out
 
 
-def _subtracted_coeff(orig, cell, alpha_int, g: ExtensionFn,
-                      h: float) -> Callable:
+def _subtracted_coeff(orig, cell, alpha_int, g: ExtensionFn) -> Callable:
     alpha_amb = cell.to_ambient(alpha_int)
 
     def batch(U):
         X = cell.embed_rows(U)
-        d, _ = verify.sampled_derivative_batch(g, X, alpha_amb,
-                                               np.full(len(X), h))
+        [(d, _)] = verify.sampled_derivatives(
+            g, [(X, alpha_amb, np.full(len(X), _SUBTRACT_STEP))])
         return coefficient_rows(orig, U) - d
 
     return lambda u: _point_or_batch(batch, u)
@@ -405,21 +416,21 @@ def _subtracted_coeff(orig, cell, alpha_int, g: ExtensionFn,
 # single-cell extension
 
 
+_ETA0 = 0.5                   # first support ratio of a cell term
+_MAX_HALVINGS = 20
+_LEAK_SAMPLES = 2000          # uniform rows of the support leak check
+
+
 def extend_on_cell(fld: FieldSpec, stratum: Stratum, z_desc: SetDescriptor,
-                   scene: Scene, *, flat_declared: bool,
-                   eta0: float = 0.5, max_halvings: int = 20,
-                   leak_samples: int = 2000, seed: int = 0) -> CellTerm:
+                   scene: Scene, *, seed: int = 0) -> CellTerm:
     """Extension term for one graph cell whose field vanishes on the rest
     of the scene: the normal-degree-p polynomial of the cell's jets,
     multiplied by a cone-neighborhood cutoff.
 
-    The support ratio starts at ``eta0`` and is halved until the sampled
-    cone neighborhood stays inside the cell's parameter slab; exceeding
-    ``max_halvings`` raises :class:`SupportLeak`.
+    The support ratio starts at ``_ETA0`` and is halved until the sampled
+    cone neighborhood stays inside the cell's parameter slab; more than
+    ``_MAX_HALVINGS`` halvings raise :class:`SupportLeak`.
     """
-    if not flat_declared:
-        raise FlatnessDeclarationMissing(
-            f"field on {stratum.id!r} must be declared flat off the cell")
     cell = stratum.cell
     if not isinstance(cell, GraphCell):
         raise StratificationInvalid("extend_on_cell needs a graph cell")
@@ -429,9 +440,9 @@ def extend_on_cell(fld: FieldSpec, stratum: Stratum, z_desc: SetDescriptor,
         key = (0,) * m + beta
         normal[beta] = fld.coeffs[key]
 
-    X = _leak_samples(cell, z_desc, scene, leak_samples, seed)
-    eta = eta0
-    for _ in range(max_halvings + 1):
+    X = _leak_samples(cell, z_desc, scene, _LEAK_SAMPLES, seed)
+    eta = _ETA0
+    for _ in range(_MAX_HALVINGS + 1):
         if _support_fits(cell, z_desc, scene, eta, X):
             break
         eta /= 2.0
@@ -518,8 +529,8 @@ def _extend(scene: Scene, seed: int, skip_sub: bool) -> ExtensionFn:
         z_desc = (scene.descriptor_for(other_ids) if other_ids
                   else EMPTY_SET)
         terms.append(extend_on_cell(fields[stratum.id], stratum, z_desc,
-                                    scene, flat_declared=True, seed=seed))
-    return ExtensionFn(scene.n, terms, sub, label=f"dim<={top_dim}")
+                                    scene, seed=seed))
+    return ExtensionFn(scene.n, terms, sub)
 
 
 def _glue_points(scene: Scene) -> ExtensionFn:
@@ -543,7 +554,7 @@ def _glue_points(scene: Scene) -> ExtensionFn:
                           scene.q, box=scene.box)
         omega = build_cutoff(spec)
         terms.append(PointGlueTerm(s.id, jet, omega))
-    return ExtensionFn(scene.n, terms, None, label="dim=0")
+    return ExtensionFn(scene.n, terms, None)
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +572,8 @@ class FlatnessReport:
 def flatness_rate_probe(h: Callable, z_desc: SetDescriptor,
                         cell: GraphCell, cone_constant: float, p: int,
                         points: Sequence, theta: float = 1e-2,
-                        box: float = geometry.DEFAULT_BOX_HALFWIDTH,
-                        kappas: Optional[Sequence] = None) -> FlatnessReport:
+                        box: float = geometry.DEFAULT_BOX_HALFWIDTH
+                        ) -> FlatnessReport:
     """Normalized derivative decay of ``h`` along an approach sequence:
     for each |kappa| <= p the values ``|D^kappa h(x_j)| * d(x_j,Z)^(|kappa|-p)``
     must eventually fall below ``theta``.  ``h`` takes a row batch, like
@@ -595,8 +606,7 @@ def flatness_rate_probe(h: Callable, z_desc: SetDescriptor,
                 f"> {c_eff:.3f}")
         dzs.append(dz.mid)
 
-    if kappas is None:
-        kappas = [k for k in multi_indices(n, p)]
+    kappas = multi_indices(n, p)
     X = np.asarray(points, dtype=float)
     steps = np.asarray([max(min(1e-3, dz / 20.0), 1e-8) for dz in dzs])
     derivs = verify.sampled_derivatives(h, [(X, kappa, steps)

@@ -30,6 +30,8 @@ from .expr import ExprFn
 
 DEFAULT_BOX_HALFWIDTH = 10.0
 DEFAULT_COARSE = 65           # base resolution of the parameter nets
+_NET_RATIO = 0.94             # geometric step of the nets toward an end
+_NET_FLOOR = 1e-9             # relative distance where that clustering stops
 
 # ---------------------------------------------------------------------------
 # cell descriptions
@@ -262,7 +264,7 @@ def set_distance(desc: SetDescriptor, x,
     """
     if desc.is_empty:
         return _exact(1.0)
-    table = distance_table(desc, box, DEFAULT_COARSE)
+    table = distance_table(desc, box)
     x = np.array(x, dtype=float)
     lo = up = min([math.inf] + table.exact(x).tolist())
     for cell, net in table.nets:
@@ -282,15 +284,14 @@ def distance_brackets(desc: SetDescriptor, X,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if desc.is_empty:
         return np.ones(len(X)), np.ones(len(X))
-    return distance_table(desc, box, DEFAULT_COARSE)(X)
+    return distance_table(desc, box)(X)
 
 
 @functools.lru_cache(maxsize=64)
-def distance_table(desc: SetDescriptor, box: float,
-                   coarse: int) -> "DistanceTable":
+def distance_table(desc: SetDescriptor, box: float) -> "DistanceTable":
     """The :class:`DistanceTable` of a non-empty descriptor, built once per
-    ``(desc, box, coarse)``."""
-    return DistanceTable(desc, box, coarse)
+    ``(desc, box)``."""
+    return DistanceTable(desc, box)
 
 
 class DistanceTable:
@@ -304,13 +305,13 @@ class DistanceTable:
     Every other cell scans its embedded :func:`piece_net`.
     """
 
-    def __init__(self, desc: SetDescriptor, box: float, coarse: int):
+    def __init__(self, desc: SetDescriptor, box: float):
         lows, highs, radii = [], [], []
         self.nets: list[tuple[GraphCell, PieceNet]] = []
         for piece in desc.pieces:
             exact = closed_form_box(piece, box)
             if exact is None:
-                self.nets.append((piece, piece_net(piece, box, coarse)))
+                self.nets.append((piece, piece_net(piece, box)))
             else:
                 lows.append(exact[0])
                 highs.append(exact[1])
@@ -431,10 +432,10 @@ class PieceNet:
 
 
 @functools.lru_cache(maxsize=32)
-def piece_net(cell: GraphCell, box: float, coarse: int) -> PieceNet:
-    """The embedded net of ``cell``, built once per ``(cell, box, coarse)``
-    and shared read-only by every caller."""
-    params, cov = cell_param_net(cell.base, box, coarse=coarse)
+def piece_net(cell: GraphCell, box: float) -> PieceNet:
+    """The embedded net of ``cell``, built once per ``(cell, box)`` and
+    shared read-only by every caller."""
+    params, cov = cell_param_net(cell.base, box)
     points = cell.embed_rows(params)
     slack = cov * (1.0 + _net_lipschitz(cell, params))
     for a in (params, cov, points, slack):
@@ -535,9 +536,7 @@ def _innermost_interval(cell: OpenCell) -> Interval:
 # parameter nets (embedded and cached per piece by :func:`piece_net`)
 
 
-def cell_param_net(base: OpenCell, box: float = DEFAULT_BOX_HALFWIDTH,
-                   coarse: int = DEFAULT_COARSE, refine_ratio: float = 0.94,
-                   floor: float = 1e-9):
+def cell_param_net(base: OpenCell, box: float = DEFAULT_BOX_HALFWIDTH):
     """Sample net of the closure of an open cell, clustered geometrically
     toward the finite boundary so the relative covering radius stays small
     arbitrarily close to the frontier.
@@ -550,11 +549,11 @@ def cell_param_net(base: OpenCell, box: float = DEFAULT_BOX_HALFWIDTH,
     if dim == 1:
         lo, hi = interval_bounds(base, box)
         ts, cov = _interval_net(lo, hi, base.lower is not None,
-                                base.upper is not None, coarse,
-                                refine_ratio, floor)
+                                base.upper is not None, DEFAULT_COARSE,
+                                _NET_RATIO, _NET_FLOOR)
         return ts.reshape(-1, 1), cov
     if dim == 2 and isinstance(base, Slab):
-        return _slab_net_2d(base, box, coarse, refine_ratio, floor)
+        return _slab_net_2d(base, box)
     raise UnsupportedDescriptor(
         f"parameter nets implemented for dimensions 1-2, got {dim}")
 
@@ -591,12 +590,13 @@ def _wall_interval(base: Slab, t: float, box: float) -> tuple[float, float]:
     return wlo, whi
 
 
-def _slab_net_2d(base: Slab, box, coarse, ratio, floor):
+def _slab_net_2d(base: Slab, box):
     lo, hi = interval_bounds(base.base, box)
-    coarse2 = max(17, coarse // 4)
+    coarse2 = max(17, DEFAULT_COARSE // 4)
+    ratio, floor = max(0.85, _NET_RATIO - 0.06), max(_NET_FLOOR, 1e-6)
     t1, cov1 = _interval_net(lo, hi, base.base.lower is not None,
                              base.base.upper is not None, coarse2,
-                             max(0.85, ratio - 0.06), max(floor, 1e-6))
+                             ratio, floor)
     pts, covs = [], []
     for t, c in zip(t1, cov1):
         try:
@@ -607,7 +607,7 @@ def _slab_net_2d(base: Slab, box, coarse, ratio, floor):
             continue
         t2, cov2 = _interval_net(wlo, whi, base.lower is not None,
                                  base.upper is not None, coarse2,
-                                 max(0.85, ratio - 0.06), max(floor, 1e-6))
+                                 ratio, floor)
         for s, c2 in zip(t2, cov2):
             pts.append((t, s))
             covs.append(math.hypot(c, c2))
@@ -720,15 +720,14 @@ class LipschitzReport:
     samples: int
 
 
-def lipschitz_estimate(graph: Sequence[ExprFn], base: OpenCell,
-                       samples: int = 400,
-                       box: float = DEFAULT_BOX_HALFWIDTH) -> LipschitzReport:
+def lipschitz_estimate(graph: Sequence[ExprFn],
+                       base: OpenCell) -> LipschitzReport:
     """Empirical Lipschitz constant of a graph map as the max sampled
-    operator norm of its Jacobian, and the derived slope factor
-    ``1/sqrt(1 + M^2)`` used by the distance sandwich."""
+    operator norm of its Jacobian over 400 base samples, and the derived
+    slope factor ``1/sqrt(1 + M^2)`` used by the distance sandwich."""
     if not graph:
         return LipschitzReport(0.0, 1.0, 0)
-    pts = stratum_samples(identity_graph_cell(base), samples, box)
+    pts = stratum_samples(identity_graph_cell(base), 400)
     jac, singular = _jacobian_rows(graph, np.asarray(pts, dtype=float))
     worst = float(np.linalg.norm(jac[~singular], 2, axis=(1, 2))
                   .max(initial=0.0))
@@ -744,17 +743,15 @@ class SandwichReport:
 
 
 def distance_sandwich_check(cell: GraphCell, samples: Sequence,
-                            eps: float = 1e-6,
-                            box: float = DEFAULT_BOX_HALFWIDTH
-                            ) -> SandwichReport:
+                            eps: float = 1e-6) -> SandwichReport:
     """Check the two-sided comparison between the true distance to a graph
     cell and the normal offset |w - phi(u)|, with slope factor from the
     Lipschitz probe; samples outside the parameter slab are checked against
     the frontier inequality instead."""
     m = cell.intrinsic_dim
-    lip = lipschitz_estimate(cell.graph, cell.base, box=box)
+    lip = lipschitz_estimate(cell.graph, cell.base)
     desc = descriptor_of(cell)
-    frontier = graph_cell_frontier(cell, box)
+    frontier = graph_cell_frontier(cell)
     violations = []
     max_gap = 0.0
     graph_const = all(g.root.op == "const" for g in cell.graph)
@@ -764,7 +761,7 @@ def distance_sandwich_check(cell: GraphCell, samples: Sequence,
     for x, on_base in zip(samples, inside):
         y = cell.to_internal(x)
         u, w = y[:m], y[m:]
-        d = set_distance(desc, x, box=box)
+        d = set_distance(desc, x)
         if on_base:
             try:
                 offs = [float(wi) - float(expr.evaluate(phi, u))
@@ -779,7 +776,7 @@ def distance_sandwich_check(cell: GraphCell, samples: Sequence,
                 # normal offset; record how tightly it holds
                 max_gap = max(max_gap, abs(d.up - gap))
         else:
-            db = set_distance(frontier, x, box=box)
+            db = set_distance(frontier, x)
             if d.up < lip.l_hat * db.lo - eps:
                 violations.append((tuple(map(float, x)), d.up, db.lo))
     return SandwichReport(len(samples), violations, max_gap)

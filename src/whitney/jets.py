@@ -48,7 +48,7 @@ def mi_key(alpha: MultiIndex):
 
 def multi_indices(n: int, p: int) -> list[MultiIndex]:
     """All multi-indices of length ``n`` with total order <= ``p``, in
-    graded-lex order (the serialization order)."""
+    graded-lex order."""
     out = [()]
     for _ in range(n):
         out = [prev + (k,) for prev in out for k in range(p + 1 - sum(prev))]
@@ -353,23 +353,3 @@ class FieldSpec:
         vals = {a: _eval_coeff(fn, u) for a, fn in self.coeffs.items()}
         return PointJet(self.n, self.p, tuple(embedded_base), vals)
 
-
-# ---------------------------------------------------------------------------
-# serialization: base point plus (multi-index, coefficient) pairs in
-# graded-lex order, rationals as "p/q" strings
-
-
-def jet_to_json(a: PointJet) -> dict:
-    return {
-        "n": a.n, "p": a.p,
-        "base": [expr.number_to_json(v) for v in a.base],
-        "coeffs": [[list(alpha), expr.number_to_json(a.coeffs[alpha])]
-                   for alpha in sorted(a.coeffs, key=mi_key)],
-    }
-
-
-def jet_from_json(obj: dict) -> PointJet:
-    coeffs = {tuple(alpha): expr._number_from_json(c)
-              for alpha, c in obj["coeffs"]}
-    base = tuple(expr._number_from_json(v) for v in obj["base"])
-    return PointJet(obj["n"], obj["p"], base, coeffs)

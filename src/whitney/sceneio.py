@@ -197,75 +197,3 @@ def dump_deterministic(obj) -> str:
     """Canonical JSON for byte-reproducible reports."""
     return json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=True)
 
-
-# ---------------------------------------------------------------------------
-# set descriptors and cutoff specs (embeddable in scene files)
-
-
-def cell_to_json(cell):
-    if isinstance(cell, PointCell):
-        return {"type": "point",
-                "coords": [expr.number_to_json(v) for v in cell.point]}
-    if isinstance(cell, GraphCell):
-        return {"type": "graph", "base": open_cell_to_json(cell.base),
-                "graph": [expr.exprfn_to_json(g) for g in cell.graph],
-                "perm": list(cell.perm)}
-    raise SceneFormatError(f"cannot serialize cell {type(cell).__name__}")
-
-
-def open_cell_to_json(cell):
-    if isinstance(cell, Interval):
-        return {"type": "interval", "lower": cell.lower, "upper": cell.upper}
-    return {"type": "slab", "base": open_cell_to_json(cell.base),
-            "lower": None if cell.lower is None
-            else expr.exprfn_to_json(cell.lower),
-            "upper": None if cell.upper is None
-            else expr.exprfn_to_json(cell.upper)}
-
-
-def piece_from_json(obj: dict, n: int, path: str):
-    if obj.get("type") == "ball":
-        center = tuple(_num(c, f"{path}.center[{i}]")
-                       for i, c in enumerate(obj["center"]))
-        return geometry.Ball(center, float(_num(obj["radius"],
-                                                f"{path}.radius")))
-    return parse_cell(obj, n, path)
-
-
-def piece_to_json(piece):
-    if isinstance(piece, geometry.Ball):
-        return {"type": "ball",
-                "center": [expr.number_to_json(v) for v in piece.center],
-                "radius": piece.radius}
-    return cell_to_json(piece)
-
-
-def descriptor_from_json(obj, n: int, path: str) -> geometry.SetDescriptor:
-    if not isinstance(obj, list):
-        _fail(path, "descriptor must be an array of pieces")
-    return geometry.SetDescriptor(tuple(
-        piece_from_json(p, n, f"{path}[{i}]") for i, p in enumerate(obj)))
-
-
-def descriptor_to_json(desc: geometry.SetDescriptor):
-    return [piece_to_json(p) for p in desc.pieces]
-
-
-def cutoff_spec_from_json(obj: dict, n: int, path: str = "cutoff"):
-    from .cutoff import CutoffSpec
-    return CutoffSpec(
-        descriptor_from_json(obj.get("w", []), n, f"{path}.w"),
-        descriptor_from_json(obj.get("z", []), n, f"{path}.z"),
-        eta=float(_num(obj.get("eta", 0.5), f"{path}.eta")),
-        q=int(obj.get("q", 1)),
-        rho=None if obj.get("rho") is None else float(obj["rho"]),
-        box=float(obj.get("box", geometry.DEFAULT_BOX_HALFWIDTH)))
-
-
-def cutoff_spec_to_json(spec) -> dict:
-    out = {"w": descriptor_to_json(spec.w_desc),
-           "z": descriptor_to_json(spec.z_desc),
-           "eta": spec.eta, "q": spec.q, "box": spec.box}
-    if spec.rho is not None:
-        out["rho"] = spec.rho
-    return out

@@ -48,8 +48,8 @@ def _tensor_stencil(alpha: MultiIndex) -> tuple:
 
 def finite_difference(f: Callable, alpha: MultiIndex, x: Sequence[float],
                       h: float = 1e-3) -> tuple[float, float]:
-    """``(value, error_estimate)`` of :func:`sampled_derivative_batch` at
-    the one point ``x``, for a callable ``f`` of one point (a list of
+    """``(value, error_estimate)`` of :func:`sampled_derivatives` at the
+    one point ``x``, for a callable ``f`` of one point (a list of
     coordinates); a stencil point where ``f`` raises gives
     :class:`StencilOutOfDomain`."""
     def rows(P):
@@ -62,27 +62,19 @@ def finite_difference(f: Callable, alpha: MultiIndex, x: Sequence[float],
                     f"stencil point {tuple(pt)} not evaluable: {exc}") from exc
         return out
 
-    d, err = sampled_derivative_batch(rows, np.asarray([x], dtype=float),
-                                      alpha, np.asarray([h], dtype=float))
+    X, H = np.asarray([x], dtype=float), np.asarray([h], dtype=float)
+    [(d, err)] = sampled_derivatives(rows, [(X, alpha, H)])
     return float(d[0]), float(err[0])
 
 
-def sampled_derivative_batch(fn, X: np.ndarray, alpha, h: np.ndarray):
-    """Richardson-extrapolated central differences of mixed order ``alpha``
-    of a batched callable at the rows of ``X``, with per-row steps ``h``:
-    the one request of :func:`sampled_derivatives`.
-
-    Returns ``(values, error_estimates)``; an estimate is the disagreement
-    between the steps ``h`` and ``h/2`` scaled by the extrapolation factor,
-    so for smooth inputs halving ``h`` shrinks it by about 4x.
-    """
-    return sampled_derivatives(fn, [(X, alpha, h)])[0]
-
-
 def sampled_derivatives(fn, requests) -> list:
-    """One ``(values, error_estimates)`` pair of
-    :func:`sampled_derivative_batch` per ``(X, alpha, h)`` request, from a
-    single call of ``fn`` per row width.
+    """Richardson-extrapolated central differences of a batched callable:
+    one ``(values, error_estimates)`` pair per ``(X, alpha, h)`` request,
+    the mixed partial of order ``alpha`` at the rows of ``X`` with per-row
+    steps ``h``, from a single call of ``fn`` per row width.  An estimate
+    is the disagreement between the steps ``h`` and ``h/2`` scaled by the
+    extrapolation factor, so for smooth inputs halving ``h`` shrinks it by
+    about 4x.
 
     The stencil rows of every request at the steps ``h`` and ``h/2`` (its
     own rows once when ``alpha`` is 0) are stacked, evaluated together and
@@ -177,10 +169,10 @@ def whitney_residual(jets_at: Callable, c: Sequence, beta: MultiIndex,
     return out
 
 
-def radial_pairs(c: float, scales: Sequence, direction: float = 1.0):
-    """1-d pair generator: both points on one side of the target, the
+def radial_pairs(c: float, scales: Sequence):
+    """1-d pair generator: both points on the right of the target, the
     separation tracking the scale."""
-    return [((c + direction * s,), (c + direction * s / 2,)) for s in scales]
+    return [((c + s,), (c + s / 2,)) for s in scales]
 
 
 def straddling_pairs(c: float, scales: Sequence):
@@ -208,14 +200,18 @@ class RateFit:
         return self.verdict == "PASS"
 
 
-def rate_fit(samples: Sequence[tuple], required: float,
-             margin: float = 0.25, theta: float = 1e-2) -> RateFit:
+_RATE_MARGIN = 0.25           # slope excess over the required exponent
+_RATE_THETA = 1e-2            # tail bound of the normalized values
+
+
+def rate_fit(samples: Sequence[tuple], required: float) -> RateFit:
     """Decide whether ``value = o(scale^required)`` from (scale, value)
     samples at geometrically decreasing scales.
 
-    PASS if the least-squares log-log slope clears ``required + margin``,
-    or if ``value / scale^required`` decreases monotonically below
-    ``theta``.  Needs at least 6 scales spanning two decades.
+    PASS if the least-squares log-log slope clears ``required`` plus
+    ``_RATE_MARGIN``, or if ``value / scale^required`` decreases
+    monotonically below ``_RATE_THETA``.  Needs at least 6 scales spanning
+    two decades.
     """
     if len(samples) < 6:
         raise DegenerateScales("need at least 6 scales")
@@ -235,8 +231,8 @@ def rate_fit(samples: Sequence[tuple], required: float,
     if np.count_nonzero(nonzero) < len(values) / 2:
         # (near-)identically zero residuals: flat in the strongest sense
         if np.all(values <= 1e-15 * np.maximum(1.0, scales)):
-            return RateFit(math.inf, -math.inf, 0.0, required, margin, 0.0,
-                           True, "PASS", "values identically zero")
+            return RateFit(math.inf, -math.inf, 0.0, required, _RATE_MARGIN,
+                           0.0, True, "PASS", "values identically zero")
     ls, lv = np.log10(scales[nonzero]), np.log10(values[nonzero])
     if len(ls) >= 2:
         slope, intercept = np.polyfit(ls, lv, 1)
@@ -244,15 +240,15 @@ def rate_fit(samples: Sequence[tuple], required: float,
                                        - lv) ** 2)))
     else:
         slope, intercept, resid = math.inf, -math.inf, 0.0
-    slope_ok = slope >= required + margin
-    decay_ok = monotone and tail < theta
+    slope_ok = slope >= required + _RATE_MARGIN
+    decay_ok = monotone and tail < _RATE_THETA
     verdict = "PASS" if (slope_ok or decay_ok) else "FAIL"
     reason = ("slope clears margin" if slope_ok else
               "normalized values decay" if decay_ok else
-              f"slope {slope:.3f} < {required + margin:.3f} and normalized "
-              f"tail {tail:.3e} not decaying")
-    return RateFit(float(slope), float(intercept), resid, required, margin,
-                   tail, monotone, verdict, reason)
+              f"slope {slope:.3f} < {required + _RATE_MARGIN:.3f} and "
+              f"normalized tail {tail:.3e} not decaying")
+    return RateFit(float(slope), float(intercept), resid, required,
+                   _RATE_MARGIN, tail, monotone, verdict, reason)
 
 
 # ---------------------------------------------------------------------------

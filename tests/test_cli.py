@@ -40,6 +40,18 @@ def test_validate_names_the_far_end_inconsistency(capsys):
     assert "field consistency on 'arc'" in out and "u=(0.7" in out
 
 
+def test_extend_refuses_the_far_end_inconsistency(tmp_path, capsys):
+    """`extend` refuses the scenes `validate` refuses, the chain-rule check
+    included: same INVALID lines, exit 2, no run directory."""
+    scene, out = scene_path("defect_inconsistent_far_end"), tmp_path / "run"
+    assert run("validate", scene) == 2
+    invalid = capsys.readouterr().out
+    assert run("extend", scene, "-o", out) == 2
+    assert capsys.readouterr().out == invalid
+    assert "field consistency on 'arc'" in invalid
+    assert not out.exists()
+
+
 def test_validate_names_the_overlapping_pair(capsys):
     assert run("validate", scene_path("defect_overlapping_strata")) == 2
     assert "strata 'A' and 'B' overlap" in capsys.readouterr().out
@@ -131,6 +143,30 @@ def test_extend_halfline_grid(tmp_path):
     assert report["seed"] == 0 and report["leaks"] == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert "samples.csv" in manifest["files"]
+
+
+def test_extend_hashes_each_file_once(tmp_path, monkeypatch):
+    """The manifest reuses the digest of samples.csv that report.json
+    records; every digest is the file's SHA-256."""
+    import hashlib
+    from whitney import cli
+    hashed, file_sha = [], cli._file_sha
+
+    def counted(path):
+        hashed.append(path.name)
+        return file_sha(path)
+
+    monkeypatch.setattr(cli, "_file_sha", counted)
+    out = tmp_path / "run"
+    assert run("extend", scene_path("halfline"), "-o", out,
+               "--grid=0:1:0.25") == 0
+    assert sorted(hashed) == ["halfline.json", "report.json", "samples.csv"]
+    report = json.loads((out / "report.json").read_text())
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert files == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("report.json", "samples.csv")}
+    assert files["samples.csv"] == report["samples_sha"]
 
 
 def test_extend_fullspace_matches_representative(tmp_path):
@@ -252,13 +288,13 @@ def test_each_command_validates_the_scene_once(tmp_path, monkeypatch,
                                               capsys):
     from whitney.extension import Scene
     calls = []
-    validation = Scene.validation       # what Scene.validate returns from
+    validate = Scene.validate
 
-    def counted(self, *args, **kwargs):
+    def counted(self):
         calls.append(self)
-        return validation(self, *args, **kwargs)
+        return validate(self)
 
-    monkeypatch.setattr(Scene, "validation", counted)
+    monkeypatch.setattr(Scene, "validate", counted)
     out, bad = tmp_path / "run", scene_path("defect_missing_boundary")
     for argv, code in (
             (("validate", scene_path("halfline")), 0),

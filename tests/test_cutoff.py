@@ -196,7 +196,7 @@ def test_regularized_distance_is_the_flat_soft_minimum():
     g = np.linspace(-0.5, 1.5, 51) + 0.0123
     X = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
     cols = np.concatenate(
-        [geo.distance_table(corners, box, geo.DEFAULT_COARSE).exact(X)]
+        [geo.distance_table(corners, box).exact(X)]
         + [_segment_column_by_quadrature(X, *geo.closed_form_box(e, box)[:2])
            [:, None] / kappa for e, kappa in zip(edges, d.segments.kappa)],
         axis=1)
@@ -288,7 +288,7 @@ def test_blocked_kernels_match_the_whole_matrix_bit_for_bit(monkeypatch,
     the whole-matrix scan and soft minimum bit for bit: on parabola's arc
     net, and on points, a segment and the arc net together."""
     scene, arc, X = _parabola_rows()
-    net = geo.piece_net(arc.pieces[0], scene.box, geo.DEFAULT_COARSE)
+    net = geo.piece_net(arc.pieces[0], scene.box)
     X = np.concatenate([X, net.points[::140], [[1.0, 1.0]]])
     mixed = geo.descriptor_of(*(s.cell for s in scene.strata),
                               _segment(-1.0, 0.5, -0.25))
@@ -560,14 +560,3 @@ def test_driver_cell_cutoffs_meet_the_contract():
                            seed=21)
     assert rep.passed, rep
     assert rep.plateau_checked > 0
-
-
-def test_cutoff_spec_roundtrip_through_json():
-    import json
-    from whitney.sceneio import cutoff_spec_from_json, cutoff_spec_to_json
-    spec = ball_spec(eta=0.4, q=2)
-    blob = json.loads(json.dumps(cutoff_spec_to_json(spec)))
-    back = cutoff_spec_from_json(blob, 1)
-    assert back.eta == spec.eta and back.q == spec.q
-    omega = co.build_cutoff(back)
-    assert omega((1.0,)) == 1.0 and omega((0.1,)) == 0.0

@@ -1,6 +1,7 @@
-"""Dead-code guard: every public top-level function or class of the package,
-and every public method or property of a public class, is named by some
-other code of the package or by the acceptance gate."""
+"""Dead-code guards: every public top-level function or class of the
+package, and every public method or property of a public class, is named by
+some other code of the package or by the acceptance gate; and every
+defaulted parameter of a package function is passed by some call."""
 import ast
 from pathlib import Path
 
@@ -12,10 +13,6 @@ GATE = ROOT / "tests" / "test_acceptance.py"
 ALLOWED = {
     "truncate_poly": "oracle of the jet-algebra tests (ring structure)",
     "poly_multiply": "oracle of the jet-algebra tests (untruncated product)",
-    "jet_to_json": "serializer of the jet format, round-tripped by tests",
-    "jet_from_json": "parser of the jet format, round-tripped by tests",
-    "cutoff_spec_to_json": "serializer of the cutoff-spec format",
-    "cutoff_spec_from_json": "parser of the cutoff-spec format",
     "finite_difference": "1-row stencil call of the derivative tests and "
                          "the perfbench tracer",
 }
@@ -67,3 +64,58 @@ def unreferenced_public_names() -> set:
 
 def test_every_public_name_is_used_or_allowed():
     assert unreferenced_public_names() == set(ALLOWED)
+
+
+def _defaulted(fn: ast.FunctionDef):
+    """``(name, position)`` of every parameter of ``fn`` with a default;
+    the position counts the arguments a call passes, so ``self`` is left
+    out of a method's, and a keyword-only parameter has none."""
+    args = fn.args.posonlyargs + fn.args.args
+    skip = 1 if args and args[0].arg in ("self", "cls") else 0
+    first = len(args) - len(fn.args.defaults)
+    for i, a in enumerate(args[first:], first):
+        yield a.arg, i - skip
+    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if d is not None:
+            yield a.arg, None
+
+
+def _callee(call: ast.Call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def unpassed_defaults() -> set:
+    """``module.function.parameter`` of every defaulted parameter that no
+    call in the package or the tests passes, by keyword or by position.
+    Calls match definitions by name (a class name calls its ``__init__``),
+    and a definition's calls of itself do not count."""
+    defs = []                   # (path, callee name, def node)
+    for path in _modules():
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defs.extend((path, node.name, item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and item.name == "__init__")
+            elif isinstance(node, ast.FunctionDef) and node.name != "__init__":
+                defs.append((path, node.name, node))
+    calls = []                  # (path, call node)
+    for path in _modules() + sorted((ROOT / "tests").glob("*.py")):
+        calls.extend((path, node) for node in ast.walk(ast.parse(
+            path.read_text())) if isinstance(node, ast.Call))
+    out = set()
+    for path, name, fn in defs:
+        mine = [c for where, c in calls if _callee(c) == name and not (
+            where == path and fn.lineno <= c.lineno <= fn.end_lineno)]
+        for param, position in _defaulted(fn):
+            if not any(any(k.arg == param for k in c.keywords)
+                       or (position is not None and len(c.args) > position)
+                       for c in mine):
+                out.add(f"{path.stem}.{fn.name}.{param}")
+    return out
+
+
+def test_every_default_is_passed_somewhere():
+    """A default that no call overrides is a constant in disguise."""
+    assert unpassed_defaults() == set()

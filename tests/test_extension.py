@@ -6,9 +6,8 @@ import pytest
 from whitney import expr
 from whitney import geometry as geo
 from whitney.cutoff import CutoffSpec, build_cutoff
-from whitney.errors import (ConsistencyViolation, FlatnessDeclarationMissing,
-                            SequenceLeavesCone, SingularPoint,
-                            StratificationInvalid)
+from whitney.errors import (ConsistencyViolation, SequenceLeavesCone,
+                            SingularPoint, StratificationInvalid)
 from whitney.extension import (CellTerm, Scene, Stratum,
                                check_stratum_consistency,
                                extend_field, extend_on_cell,
@@ -105,7 +104,7 @@ def test_extend_on_cell_halfline_values():
     scene = halfline_scene()
     z = scene.descriptor_for(["origin"])
     term = extend_on_cell(scene.fields["ray"], scene.stratum("ray"), z,
-                          scene, flat_declared=True)
+                          scene)
     assert term((2.0,)) == 8.0
     assert term((-1.0,)) == 0.0
 
@@ -114,7 +113,7 @@ def test_extend_on_cell_fd_flat_from_left():
     scene = halfline_scene()
     z = scene.descriptor_for(["origin"])
     term = extend_on_cell(scene.fields["ray"], scene.stratum("ray"), z,
-                          scene, flat_declared=True)
+                          scene)
     prev = None
     for j in range(3, 13):
         d, _ = finite_difference(term, (1,), (-2.0 ** -j,), h=2.0 ** -j / 30)
@@ -126,18 +125,9 @@ def test_extend_on_cell_zero_field_is_zero():
     scene = halfline_scene()
     zero_field = FieldSpec(1, 1, "ray", 1, {(0,): C(0, 1), (1,): C(0, 1)})
     z = scene.descriptor_for(["origin"])
-    term = extend_on_cell(zero_field, scene.stratum("ray"), z, scene,
-                          flat_declared=True)
+    term = extend_on_cell(zero_field, scene.stratum("ray"), z, scene)
     for x in np.linspace(-2, 3, 50):
         assert term((float(x),)) == 0.0
-
-
-def test_extend_on_cell_requires_flat_declaration():
-    scene = halfline_scene()
-    z = scene.descriptor_for(["origin"])
-    with pytest.raises(FlatnessDeclarationMissing):
-        extend_on_cell(scene.fields["ray"], scene.stratum("ray"), z, scene,
-                       flat_declared=False)
 
 
 def test_support_discipline():
@@ -146,7 +136,7 @@ def test_support_discipline():
     scene = halfline_scene()
     z = scene.descriptor_for(["origin"])
     term = extend_on_cell(scene.fields["ray"], scene.stratum("ray"), z,
-                          scene, flat_declared=True)
+                          scene)
     from whitney.cutoff import cone_membership_batch, OUT
     rng = np.random.default_rng(4)
     X = rng.uniform(-3, 3, (60, 1))
@@ -195,7 +185,8 @@ def test_validate_reports_strata_it_cannot_check():
         "stratum 'cube': closure unchecked (boundary descriptors "
         "implemented through dimension 2)",
         "stratum 'cube': disjointness unchecked (samples implemented for "
-        "dimensions 0-2)"]
+        "dimensions 0-2)",
+        "field consistency on 'cube': samples implemented for dimensions 0-2"]
     with pytest.raises(StratificationInvalid, match="unchecked"):
         extend_field(scene)
 

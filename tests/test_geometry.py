@@ -212,7 +212,7 @@ def test_net_and_table_caches_are_bounded():
         assert cache.cache_info().maxsize is not None
     limit = geo.piece_net.cache_info().maxsize
     for k in range(limit + 3):
-        geo.piece_net(parabola_cell(0.0, 1.0 + k), 3.0, 9)
+        geo.piece_net(parabola_cell(0.0, 1.0 + k), 3.0)
     assert geo.piece_net.cache_info().currsize == limit
 
 

@@ -281,24 +281,3 @@ def test_jet_permute_roundtrip(rng):
     inv = (1, 2, 0)
     back = jet_permute(jet_permute(j, perm), inv)
     assert back.coeffs == j.coeffs and back.base == j.base
-
-
-def test_jet_serialization_roundtrip(rng):
-    import json
-    from whitney.jets import jet_from_json, jet_to_json, mi_key
-    j = rand_jet(rng, 2, 3)
-    blob = jet_to_json(j)
-    keys = [tuple(a) for a, _ in blob["coeffs"]]
-    assert keys == sorted(keys, key=mi_key)          # graded-lex order
-    assert any(isinstance(c, str) and "/" in c for _, c in blob["coeffs"])
-    back = jet_from_json(json.loads(json.dumps(blob)))
-    assert back.coeffs == j.coeffs and back.base == j.base
-
-
-def test_jet_from_json_rejects_booleans(rng):
-    from whitney.errors import UnsupportedNode
-    from whitney.jets import jet_from_json, jet_to_json
-    blob = jet_to_json(rand_jet(rng, 2, 1))
-    blob["coeffs"][0][1] = True
-    with pytest.raises(UnsupportedNode):
-        jet_from_json(blob)

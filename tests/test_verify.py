@@ -10,8 +10,7 @@ from whitney.extension import extend_field
 from whitney.jets import (coefficient_rows, jet_from_coeffs, multi_indices,
                           taylor_jet)
 from whitney.verify import (check_extension, finite_difference, radial_pairs,
-                            rate_fit, sampled_derivative_batch,
-                            sampled_derivatives, straddling_pairs,
+                            rate_fit, sampled_derivatives, straddling_pairs,
                             whitney_residual)
 
 from conftest import load_corpus_scene, rand_point, rand_polynomial
@@ -64,7 +63,7 @@ def test_finite_difference_is_a_row_of_the_batched_kernel(rng):
     X = rng.uniform(-1.0, 1.0, (6, 2))
     H = np.geomspace(1e-3, 3e-2, 6)
     for alpha in ((0, 0), (1, 0), (0, 2), (1, 1), (2, 1)):
-        vals, errs = sampled_derivative_batch(rows, X, alpha, H)
+        [(vals, errs)] = sampled_derivatives(rows, [(X, alpha, H)])
         for x, h, v, e in zip(X, H, vals, errs):
             assert finite_difference(point, alpha, tuple(x), h) == (v, e)
 
@@ -87,7 +86,7 @@ def test_sampled_derivatives_match_single_requests(rng):
     batched = sampled_derivatives(fn, requests)
     assert sorted(widths) == [1, 2, 3]
     for (X, alpha, h), (vals, errs) in zip(requests, batched):
-        want_vals, want_errs = sampled_derivative_batch(fn, X, alpha, h)
+        [(want_vals, want_errs)] = sampled_derivatives(fn, [(X, alpha, h)])
         assert vals.tobytes() == want_vals.tobytes()
         assert errs.tobytes() == want_errs.tobytes()
     # a callable that returns a scalar for a batch is broadcast to it
@@ -239,7 +238,8 @@ def test_check_extension_evaluates_f_once():
             scene.descriptor_for(stratum.boundary_ids), X, scene.box)
         H = np.clip(np.where(lo > 0.0, lo, up) / 10.0, 1e-7, 1e-3)
         for alpha in multi_indices(scene.n, scene.p):
-            got, _ = sampled_derivative_batch(f, X, cell.to_ambient(alpha), H)
+            [(got, _)] = sampled_derivatives(
+                f, [(X, cell.to_ambient(alpha), H)])
             expect = coefficient_rows(scene.fields[stratum.id].coeffs[alpha],
                                       U)
             want.append((stratum.id, alpha, float(np.max(
