@@ -10,7 +10,7 @@ from .expr import ExprFn, differentiate, evaluate  # noqa: F401
 from .jets import (PointJet, FieldSpec, jet_add, jet_mul, jet_eval,  # noqa: F401
                    jet_compose, taylor_jet, truncate_poly, multi_indices)
 from .geometry import (Interval, Slab, GraphCell, PointCell,  # noqa: F401
-                       SetDescriptor, set_distance, membership)
+                       SetDescriptor, distance_brackets, membership)
 from .cutoff import (CutoffSpec, build_cutoff, verify_cutoff,  # noqa: F401
                      smooth_transition, regularized_distance)
 from .extension import (Scene, Stratum, ExtensionFn, extend_field,  # noqa: F401

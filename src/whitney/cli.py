@@ -217,11 +217,13 @@ def _whitney_probes(scene, cfg):
             cell = scene.stratum(probe["stratum"]).cell
             u0 = np.asarray(probe["param_target"], dtype=float)
             du = np.asarray(probe["param_direction"], dtype=float)
-            embed = lambda s: tuple(
-                float(v) for v in cell.embed(tuple(u0 + du * s)))
+            s = np.asarray(scales)[:, None]
+            X = [tuple(x) for x in cell.embed_rows(
+                np.vstack([u0 + du * s, u0 + du * (s / 2)])).tolist()]
+            far, near = X[:len(scales)], X[len(scales):]
             anchor = tuple(float(v) for v in probe["anchor"])
-            radial = [(embed(s), embed(s / 2)) for s in scales]
-            anchored = [(embed(s), anchor) for s in scales]
+            radial = list(zip(far, near))
+            anchored = [(x, anchor) for x in far]
             target = anchor
         else:
             t = np.asarray(probe["target"], dtype=float)

@@ -120,26 +120,26 @@ class Scene:
 
     def _closure_check(self, s: Stratum) -> list[str]:
         """Frontier sample points must land on declared boundary strata;
-        one problem per stratum names the first uncovered point or the
-        worst miss.  A frontier that cannot be sampled is unchecked."""
+        one problem per stratum names the first frontier point when none is
+        declared, else the worst miss.  A frontier that cannot be sampled is unchecked."""
         try:
             frontier = _frontier_samples(s.cell, self.box)
         except UnsupportedDescriptor as exc:
             return [f"stratum {s.id!r}: closure unchecked ({exc})"]
         if not len(frontier):
             return []
-        if not s.boundary_ids:
-            x = frontier[0]
-            return [f"stratification not closed: frontier point "
-                    f"{tuple(round(float(v), 6) for v in x)} of "
-                    f"{s.id!r} has no boundary stratum"]
-        boundary = self.descriptor_for(s.boundary_ids)
-        worst = max(geometry.set_distance(boundary, x, box=self.box).up
-                    for x in frontier)
-        if worst > 1e-4:
-            return [f"stratification not closed: frontier point of "
-                    f"{s.id!r} misses its declared boundary by {worst:.2e}"]
-        return []
+        if s.boundary_ids:
+            _, up = geometry.distance_brackets(
+                self.descriptor_for(s.boundary_ids), frontier, self.box)
+            worst = int(np.argmax(up))
+            if up[worst] <= 1e-4:
+                return []
+            what = f"misses its declared boundary by {up[worst]:.2e}"
+        else:
+            worst, what = 0, "has no boundary stratum"
+        x = tuple(round(float(v), 6) for v in frontier[worst])
+        return [f"stratification not closed: frontier point {x} of "
+                f"{s.id!r} {what}"]
 
     def _disjointness_check(self, singular: set) -> list[str]:
         """Samples of each stratum must lie on no other stratum; the
@@ -589,25 +589,22 @@ def flatness_rate_probe(h: Callable, z_desc: SetDescriptor,
     rejecting such radial approaches.
     """
     n = len(points[0])
-    w_desc = geometry.descriptor_of(cell)
+    X = np.asarray(points, dtype=float)
     c_eff = max(cone_constant, 1.0) * (1.0 + 1e-6)
-    ratio_max = 0.0
-    dzs = []
-    for x in points:
-        dw = geometry.set_distance(w_desc, x, box=box)
-        dz = geometry.set_distance(z_desc, x, box=box)
-        if dz.up <= 0:
+    _, up_w = geometry.distance_brackets(geometry.descriptor_of(cell), X, box)
+    lo_z, up_z = geometry.distance_brackets(z_desc, X, box)
+    ratios = up_w / np.maximum(lo_z, 1e-300)
+    for x, dz, ratio in zip(points, up_z, ratios):
+        if dz <= 0:
             raise SequenceLeavesCone("sequence point lies on Z")
-        ratio = dw.up / max(dz.lo, 1e-300)
-        ratio_max = max(ratio_max, ratio)
         if ratio > c_eff:
             raise SequenceLeavesCone(
                 f"point {tuple(x)} has d(x,cell)/d(x,Z) = {ratio:.3f} "
                 f"> {c_eff:.3f}")
-        dzs.append(dz.mid)
+    ratio_max = float(ratios.max(initial=0.0))
+    dzs = (0.5 * (lo_z + up_z)).tolist()
 
     kappas = multi_indices(n, p)
-    X = np.asarray(points, dtype=float)
     steps = np.asarray([max(min(1e-3, dz / 20.0), 1e-8) for dz in dzs])
     derivs = verify.sampled_derivatives(h, [(X, kappa, steps)
                                             for kappa in kappas])

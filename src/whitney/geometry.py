@@ -11,8 +11,8 @@ point.
 Distances are always reported as brackets ``[lo, up]`` by one batched
 table per descriptor (:class:`DistanceTable`): exact for points, balls,
 the full space and constant graphs over boxes; otherwise ``up`` is the
-best point of a cached embedded net (golden-section polished for single
-points on 1-d cells) and ``lo`` subtracts the net's covering radius.
+distance to a foot point, which Newton steps refine from the best point of
+a cached embedded net, and ``lo`` subtracts the net's covering radius.
 Both probes sample; neither is a proof.
 """
 from __future__ import annotations
@@ -85,14 +85,9 @@ class GraphCell:
             x[axis] = y[i]
         return tuple(x)
 
-    def embed(self, u):
-        """Ambient point over parameter ``u``."""
-        w = tuple(expr.evaluate(phi, u) for phi in self.graph)
-        return self.to_ambient(tuple(u) + w)
-
     def embed_rows(self, U: np.ndarray) -> np.ndarray:
         """Ambient points over the parameter rows ``U``; raises
-        :class:`SingularPoint` where :meth:`embed` would."""
+        :class:`SingularPoint` where a graph map is singular."""
         X = np.empty((len(U), self.ambient_dim))
         X[:, list(self.perm)] = np.hstack(
             [U] + [expr.evaluate_rows_or_raise(phi, U)[:, None]
@@ -108,9 +103,6 @@ class PointCell:
 
     def to_ambient(self, y):
         return tuple(y)
-
-    def embed(self, u):
-        return self.point
 
     def embed_rows(self, U: np.ndarray) -> np.ndarray:
         return np.tile(np.asarray(self.point, dtype=float), (len(U), 1))
@@ -173,19 +165,24 @@ def membership(cell, X, tol: float = 1e-9) -> np.ndarray:
                              X[:, 0], lo, hi, tol)
     status = membership(cell.base, X[:, :-1], tol)
     rows = np.flatnonzero(status)
-    V = X[rows, :-1]
-    lo, hi = np.full(len(rows), -math.inf), np.full(len(rows), math.inf)
-    singular = np.zeros(len(rows), dtype=bool)
-    if cell.lower is not None:
-        lo, s = expr.evaluate_rows(cell.lower, V)
-        singular |= s
-    if cell.upper is not None:
-        hi, s = expr.evaluate_rows(cell.upper, V)
-        singular |= s
+    lo, hi, singular = _walls(cell, X[rows, :-1], math.inf)
     sub = _fibre_status(status[rows], X[rows, -1], lo, hi, tol)
     sub[singular] = BOUNDARY
     status[rows] = sub
     return status
+
+
+def _walls(cell: Slab, V: np.ndarray, box: float):
+    """``(lower, upper, singular)``: the walls of a slab over the base rows
+    ``V``, a missing wall read as ``-box`` or ``box``, and the rows where
+    one is singular."""
+    walls, singular = [], np.zeros(len(V), dtype=bool)
+    for wall, default in ((cell.lower, -box), (cell.upper, box)):
+        w, s = ((np.full(len(V), default), False) if wall is None
+                else expr.evaluate_rows(wall, V))
+        walls.append(w)
+        singular |= s
+    return walls[0], walls[1], singular
 
 
 def _fibre_status(status, t, lo, hi, tol):
@@ -236,47 +233,6 @@ def descriptor_of(*pieces) -> SetDescriptor:
     return SetDescriptor(tuple(pieces))
 
 
-@dataclass(frozen=True)
-class Bracket:
-    lo: float
-    up: float
-
-    @property
-    def width(self) -> float:
-        return self.up - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.up)
-
-
-def _exact(v: float) -> Bracket:
-    return Bracket(v, v)
-
-
-def set_distance(desc: SetDescriptor, x,
-                 box: float = DEFAULT_BOX_HALFWIDTH) -> Bracket:
-    """Bracketed distance from ``x`` to the descriptor.  Empty set -> 1.
-
-    One row of :func:`distance_brackets`, except that a golden-section
-    search around the best net point may lower the upper bracket of 1-d
-    net-backed cells.
-    """
-    if desc.is_empty:
-        return _exact(1.0)
-    table = distance_table(desc, box)
-    x = np.array(x, dtype=float)
-    lo = up = min([math.inf] + table.exact(x).tolist())
-    for cell, net in table.nets:
-        n_lo, n_up, nearest = net.scan(x[None, :])
-        n_lo, n_up = float(n_lo[0]), float(n_up[0])
-        if cell.intrinsic_dim == 1:
-            t0 = float(net.params[nearest[0], 0])
-            n_up = min(n_up, _polish_1d(cell, x, t0, box))
-        lo, up = min(lo, n_lo, n_up), min(up, n_up)
-    return Bracket(lo, up)
-
-
 def distance_brackets(desc: SetDescriptor, X,
                       box: float = DEFAULT_BOX_HALFWIDTH):
     """Lower and upper distance brackets from every row of ``X`` to the
@@ -302,10 +258,13 @@ class DistanceTable:
     space an unbounded box, and a constant graph over a constant-wall box
     an ambient box that is degenerate along the normal axes (the clamp in
     the base plus the constant normal offset).  Their brackets are exact.
-    Every other cell scans its embedded :func:`piece_net`.
+    Every other cell scans its embedded :func:`piece_net` and refines each
+    row's nearest net point into a foot point (:func:`_foot_distances`),
+    whose distance is the upper bracket.
     """
 
     def __init__(self, desc: SetDescriptor, box: float):
+        self.box = box
         lows, highs, radii = [], [], []
         self.nets: list[tuple[GraphCell, PieceNet]] = []
         for piece in desc.pieces:
@@ -334,9 +293,11 @@ class DistanceTable:
 
     def __call__(self, X: np.ndarray):
         lo = up = self.exact(X).min(axis=1, initial=np.inf)
-        for _, net in self.nets:
-            n_lo, n_up, _ = net.scan(X)
-            lo, up = np.minimum(lo, n_lo), np.minimum(up, n_up)
+        for cell, net in self.nets:
+            n_lo, n_up, nearest = net.scan(X)
+            n_up = _foot_distances(cell, net, X, n_up, nearest, self.box)
+            lo = np.minimum(lo, np.minimum(n_lo, n_up))
+            up = np.minimum(up, n_up)
         return lo, up
 
 
@@ -476,60 +437,109 @@ def _net_lipschitz(cell: GraphCell, net: np.ndarray) -> float:
     singular Jacobian entry counts as 0."""
     if not cell.graph:
         return 0.0
-    jac, _ = _jacobian_rows(cell.graph, net[::max(1, len(net) // 64)])
+    jac, _, _ = _jacobian_rows(cell.graph, net[::max(1, len(net) // 64)])
     worst = 0.0
     for row in jac.reshape(len(jac), -1).tolist():
         worst = max(worst, math.sqrt(sum(g ** 2 for g in row if g == g)))
     return 1.5 * worst
 
 
-def _jacobian_rows(graph: Sequence[ExprFn], U: np.ndarray):
-    """``(jac, singular)``: the ``(N, k, m)`` Jacobian of the graph map on
-    the rows of ``U``, NaN at a singular entry, and the rows with any."""
-    m = U.shape[1]
-    jac = np.empty((len(U), len(graph), m))
-    singular = np.zeros(len(U), dtype=bool)
+def _jacobian_rows(graph: Sequence[ExprFn], U: np.ndarray,
+                   hessian: bool = False):
+    """``(jac, hess, singular)``: the ``(N, k, m)`` Jacobian of the graph
+    map on the rows of ``U``, its ``(N, k, m, m)`` Hessian when ``hessian``
+    (else None), NaN at a singular entry, and the rows with any."""
+    n, m = len(U), U.shape[1]
+    units = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
+    jac = np.empty((n, len(graph), m))
+    hess = np.empty((n, len(graph), m, m)) if hessian else None
+    singular = np.zeros(n, dtype=bool)
     for r, phi in enumerate(graph):
         for i in range(m):
-            alpha = tuple(1 if j == i else 0 for j in range(m))
-            jac[:, r, i], s = expr.evaluate_rows(
-                expr.differentiate(phi, alpha), U)
+            d_i = expr.differentiate(phi, units[i])
+            jac[:, r, i], s = expr.evaluate_rows(d_i, U)
             singular |= s
-    return jac, singular
+            for j in range(i + 1 if hessian else 0):
+                hess[:, r, i, j], s = expr.evaluate_rows(
+                    expr.differentiate(d_i, units[j]), U)
+                hess[:, r, j, i] = hess[:, r, i, j]
+                singular |= s
+    return jac, hess, singular
 
 
-def _polish_1d(cell: GraphCell, x: np.ndarray, t0: float, box: float) -> float:
-    """Golden-section refinement of the candidate parameter for m=1 cells."""
-    lo, hi = interval_bounds(_innermost_interval(cell.base), box)
-
-    def f(t):
-        try:
-            p = np.asarray(cell.embed((t,)), dtype=float)
-        except SingularPoint:
-            return math.inf
-        return float(np.linalg.norm(p - x))
-
-    span = (hi - lo) / 64.0
-    a, b = max(lo, t0 - span), min(hi, t0 + span)
-    phi = (math.sqrt(5) - 1) / 2
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(70):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return min(fc, fd)
+_FOOT_STEPS = 32      # cap on Newton iterations, and on halvings in one
+_EPS = np.finfo(float).eps
 
 
-def _innermost_interval(cell: OpenCell) -> Interval:
-    while isinstance(cell, Slab):
-        cell = cell.base
-    return cell
+def _foot_distances(cell: GraphCell, net: PieceNet, X: np.ndarray,
+                    up: np.ndarray, nearest: np.ndarray,
+                    box: float) -> np.ndarray:
+    """``up``, the distances from the rows of ``X`` to their ``nearest``
+    net points, lowered to those of foot points on the closure of ``cell``.
+
+    Newton steps on ``|embed(u) - x|^2`` with the exact derivatives of the
+    graph map (Gauss-Newton where that Hessian is not positive definite)
+    start at each row's net point, are clamped to the closed base and are
+    halved until they lower the row's distance.  Only the rows that
+    improved take another step; a singular row keeps its net distance."""
+    m, perm = cell.intrinsic_dim, list(cell.perm)
+    Y = X[:, perm]
+    Z = net.points[nearest][:, perm]        # (u, phi(u)) of the net points
+    up = up.copy()
+    rows = np.arange(len(X))
+    for _ in range(_FOOT_STEPS):
+        jac, hess, singular = _jacobian_rows(cell.graph, Z[rows, :m], True)
+        rows, jac, hess = rows[~singular], jac[~singular], hess[~singular]
+        if not len(rows):
+            break
+        diff = Z[rows] - Y[rows]
+        grad = diff[:, :m] + np.einsum("nki,nk->ni", jac, diff[:, m:])
+        gauss = np.eye(m) + np.einsum("nki,nkj->nij", jac, jac)
+        newton = gauss + np.einsum("nk,nkij->nij", diff[:, m:], hess)
+        convex = np.linalg.eigvalsh(newton)[:, 0] > 0.0
+        step = np.linalg.solve(np.where(convex[:, None, None], newton, gauss),
+                               -grad[..., None])[..., 0]
+        # a step scaled by t <= 1 lowers |embed(u) - x|^2 by at least about
+        # t * gain; below that value's rounding, no halving can lower it
+        gain = -np.einsum("ni,ni->n", grad, step)
+        improved = np.zeros(len(rows), dtype=bool)
+        todo, t = np.arange(len(rows)), 1.0
+        for _ in range(_FOOT_STEPS):
+            todo = todo[t * gain[todo] > _EPS * up[rows[todo]] ** 2]
+            if not len(todo):
+                break
+            r = rows[todo]
+            trial = np.empty((len(r), len(perm)))
+            trial[:, :m], bad = _clamp_to_base(
+                cell.base, Z[r, :m] + t * step[todo], box)
+            for j, phi in enumerate(cell.graph):
+                trial[:, m + j], s = expr.evaluate_rows(phi, trial[:, :m])
+                bad |= s
+            D = np.empty_like(trial)
+            D[:, perm] = trial - Y[r]
+            d = _row_norms(D)
+            better = ~bad & (d < up[r])
+            Z[r[better]], up[r[better]] = trial[better], d[better]
+            improved[todo[better]] = True
+            # a step the clamp undoes stays undone when halved
+            moved = np.any(trial[:, :m] != Z[r, :m], axis=1)
+            todo, t = todo[~better & moved], t / 2.0
+        rows = rows[improved]
+    return up
+
+
+def _clamp_to_base(base: OpenCell, U: np.ndarray, box: float):
+    """``(U clamped, bad)``: every row of ``U`` clamped into the closure of
+    the open cell ``base``, a missing bound read as ``-box`` or ``box``,
+    last coordinate first clamped between the walls over the clamped rest;
+    ``bad`` marks the rows where a wall is singular or the walls cross."""
+    if isinstance(base, Interval):
+        lo, hi = interval_bounds(base, box)
+        return np.clip(U, lo, hi), np.zeros(len(U), dtype=bool)
+    V, bad = _clamp_to_base(base.base, U[:, :-1], box)
+    lo, hi, singular = _walls(base, V, box)
+    bad |= singular | (lo > hi)
+    return np.column_stack([V, np.clip(U[:, -1], lo, hi)]), bad
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +589,6 @@ def _interval_net(lo, hi, lower_finite, upper_finite, coarse, ratio, floor):
     return ts[order], np.asarray(cov)[order]
 
 
-def _wall_interval(base: Slab, t: float, box: float) -> tuple[float, float]:
-    """The fibre ``(lower wall, upper wall)`` of a slab over the base
-    parameter ``t``, a missing wall read as ``-box`` or ``box``; raises
-    :class:`SingularPoint` where a wall does."""
-    wlo = (-box if base.lower is None
-           else float(expr.evaluate(base.lower, (t,))))
-    whi = (box if base.upper is None
-           else float(expr.evaluate(base.upper, (t,))))
-    return wlo, whi
-
-
 def _slab_net_2d(base: Slab, box):
     lo, hi = interval_bounds(base.base, box)
     coarse2 = max(17, DEFAULT_COARSE // 4)
@@ -598,14 +597,12 @@ def _slab_net_2d(base: Slab, box):
                              base.base.upper is not None, coarse2,
                              ratio, floor)
     pts, covs = [], []
-    for t, c in zip(t1, cov1):
-        try:
-            wlo, whi = _wall_interval(base, t, box)
-        except SingularPoint:
+    wlo, whi, singular = _walls(base, t1[:, None], box)
+    for t, c, w0, w1, bad in zip(t1, cov1, wlo.tolist(), whi.tolist(),
+                                 singular):
+        if bad or w1 <= w0:
             continue
-        if whi <= wlo:
-            continue
-        t2, cov2 = _interval_net(wlo, whi, base.lower is not None,
+        t2, cov2 = _interval_net(w0, w1, base.lower is not None,
                                  base.upper is not None, coarse2,
                                  ratio, floor)
         for s, c2 in zip(t2, cov2):
@@ -644,10 +641,14 @@ def stratum_samples(cell, k: int, box: float = DEFAULT_BOX_HALFWIDTH,
         side = max(3, int(math.sqrt(k)))
         lo, hi = interval_bounds(base.base, box)
         out = []
-        for t in np.linspace(lo, hi, side + 2)[1:-1]:
-            wlo, whi = _wall_interval(base, t, box)
-            for s in np.linspace(wlo, whi, side + 2)[1:-1]:
-                out.append((float(t), float(s)))
+        ts = np.linspace(lo, hi, side + 2)[1:-1]
+        wlo, whi, singular = _walls(base, ts[:, None], box)
+        if singular.any():
+            raise SingularPoint(
+                f"slab wall singular at t={ts[np.argmax(singular)]}")
+        for t, w0, w1 in zip(ts.tolist(), wlo.tolist(), whi.tolist()):
+            out.extend((t, float(s))
+                       for s in np.linspace(w0, w1, side + 2)[1:-1])
         return out
     raise UnsupportedDescriptor("samples implemented for dimensions 0-2")
 
@@ -728,7 +729,7 @@ def lipschitz_estimate(graph: Sequence[ExprFn],
     if not graph:
         return LipschitzReport(0.0, 1.0, 0)
     pts = stratum_samples(identity_graph_cell(base), 400)
-    jac, singular = _jacobian_rows(graph, np.asarray(pts, dtype=float))
+    jac, _, singular = _jacobian_rows(graph, np.asarray(pts, dtype=float))
     worst = float(np.linalg.norm(jac[~singular], 2, axis=(1, 2))
                   .max(initial=0.0))
     return LipschitzReport(worst, 1.0 / math.sqrt(1.0 + worst * worst),
@@ -747,36 +748,35 @@ def distance_sandwich_check(cell: GraphCell, samples: Sequence,
     """Check the two-sided comparison between the true distance to a graph
     cell and the normal offset |w - phi(u)|, with slope factor from the
     Lipschitz probe; samples outside the parameter slab are checked against
-    the frontier inequality instead."""
+    the frontier inequality instead.  ``checked`` counts the samples
+    compared: a sample where the graph map is singular is skipped."""
     m = cell.intrinsic_dim
     lip = lipschitz_estimate(cell.graph, cell.base)
-    desc = descriptor_of(cell)
-    frontier = graph_cell_frontier(cell)
-    violations = []
+    X = np.asarray(samples, dtype=float).reshape(len(samples),
+                                                 cell.ambient_dim)
+    Y = X[:, list(cell.perm)]
+    _, up = distance_brackets(descriptor_of(cell), X)
+    gap, singular = np.zeros(len(X)), np.zeros(len(X), dtype=bool)
+    for j, phi in enumerate(cell.graph):
+        w, s = expr.evaluate_rows(phi, Y[:, :m])
+        gap += (Y[:, m + j] - w) ** 2
+        singular |= s
+    gap = np.sqrt(gap)
+    on_base = membership(cell.base, Y[:, :m]) == INSIDE
+    on, off = np.flatnonzero(on_base & ~singular), np.flatnonzero(~on_base)
+    # the bound each row is compared with: its normal offset on the base,
+    # its lower distance bracket to the frontier off it
+    bound = gap.copy()
+    bound[off], _ = distance_brackets(graph_cell_frontier(cell), X[off])
+    bad = np.zeros(len(X), dtype=bool)
+    bad[on] = ~((lip.l_hat * gap[on] - eps <= up[on])
+                & (up[on] <= gap[on] + eps))
+    bad[off] = up[off] < lip.l_hat * bound[off] - eps
+    violations = [(tuple(X[i].tolist()), float(up[i]), float(bound[i]))
+                  for i in np.flatnonzero(bad)]
     max_gap = 0.0
-    graph_const = all(g.root.op == "const" for g in cell.graph)
-    U = np.asarray(samples, dtype=float).reshape(
-        len(samples), cell.ambient_dim)[:, list(cell.perm[:m])]
-    inside = membership(cell.base, U) == INSIDE
-    for x, on_base in zip(samples, inside):
-        y = cell.to_internal(x)
-        u, w = y[:m], y[m:]
-        d = set_distance(desc, x)
-        if on_base:
-            try:
-                offs = [float(wi) - float(expr.evaluate(phi, u))
-                        for wi, phi in zip(w, cell.graph)]
-            except SingularPoint:
-                continue
-            gap = math.sqrt(sum(o * o for o in offs))
-            if not (lip.l_hat * gap - eps <= d.up and d.up <= gap + eps):
-                violations.append((tuple(map(float, x)), d.up, gap))
-            if graph_const:
-                # zero slope forces equality between the distance and the
-                # normal offset; record how tightly it holds
-                max_gap = max(max_gap, abs(d.up - gap))
-        else:
-            db = set_distance(frontier, x)
-            if d.up < lip.l_hat * db.lo - eps:
-                violations.append((tuple(map(float, x)), d.up, db.lo))
-    return SandwichReport(len(samples), violations, max_gap)
+    if all(g.root.op == "const" for g in cell.graph):
+        # zero slope forces equality between the distance and the normal
+        # offset; record how tightly it holds
+        max_gap = float(np.abs(up[on] - gap[on]).max(initial=0.0))
+    return SandwichReport(len(on) + len(off), violations, max_gap)

@@ -200,10 +200,12 @@ def test_criterion_7_distance_sandwich():
                     float(rng.uniform(-1.0, 3.0))) for _ in range(1000)]
         rep = geo.distance_sandwich_check(cell, samples, eps=1e-6)
         assert not rep.violations, (cell, rep.violations[:3])
+        assert rep.checked == 1000
     const_cell = bundled_graph_cells()[0]
-    for u, w in [(0.3, 2.7), (0.8, 1.1), (0.5, 2.0001)]:
-        d = geo.set_distance(geo.descriptor_of(const_cell), (u, w))
-        assert abs(d.up - abs(w - 2.0)) < 1e-9
+    rows = [(0.3, 2.7), (0.8, 1.1), (0.5, 2.0001)]
+    _, up = geo.distance_brackets(geo.descriptor_of(const_cell), rows)
+    for (u, w), d in zip(rows, up):
+        assert abs(d - abs(w - 2.0)) < 1e-9
     elapsed = time.time() - t0
     assert elapsed < 60.0
     report("7", f"0 violations at 10^3 samples/cell, constant graph exact "

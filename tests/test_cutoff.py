@@ -105,8 +105,8 @@ def test_regularized_segment_net_comparable():
     d = co.regularized_distance(geo.descriptor_of(seg), box=3.0)
     desc = geo.descriptor_of(seg)
     worst_ratio = 0.0
-    for x in [(0.5, 0.4), (-0.3, 0.2), (1.5, -0.7), (0.2, -1.0)]:
-        true = geo.set_distance(desc, x).up
+    X = [(0.5, 0.4), (-0.3, 0.2), (1.5, -0.7), (0.2, -1.0)]
+    for x, true in zip(X, geo.distance_brackets(desc, X)[1]):
         val = d(x)
         assert val <= true + 1e-9
         worst_ratio = max(worst_ratio, true / val)
@@ -350,10 +350,10 @@ def test_cone_membership_indeterminate_between_brackets():
     w = geo.descriptor_of(par)
     z = point_desc(5.0, 5.0)
     x = (0.5, 0.35)
-    dw = geo.set_distance(w, x)
-    dz = geo.set_distance(z, x)
-    assert dw.lo < dw.up
-    eta_mid = dw.mid / dz.mid
+    (lo_w,), (up_w,) = geo.distance_brackets(w, [x])
+    (lo_z,), (up_z,) = geo.distance_brackets(z, [x])
+    assert lo_w < up_w
+    eta_mid = (lo_w + up_w) / (lo_z + up_z)
     member, _ = co.cone_membership_batch(w, z, eta_mid, [x])
     assert member[0] == co.INDETERMINATE
 

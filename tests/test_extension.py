@@ -202,8 +202,8 @@ def test_validate_samples_the_frontier_of_a_2d_cell():
         for s in scene.strata)
     broken = Scene(2, 1, 2, strata, scene.fields, frozenset(), box=3.0)
     assert broken.validate() == [
-        "stratification not closed: frontier point of 'face' misses its "
-        "declared boundary by 4.38e-01"]
+        "stratification not closed: frontier point (0.4375, 1.0) of 'face' "
+        "misses its declared boundary by 4.38e-01"]
 
 
 def test_validate_propagates_unexpected_errors(monkeypatch):

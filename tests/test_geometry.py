@@ -110,10 +110,10 @@ def test_membership_full_dimensional_graph_is_its_base():
 
 
 def test_embed_rows_matches_embed(rng):
-    cell = geo.GraphCell(geo.Interval(-1.0, 1.0),
-                         (rand_polynomial(rng, 1, 4),), (1, 0))
+    phi = rand_polynomial(rng, 1, 4)
+    cell = geo.GraphCell(geo.Interval(-1.0, 1.0), (phi,), (1, 0))
     U = rng.uniform(-1.0, 1.0, (50, 1))
-    want = [[float(v) for v in cell.embed(u)] for u in U.tolist()]
+    want = [[float(expr.evaluate(phi, u)), u[0]] for u in U.tolist()]
     assert cell.embed_rows(U).tolist() == want
 
 
@@ -131,33 +131,37 @@ def test_membership_point_cell_at_tol():
 
 # --- distances ----------------------------------------------------------
 
+def distance(desc, x, box=geo.DEFAULT_BOX_HALFWIDTH):
+    """``(lo, up)`` of one point, as a 1-row batch."""
+    lo, up = geo.distance_brackets(desc, [x], box)
+    return float(lo[0]), float(up[0])
+
+
 def test_distance_empty_set_is_one():
-    assert geo.set_distance(geo.EMPTY_SET, (17.0,)) == geo.Bracket(1.0, 1.0)
+    assert distance(geo.EMPTY_SET, (17.0,)) == (1.0, 1.0)
 
 
 def test_distance_to_point():
-    d = geo.set_distance(geo.descriptor_of(geo.PointCell((0.0,))), (-3.0,))
-    assert d.lo == d.up == 3.0
+    lo, up = distance(geo.descriptor_of(geo.PointCell((0.0,))), (-3.0,))
+    assert lo == up == 3.0
 
 
 def test_distance_constant_graph_exact():
-    d = geo.set_distance(geo.descriptor_of(const_graph(2.0)), (0.5, 2.4))
-    assert abs(d.up - 0.4) < 1e-9 and abs(d.lo - 0.4) < 1e-9
+    lo, up = distance(geo.descriptor_of(const_graph(2.0)), (0.5, 2.4))
+    assert abs(up - 0.4) < 1e-9 and abs(lo - 0.4) < 1e-9
 
 
 def test_distance_line_cell():
-    d = geo.set_distance(geo.descriptor_of(line_cell()), (0.5, 0.9))
+    lo, up = distance(geo.descriptor_of(line_cell()), (0.5, 0.9))
     true = 0.4 / math.sqrt(2.0)
-    assert d.lo - 1e-9 <= true <= d.up + 1e-9
-    assert abs(d.up - true) < 1e-6
+    assert lo - 1e-9 <= true <= up + 1e-9
+    assert abs(up - true) < 1e-12
 
 
 def test_distance_bracket_ordering_and_monotone_refinement(rng):
-    desc = geo.descriptor_of(parabola_cell())
-    for _ in range(50):
-        x = rng.uniform(-1.5, 1.5, size=2)
-        d = geo.set_distance(desc, x)
-        assert d.lo <= d.up + 1e-15
+    lo, up = geo.distance_brackets(geo.descriptor_of(parabola_cell()),
+                                   rng.uniform(-1.5, 1.5, (50, 2)))
+    assert np.all(lo <= up)
 
 
 def test_contains_consistent_with_distance():
@@ -167,9 +171,9 @@ def test_contains_consistent_with_distance():
     on = (0.5, 0.25)
     off = (0.5, 0.6)
     assert status(cell, on, tau) == IN
-    assert geo.set_distance(desc, on).up <= tau
+    assert distance(desc, on)[1] <= tau
     assert status(cell, off, tau) == OUT
-    assert geo.set_distance(desc, off).lo > tau
+    assert distance(desc, off)[0] > tau
 
 
 # --- one distance table for every caller ----------------------------------
@@ -191,20 +195,56 @@ FAR = (50.0, 0.0)
     (parabola_cell(), None),
 ], ids=["point", "ball", "full-space", "box", "constant-graph", "arc"])
 def test_set_distance_is_a_row_of_the_batched_table(piece, far_distance):
+    """A single point is a 1-row batch; closed-form rows are exact, and a
+    net row's foot point never lies above the net's best point."""
     desc = geo.descriptor_of(piece)
     X = np.array([FAR, (0.5, 2.4), (-1.0, 3.0), (0.3, 0.09), (2.0, -2.0),
                   (0.5, 0.35), (0.7, 1.2)])
     lo, up = geo.distance_brackets(desc, X, box=3.0)
     assert np.all((0.0 <= lo) & (lo <= up))
     for x, row_lo, row_up in zip(X, lo, up):
-        d = geo.set_distance(desc, tuple(x), box=3.0)
-        if far_distance is None:
-            # the golden-section polish may only tighten a 1-d curved cell
-            assert d.up <= row_up and d.lo == min(row_lo, d.up)
-        else:
-            assert (d.lo, d.up) == (row_lo, row_up)
-    if far_distance is not None:
-        assert up[0] == lo[0] == pytest.approx(far_distance, rel=1e-14)
+        assert distance(desc, tuple(x), box=3.0) == (row_lo, row_up)
+    if far_distance is None:
+        net_lo, net_up, _ = geo.piece_net(piece, 3.0).scan(X)
+        assert np.all(up <= net_up)
+        assert np.array_equal(lo, np.minimum(net_lo, up))
+    else:
+        assert np.array_equal(lo, up)
+        assert up[0] == pytest.approx(far_distance, rel=1e-14)
+
+
+def normal_offsets(cell, U, rng):
+    """Rows ``embed(u) + s n`` with ``n`` the unit normal of a hypersurface
+    graph at ``u`` and seeded offsets ``s`` in [-0.1, 0.1]."""
+    (phi,) = cell.graph
+    m = U.shape[1]
+    grad = np.column_stack([
+        expr.evaluate_rows_or_raise(
+            expr.differentiate(phi, tuple(int(j == i) for j in range(m))), U)
+        for i in range(m)])
+    normal = np.empty((len(U), m + 1))
+    normal[:, list(cell.perm)] = np.column_stack([-grad, np.ones(len(U))])
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    s = rng.uniform(-0.1, 0.1, len(U))
+    return cell.embed_rows(U) + s[:, None] * normal, np.abs(s)
+
+
+SURFACE = geo.GraphCell(
+    geo.Slab(geo.Interval(0.0, 1.0), expr.constant_fn(0, 1),
+             expr.constant_fn(1, 1)),
+    (expr.polynomial(2, {(2, 0): 1, (0, 2): 1}),), (0, 1, 2))
+
+
+@pytest.mark.parametrize("cell, dim", [(parabola_cell(), 1), (SURFACE, 2)],
+                         ids=["arc", "surface"])
+def test_foot_points_are_exact_along_normals(cell, dim, rng):
+    """Within the reach of a curved graph, a point pushed off ``embed(u)``
+    along the normal by ``s`` is at distance ``|s|``: the foot point finds
+    it where the best net point alone is off by up to the net spacing."""
+    X, want = normal_offsets(cell, rng.uniform(0.05, 0.95, (200, dim)), rng)
+    lo, up = geo.distance_brackets(geo.descriptor_of(cell), X, box=3.0)
+    assert np.all(np.abs(up - want) <= 1e-12)
+    assert np.all(lo <= want)
 
 
 def test_net_and_table_caches_are_bounded():
@@ -231,8 +271,20 @@ def test_sandwich_line_cell_lower_bound_tight():
     cell = line_cell()
     rep = geo.distance_sandwich_check(cell, [(0.5, 0.9)], eps=1e-6)
     assert not rep.violations
-    d = geo.set_distance(geo.descriptor_of(cell), (0.5, 0.9)).up
+    d = distance(geo.descriptor_of(cell), (0.5, 0.9))[1]
     assert d == pytest.approx(0.4 / math.sqrt(2.0), abs=1e-6)
+
+
+def test_sandwich_counts_only_the_samples_it_compares():
+    """A sample on the kink of |u - 3/10| has a singular graph map: it is
+    skipped, and ``checked`` leaves it out."""
+    kink = expr.ExprFn(1, expr.abs_(expr.sub(expr.var(0),
+                                             expr.const(0.3))))
+    cell = geo.GraphCell(geo.Interval(0.0, 1.0), (kink,), (0, 1))
+    samples = [(0.3, 0.5), (0.6, 0.1), (0.3, -0.2), (1.4, 0.2), (0.1, 0.4)]
+    rep = geo.distance_sandwich_check(cell, samples, eps=1e-6)
+    assert not rep.violations
+    assert rep.checked == 3 < len(samples)
 
 
 def test_sandwich_random_samples_no_violations(rng):
