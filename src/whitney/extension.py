@@ -22,8 +22,7 @@ from . import cutoff as cutoff_mod
 from . import expr, geometry, verify
 from .cutoff import CutoffFn, CutoffSpec, build_cutoff, _point_or_batch
 from .errors import (ConsistencyViolation, SequenceLeavesCone, SingularPoint,
-                     StratificationInvalid, SupportLeak, UnsupportedDescriptor,
-                     WhitneyError)
+                     StratificationInvalid, SupportLeak, WhitneyError)
 from .geometry import (EMPTY_SET, INSIDE, OUTSIDE, GraphCell, PointCell,
                        SetDescriptor, membership)
 from .jets import (FieldSpec, PointJet, coefficient_rows, mi_add,
@@ -66,11 +65,7 @@ class Scene:
         raise StratificationInvalid(f"unknown stratum {sid!r}")
 
     def descriptor_for(self, ids: Sequence[str]) -> SetDescriptor:
-        pieces = []
-        for sid in ids:
-            cell = self.stratum(sid).cell
-            pieces.append(cell)
-        return SetDescriptor(tuple(pieces))
+        return SetDescriptor(tuple(self.stratum(sid).cell for sid in ids))
 
     def restrict(self, ids: Sequence[str]) -> "Scene":
         keep = [s for s in self.strata if s.id in set(ids)]
@@ -116,16 +111,14 @@ class Scene:
                     singular.add(s.id)
         problems.extend(self._disjointness_check(singular))
         problems.extend(self._consistency_check(singular))
+        problems.extend(self._flat_check(singular))
         return problems
 
     def _closure_check(self, s: Stratum) -> list[str]:
         """Frontier sample points must land on declared boundary strata;
         one problem per stratum names the first frontier point when none is
-        declared, else the worst miss.  A frontier that cannot be sampled is unchecked."""
-        try:
-            frontier = _frontier_samples(s.cell, self.box)
-        except UnsupportedDescriptor as exc:
-            return [f"stratum {s.id!r}: closure unchecked ({exc})"]
+        declared, else the worst miss."""
+        frontier = geometry.frontier_samples(s.cell, self.box)
         if not len(frontier):
             return []
         if s.boundary_ids:
@@ -151,9 +144,6 @@ class Scene:
             try:
                 params = geometry.stratum_samples(s.cell, 16, self.box)
                 X = s.cell.embed_rows(np.asarray(params, dtype=float))
-            except UnsupportedDescriptor as exc:
-                out.append(f"stratum {s.id!r}: disjointness unchecked ({exc})")
-                continue
             except SingularPoint as exc:
                 out.append(f"stratum {s.id!r}: singular graph map ({exc})")
                 continue
@@ -179,21 +169,31 @@ class Scene:
                     out.append(f"field consistency on {s.id!r}: {exc}")
         return out
 
-
-def _frontier_samples(cell: GraphCell, box: float) -> np.ndarray:
-    """Rows of points of a graph cell's frontier: the limit points at an
-    interval base's ends, or samples along every piece of a 2-d base's
-    boundary lifted through the graph.  Raises
-    :class:`UnsupportedDescriptor` for other bases."""
-    if isinstance(cell.base, geometry.Interval):
-        points = [p.point
-                  for p in geometry.graph_cell_frontier(cell, box).pieces]
-        return np.asarray(points, dtype=float).reshape(-1, cell.ambient_dim)
-    U = [np.empty((0, cell.intrinsic_dim))] + [
-        piece.embed_rows(np.asarray(geometry.stratum_samples(piece, 8, box),
-                                    dtype=float))
-        for piece in geometry.open_cell_boundary(cell.base, box).pieces]
-    return cell.embed_rows(np.vstack(U))
+    def _flat_check(self, singular: set) -> list[str]:
+        """Every field coefficient of a stratum declared flat must be
+        exactly 0 at the stratum's samples (a point's sample is the point,
+        where its coefficients read u = 0); one problem per stratum names
+        the first coefficient that is not, and where."""
+        out = []
+        for s in self.strata:
+            if s.id not in self.flat_on - singular:
+                continue
+            try:
+                U = np.asarray(geometry.stratum_samples(s.cell, 16, self.box),
+                               dtype=float)
+                X = s.cell.embed_rows(U)
+                U = U if U.shape[1] else np.zeros((1, 1))
+                for alpha in multi_indices(self.n, self.p):
+                    v = coefficient_rows(self.fields[s.id].coeffs[alpha], U)
+                    if np.any(v != 0.0):
+                        i = int(np.argmax(v != 0.0))
+                        x = tuple(round(float(c), 6) for c in X[i])
+                        raise ConsistencyViolation(
+                            f"coefficient {alpha} is {v[i]:.3e}, not 0, "
+                            f"at {x}")
+            except WhitneyError as exc:
+                out.append(f"flat stratum {s.id!r}: {exc}")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +475,11 @@ def _leak_samples(cell: GraphCell, z_desc: SetDescriptor, scene: Scene,
                   n_samples: int, seed: int) -> np.ndarray:
     """Rows of the leak check: ``n_samples`` uniform rows of the cutoff's
     sample box, then 16 rows in each of shrinking shells around every
-    :func:`_frontier_samples` point, where cone support violations
+    :func:`geometry.frontier_samples` point, where cone support violations
     concentrate.  One draw of the seeded stream, in that order."""
     lo, hi = cutoff_mod._sample_box(geometry.descriptor_of(cell), z_desc,
                                     scene.box)
-    centers = _frontier_samples(cell, scene.box)
+    centers = geometry.frontier_samples(cell, scene.box)
     n_shell = len(centers) * len(_SHELL_RADII) * _SHELL_POINTS
     draws = SeededStream(seed).random((n_samples + n_shell, scene.n))
     shells = draws[n_samples:].reshape(len(centers), len(_SHELL_RADII),

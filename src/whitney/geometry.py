@@ -1,5 +1,6 @@
-"""Cell geometry: membership, bracketed distances, parameter nets and
-samples, and the Lipschitz and distance-sandwich probes of graph cells.
+"""Cell geometry: membership, bracketed distances, the slab tower walker
+(parameter nets, samples, boundary pieces and frontiers of a cell of any
+dimension), and the Lipschitz and distance-sandwich probes of graph cells.
 
 Cells come in three shapes.  An *open cell* lives in its own ambient space
 and is either an interval or a slab between two expression walls over a
@@ -11,8 +12,9 @@ point.
 Distances are always reported as brackets ``[lo, up]`` by one batched
 table per descriptor (:class:`DistanceTable`): exact for points, balls,
 the full space and constant graphs over boxes; otherwise ``up`` is the
-distance to a foot point, which Newton steps refine from the best point of
-a cached embedded net, and ``lo`` subtracts the net's covering radius.
+lesser of the distances to a foot point, which Newton steps refine from
+the best point of a cached embedded net, and to the cell's frontier
+pieces, and ``lo`` subtracts the net's covering radius.
 Both probes sample; neither is a proof.
 """
 from __future__ import annotations
@@ -29,9 +31,6 @@ from .errors import SingularPoint, UnsupportedDescriptor
 from .expr import ExprFn
 
 DEFAULT_BOX_HALFWIDTH = 10.0
-DEFAULT_COARSE = 65           # base resolution of the parameter nets
-_NET_RATIO = 0.94             # geometric step of the nets toward an end
-_NET_FLOOR = 1e-9             # relative distance where that clustering stops
 
 # ---------------------------------------------------------------------------
 # cell descriptions
@@ -108,15 +107,8 @@ class PointCell:
         return np.tile(np.asarray(self.point, dtype=float), (len(U), 1))
 
 
-Cell = Union[GraphCell, PointCell]
-
-
 def open_cell_dim(cell: OpenCell) -> int:
-    d = 0
-    while isinstance(cell, Slab):
-        d += 1
-        cell = cell.base
-    return d + 1
+    return 1 if isinstance(cell, Interval) else 1 + open_cell_dim(cell.base)
 
 
 def identity_graph_cell(base: OpenCell) -> GraphCell:
@@ -172,10 +164,15 @@ def membership(cell, X, tol: float = 1e-9) -> np.ndarray:
     return status
 
 
-def _walls(cell: Slab, V: np.ndarray, box: float):
+def _walls(cell: OpenCell, V: np.ndarray, box: float):
     """``(lower, upper, singular)``: the walls of a slab over the base rows
     ``V``, a missing wall read as ``-box`` or ``box``, and the rows where
-    one is singular."""
+    one is singular; an interval's :func:`interval_bounds` over rows
+    without columns."""
+    if isinstance(cell, Interval):
+        lo, hi = interval_bounds(cell, box)
+        return (np.full(len(V), lo), np.full(len(V), hi),
+                np.zeros(len(V), dtype=bool))
     walls, singular = [], np.zeros(len(V), dtype=bool)
     for wall, default in ((cell.lower, -box), (cell.upper, box)):
         w, s = ((np.full(len(V), default), False) if wall is None
@@ -259,22 +256,22 @@ class DistanceTable:
     an ambient box that is degenerate along the normal axes (the clamp in
     the base plus the constant normal offset).  Their brackets are exact.
     Every other cell scans its embedded :func:`piece_net` and refines each
-    row's nearest net point into a foot point (:func:`_foot_distances`),
-    whose distance is the upper bracket.
+    row's nearest net point into a foot point (:func:`_foot_distances`);
+    the upper bracket is the lesser of its distance and those to the
+    cell's :func:`frontier_pieces`, exact where the foot point stalls.
     """
 
     def __init__(self, desc: SetDescriptor, box: float):
         self.box = box
-        lows, highs, radii = [], [], []
-        self.nets: list[tuple[GraphCell, PieceNet]] = []
+        boxes, self.nets = [], []         # nets: (cell, net, frontier)
         for piece in desc.pieces:
             exact = closed_form_box(piece, box)
             if exact is None:
-                self.nets.append((piece, piece_net(piece, box)))
+                self.nets.append((piece, piece_net(piece, box),
+                                  SetDescriptor(frontier_pieces(piece, box))))
             else:
-                lows.append(exact[0])
-                highs.append(exact[1])
-                radii.append(exact[2])
+                boxes.append(exact)
+        lows, highs, radii = zip(*boxes) if boxes else ((), (), ())
         n = len(lows[0]) if lows else self.nets[0][1].points.shape[1]
         self.lows = np.asarray(lows, dtype=float).reshape(len(lows), n)
         self.highs = np.asarray(highs, dtype=float).reshape(len(lows), n)
@@ -293,9 +290,12 @@ class DistanceTable:
 
     def __call__(self, X: np.ndarray):
         lo = up = self.exact(X).min(axis=1, initial=np.inf)
-        for cell, net in self.nets:
+        for cell, net, frontier in self.nets:
             n_lo, n_up, nearest = net.scan(X)
             n_up = _foot_distances(cell, net, X, n_up, nearest, self.box)
+            if not frontier.is_empty:
+                n_up = np.minimum(
+                    n_up, distance_table(frontier, self.box)(X)[1])
             lo = np.minimum(lo, np.minimum(n_lo, n_up))
             up = np.minimum(up, n_up)
         return lo, up
@@ -312,14 +312,13 @@ def closed_form_box(piece: Piece, box: float):
     if not isinstance(piece, GraphCell):
         raise UnsupportedDescriptor(
             f"no distance rule for {type(piece).__name__}")
-    if _is_full_space(piece):
-        n = piece.ambient_dim
-        return (-math.inf,) * n, (math.inf,) * n, 0.0
     if any(g.root.op != "const" for g in piece.graph):
         return None
-    bounds = _as_box(piece.base, box)
+    bounds = _as_box(piece.base, math.inf)
     if bounds is None:
         return None
+    if piece.graph or any(b != (-math.inf, math.inf) for b in bounds):
+        bounds = _as_box(piece.base, box)       # all but the full space
     walls = [(float(g.root.payload),) * 2 for g in piece.graph]
     lo, hi = zip(*piece.to_ambient(bounds + walls))
     return lo, hi, 0.0
@@ -366,14 +365,11 @@ def _distance_blocks(X: np.ndarray, points: Optional[np.ndarray],
 
 @dataclass(frozen=True, eq=False)
 class PieceNet:
-    """Parameter net of a cell's closure, embedded in the ambient space.
-
-    ``cov[i]`` is the parameter-space covering radius of the i-th net
-    point and ``slack[i] = cov[i] * (1 + L)`` its ambient counterpart,
-    with ``L`` a sampled bound on the slope of the graph map.
-    """
-    params: np.ndarray
-    cov: np.ndarray
+    """Parameter net of a cell's closure, embedded in the ambient space:
+    ``slack[i] = cov[i] * (1 + L)`` is the ambient covering radius of the
+    i-th point, ``cov[i]`` its parameter-space one (see
+    :func:`cell_param_net`) and ``L`` a sampled bound on the slope of the
+    graph map."""
     points: np.ndarray
     slack: np.ndarray
 
@@ -399,37 +395,22 @@ def piece_net(cell: GraphCell, box: float) -> PieceNet:
     params, cov = cell_param_net(cell.base, box)
     points = cell.embed_rows(params)
     slack = cov * (1.0 + _net_lipschitz(cell, params))
-    for a in (params, cov, points, slack):
+    for a in (points, slack):
         a.setflags(write=False)
-    return PieceNet(params, cov, points, slack)
-
-
-def _is_full_space(cell: GraphCell) -> bool:
-    if cell.graph:
-        return False
-    base = cell.base
-    while isinstance(base, Slab):
-        if base.lower is not None or base.upper is not None:
-            return False
-        base = base.base
-    return base.lower is None and base.upper is None
+    return PieceNet(points, slack)
 
 
 def _as_box(cell: OpenCell, box: float):
     """Constant-wall open cells are axis boxes; return bounds or None."""
-    bounds = []
-    while isinstance(cell, Slab):
-        for wall in (cell.lower, cell.upper):
-            if wall is not None and wall.root.op != "const":
-                return None
-        lo = -box if cell.lower is None else float(cell.lower.root.payload)
-        hi = box if cell.upper is None else float(cell.upper.root.payload)
-        bounds.append((lo, hi))
-        cell = cell.base
-    lo, hi = interval_bounds(cell, box)
-    bounds.append((lo, hi))
-    bounds.reverse()
-    return bounds
+    lo, hi = cell.lower, cell.upper
+    if isinstance(cell, Slab):
+        below = _as_box(cell.base, box)
+        if below is None or any(w is not None and w.root.op != "const"
+                                for w in (lo, hi)):
+            return None
+        lo, hi = (None if w is None else w.root.payload for w in (lo, hi))
+    return ([] if isinstance(cell, Interval) else below) + [
+        (-box if lo is None else float(lo), box if hi is None else float(hi))]
 
 
 def _net_lipschitz(cell: GraphCell, net: np.ndarray) -> float:
@@ -438,10 +419,8 @@ def _net_lipschitz(cell: GraphCell, net: np.ndarray) -> float:
     if not cell.graph:
         return 0.0
     jac, _, _ = _jacobian_rows(cell.graph, net[::max(1, len(net) // 64)])
-    worst = 0.0
-    for row in jac.reshape(len(jac), -1).tolist():
-        worst = max(worst, math.sqrt(sum(g ** 2 for g in row if g == g)))
-    return 1.5 * worst
+    sq = np.where(np.isnan(jac), 0.0, jac * jac).reshape(len(jac), -1)
+    return 1.5 * float(np.sqrt(np.add.reduce(sq, 1)).max(initial=0.0))
 
 
 def _jacobian_rows(graph: Sequence[ExprFn], U: np.ndarray,
@@ -496,9 +475,7 @@ def _foot_distances(cell: GraphCell, net: PieceNet, X: np.ndarray,
         grad = diff[:, :m] + np.einsum("nki,nk->ni", jac, diff[:, m:])
         gauss = np.eye(m) + np.einsum("nki,nkj->nij", jac, jac)
         newton = gauss + np.einsum("nk,nkij->nij", diff[:, m:], hess)
-        convex = np.linalg.eigvalsh(newton)[:, 0] > 0.0
-        step = np.linalg.solve(np.where(convex[:, None, None], newton, gauss),
-                               -grad[..., None])[..., 0]
+        step = _newton_steps(newton, gauss, grad)
         # a step scaled by t <= 1 lowers |embed(u) - x|^2 by at least about
         # t * gain; below that value's rounding, no halving can lower it
         gain = -np.einsum("ni,ni->n", grad, step)
@@ -528,177 +505,185 @@ def _foot_distances(cell: GraphCell, net: PieceNet, X: np.ndarray,
     return up
 
 
+def _newton_steps(newton: np.ndarray, gauss: np.ndarray,
+                  grad: np.ndarray) -> np.ndarray:
+    """Rows of ``-grad`` solved against ``newton`` where it is positive
+    definite, else against ``gauss``.  Nets stop at 2-d bases, so a closed
+    form solves each 1x1 or 2x2 system (Cramer's rule)."""
+    a = newton[:, 0, 0]
+    if grad.shape[1] == 1:
+        return -grad / np.where(a > 0.0, a, gauss[:, 0, 0])[:, None]
+    b, d = newton[:, 0, 1], newton[:, 1, 1]         # smaller eigenvalue > 0
+    convex = (a + d) / 2.0 - np.hypot((a - d) / 2.0, b) > 0.0
+    (p, q), (r, t) = np.moveaxis(
+        np.where(convex[:, None, None], newton, gauss), 0, -1)
+    return (np.column_stack([q * grad[:, 1] - t * grad[:, 0],
+                             r * grad[:, 0] - p * grad[:, 1]])
+            / (p * t - q * r)[:, None])
+
+
 def _clamp_to_base(base: OpenCell, U: np.ndarray, box: float):
     """``(U clamped, bad)``: every row of ``U`` clamped into the closure of
     the open cell ``base``, a missing bound read as ``-box`` or ``box``,
     last coordinate first clamped between the walls over the clamped rest;
     ``bad`` marks the rows where a wall is singular or the walls cross."""
-    if isinstance(base, Interval):
-        lo, hi = interval_bounds(base, box)
-        return np.clip(U, lo, hi), np.zeros(len(U), dtype=bool)
-    V, bad = _clamp_to_base(base.base, U[:, :-1], box)
+    V, bad = ((U[:, :0], np.zeros(len(U), dtype=bool))
+              if isinstance(base, Interval)
+              else _clamp_to_base(base.base, U[:, :-1], box))
     lo, hi, singular = _walls(base, V, box)
     bad |= singular | (lo > hi)
     return np.column_stack([V, np.clip(U[:, -1], lo, hi)]), bad
 
 
 # ---------------------------------------------------------------------------
-# parameter nets (embedded and cached per piece by :func:`piece_net`)
+# the slab tower walker: an open cell is an interval, then slabs over it;
+# each walk ends at the interval with a 1-d rule and, on a slab, applies it
+# to the fibre between the walls over every row its base gave
+
+# (coarse, ratio, floor) of each net level by cell dimension (a 3-d tensor
+# net would have about 10^7 points); 0.94 - 0.06 is just below 0.88
+_NET_RULES = {1: (65, 0.94, 1e-9), 2: (17, 0.94 - 0.06, 1e-6)}
 
 
-def cell_param_net(base: OpenCell, box: float = DEFAULT_BOX_HALFWIDTH):
-    """Sample net of the closure of an open cell, clustered geometrically
-    toward the finite boundary so the relative covering radius stays small
-    arbitrarily close to the frontier.
-
-    Returns ``(points, cov)`` where ``cov[i]`` bounds the distance from any
-    closure point in the i-th point's patch to the net, measured in
-    parameter space.
-    """
-    dim = open_cell_dim(base)
-    if dim == 1:
-        lo, hi = interval_bounds(base, box)
-        ts, cov = _interval_net(lo, hi, base.lower is not None,
-                                base.upper is not None, DEFAULT_COARSE,
-                                _NET_RATIO, _NET_FLOOR)
-        return ts.reshape(-1, 1), cov
-    if dim == 2 and isinstance(base, Slab):
-        return _slab_net_2d(base, box)
-    raise UnsupportedDescriptor(
-        f"parameter nets implemented for dimensions 1-2, got {dim}")
+def cell_param_net(cell: OpenCell, box: float = DEFAULT_BOX_HALFWIDTH):
+    """``(points, cov)``: a net of the closure of an open cell, each level
+    clustered geometrically toward its finite ends so the relative covering
+    radius stays small arbitrarily close to the frontier.  ``cov[i]``
+    bounds the parameter distance from the i-th point's patch to the net:
+    ``hypot(base cov, fibre cov)`` on a slab."""
+    dim = open_cell_dim(cell)
+    if dim not in _NET_RULES:
+        raise UnsupportedDescriptor(
+            f"parameter nets implemented for dimensions 1-2, got {dim}")
+    return _tower_net(cell, box, _NET_RULES[dim])
 
 
-def _interval_net(lo, hi, lower_finite, upper_finite, coarse, ratio, floor):
-    span = hi - lo
-    ts = list(np.linspace(lo, hi, coarse))
-    spacing = span / (coarse - 1)
-    cov = [spacing / 2.0] * coarse
-    for endpoint, finite, sign in ((lo, lower_finite, 1), (hi, upper_finite, -1)):
-        if not finite:
-            continue
-        t = span / 2.0
-        while t > floor * max(span, 1.0):
-            nxt = t * ratio
-            ts.append(endpoint + sign * t)
-            cov.append((t - nxt) / 2.0 + floor * span)
-            t = nxt
-        ts.append(endpoint)
-        cov.append(t)
-    ts = np.asarray(ts)
-    order = np.argsort(ts)
-    return ts[order], np.asarray(cov)[order]
-
-
-def _slab_net_2d(base: Slab, box):
-    lo, hi = interval_bounds(base.base, box)
-    coarse2 = max(17, DEFAULT_COARSE // 4)
-    ratio, floor = max(0.85, _NET_RATIO - 0.06), max(_NET_FLOOR, 1e-6)
-    t1, cov1 = _interval_net(lo, hi, base.base.lower is not None,
-                             base.base.upper is not None, coarse2,
-                             ratio, floor)
-    pts, covs = [], []
-    wlo, whi, singular = _walls(base, t1[:, None], box)
-    for t, c, w0, w1, bad in zip(t1, cov1, wlo.tolist(), whi.tolist(),
+def _tower_net(cell: OpenCell, box: float, rule):
+    V, base_cov = ((np.empty((1, 0)), [0.0]) if isinstance(cell, Interval)
+                   else _tower_net(cell.base, box, rule))
+    wlo, whi, singular = _walls(cell, V, box)
+    pts, covs = [np.empty((0, V.shape[1] + 1))], []
+    for v, c, w0, w1, bad in zip(V, base_cov, wlo.tolist(), whi.tolist(),
                                  singular):
         if bad or w1 <= w0:
             continue
-        t2, cov2 = _interval_net(w0, w1, base.lower is not None,
-                                 base.upper is not None, coarse2,
-                                 ratio, floor)
-        for s, c2 in zip(t2, cov2):
-            pts.append((t, s))
-            covs.append(math.hypot(c, c2))
-    return np.asarray(pts), np.asarray(covs)
+        ts, cov = _interval_net(w0, w1, cell.lower is not None,
+                                cell.upper is not None, *rule)
+        pts.append(np.column_stack([np.tile(v, (len(ts), 1)), ts]))
+        covs.extend(math.hypot(c, c2) for c2 in cov)
+    return np.vstack(pts), np.asarray(covs)
+
+
+def _interval_net(lo, hi, lower_finite, upper_finite, coarse, ratio, floor):
+    span, stop = hi - lo, floor * max(hi - lo, 1.0)
+    # steps toward an end: half the span, times ratio, to the first <= stop
+    t = np.cumprod([span / 2.0] + [ratio] * (2 + max(0, math.ceil(
+        math.log(stop / (span / 2.0), ratio)))))
+    t = t[:int(np.argmin(t > stop)) + 1]
+    ts = [np.linspace(lo, hi, coarse)]
+    cov = [np.full(coarse, span / (coarse - 1) / 2.0)]
+    for end, finite, sign in ((lo, lower_finite, 1), (hi, upper_finite, -1)):
+        if finite:
+            ts += [end + sign * t[:-1], [end]]
+            cov += [(t[:-1] - t[1:]) / 2.0 + floor * span, t[-1:]]
+    ts = np.concatenate(ts)
+    order = np.argsort(ts)
+    return ts[order], np.concatenate(cov)[order]
 
 
 def stratum_samples(cell, k: int, box: float = DEFAULT_BOX_HALFWIDTH,
                     rng=None):
-    """Deterministic parameter samples on a stratum: uniform interior
-    coverage plus dyadic approaches to each finite endpoint.  Returns a
-    list of parameter tuples (empty tuple for point cells).  An ``rng``
-    (anything whose ``random(k)`` gives k uniform doubles, such as
-    :class:`whitney.rng.SeededStream`) jitters the 1-d samples."""
+    """Parameter tuples on a stratum (``()`` on a point): on each level of
+    its tower, midpoints and approaches at ``2^-j`` of the span to each
+    finite end or wall; ``k`` midpoints and ``j = 3..10`` on an interval,
+    else ``side^d <= 4k`` samples in all, the ``side // 4`` deepest
+    approaches (1 to 8) going to each wall.  An ``rng`` whose
+    ``random(shape)`` gives uniform doubles (a
+    :class:`whitney.rng.SeededStream`) jitters them, the interval first."""
     if isinstance(cell, PointCell):
         return [()]
-    base = cell.base
-    dim = open_cell_dim(base)
-    if dim == 1:
-        lo, hi = interval_bounds(base, box)
-        span = hi - lo
-        inner = list(lo + span * (np.arange(1, k + 1) - 0.5) / k)
-        for j in range(3, 11):
-            off = span * 2.0 ** (-j)
-            if base.lower is not None:
-                inner.append(lo + off)
-            if base.upper is not None:
-                inner.append(hi - off)
-        if rng is not None:
-            jitter = (rng.random(len(inner)) - 0.5) * (span / (4 * k))
-            inner = [min(hi - 1e-9 * span, max(lo + 1e-9 * span, t + j))
-                     for t, j in zip(inner, jitter)]
-        return [(float(t),) for t in sorted(inner)]
-    if dim == 2 and isinstance(base, Slab):
-        side = max(3, int(math.sqrt(k)))
-        lo, hi = interval_bounds(base.base, box)
-        out = []
-        ts = np.linspace(lo, hi, side + 2)[1:-1]
-        wlo, whi, singular = _walls(base, ts[:, None], box)
-        if singular.any():
-            raise SingularPoint(
-                f"slab wall singular at t={ts[np.argmax(singular)]}")
-        for t, w0, w1 in zip(ts.tolist(), wlo.tolist(), whi.tolist()):
-            out.extend((t, float(s))
-                       for s in np.linspace(w0, w1, side + 2)[1:-1])
-        return out
-    raise UnsupportedDescriptor("samples implemented for dimensions 0-2")
+    dim = open_cell_dim(cell.base)
+    count, depth = k, 8
+    if dim > 1:
+        side = int((4 * k) ** (1.0 / dim) + 1e-9)
+        depth = min(8, max(1, side // 4))
+        count = max(1, side - 2 * depth)
+    U = _tower_samples(cell.base, box, count, range(11 - depth, 11), rng)
+    return [tuple(u) for u in U.tolist()]
 
 
-# ---------------------------------------------------------------------------
-# boundary descriptors
+def _tower_samples(cell: OpenCell, box: float, count: int, exponents, rng):
+    """``(N, dim)`` samples: each base row, then its fibre's, jittered by
+    up to an eighth of the midpoint spacing and clamped inside."""
+    V = (np.empty((1, 0)) if isinstance(cell, Interval)
+         else _tower_samples(cell.base, box, count, exponents, rng))
+    lo, hi, singular = _walls(cell, V, box)
+    if singular.any():
+        raise SingularPoint("slab wall singular at u="
+                            f"{tuple(V[np.argmax(singular)].tolist())}")
+    lo, hi = lo[:, None], hi[:, None]
+    span = hi - lo
+    cols = [lo + span * (np.arange(1, count + 1) - 0.5) / count]
+    for j in exponents:
+        off = span * 2.0 ** (-j)
+        cols += ([lo + off] if cell.lower is not None else []) + (
+            [hi - off] if cell.upper is not None else [])
+    T = np.hstack(cols)
+    if rng is not None:
+        jitter = (rng.random(T.shape) - 0.5) * (span / (4 * count))
+        T = np.minimum(hi - 1e-9 * span, np.maximum(lo + 1e-9 * span,
+                                                    T + jitter))
+    # Python's sort: numpy's sort kernels add 0.1-0.3 MB to peak RSS
+    T = np.asarray([sorted(row) for row in T.tolist()])
+    return np.column_stack([np.repeat(V, T.shape[1], axis=0), T.ravel()])
 
 
-def open_cell_boundary(cell: OpenCell, box: float = DEFAULT_BOX_HALFWIDTH
-                       ) -> SetDescriptor:
-    """Descriptor of the finite boundary of an open cell in its own space."""
-    dim = open_cell_dim(cell)
-    pieces: list[Piece] = []
+def boundary_pieces(cell: OpenCell) -> tuple:
+    """The pieces of the finite boundary of an open cell, in its own space:
+    an interval's finite ends; a slab's present walls, as graphs over its
+    base, then its side wall over every boundary piece of the base."""
     if isinstance(cell, Interval):
-        if cell.lower is not None:
-            pieces.append(PointCell((float(cell.lower),)))
-        if cell.upper is not None:
-            pieces.append(PointCell((float(cell.upper),)))
-        return SetDescriptor(tuple(pieces))
-    for wall in (cell.lower, cell.upper):
-        if wall is not None:
-            pieces.append(GraphCell(cell.base, (wall,), tuple(range(dim))))
-    inner = open_cell_boundary(cell.base, box)
-    for p in inner.pieces:
-        if isinstance(p, PointCell):
-            # side wall over a base boundary point: a vertical segment
-            t = p.point
-            try:
-                wlo = (None if cell.lower is None
-                       else expr.evaluate(cell.lower, t))
-                whi = (None if cell.upper is None
-                       else expr.evaluate(cell.upper, t))
+        return tuple(PointCell((float(b),)) for b in (cell.lower, cell.upper)
+                     if b is not None)
+    dim = open_cell_dim(cell)
+    pieces = [GraphCell(cell.base, (wall,), tuple(range(dim)))
+              for wall in (cell.lower, cell.upper) if wall is not None]
+    for piece in boundary_pieces(cell.base):
+        if isinstance(piece, PointCell):     # an end of an interval base
+            try:      # the segment between the walls, unbounded if singular
+                ends = [None if w is None
+                        else float(expr.evaluate(w, piece.point))
+                        for w in (cell.lower, cell.upper)]
             except SingularPoint:
-                wlo = whi = None
-            seg = Interval(None if wlo is None else float(wlo),
-                           None if whi is None else float(whi))
-            pieces.append(GraphCell(
-                seg, tuple(expr.constant_fn(v, 1) for v in t),
-                tuple([dim - 1] + list(range(dim - 1)))))
-        else:
-            raise UnsupportedDescriptor(
-                "boundary descriptors implemented through dimension 2")
-    return SetDescriptor(tuple(pieces))
+                ends = [None, None]
+            pieces.append(GraphCell(Interval(*ends), (expr.constant_fn(
+                piece.point[0], 1),), (1, 0)))
+            continue
+        # a slab over the piece's base between the walls through its embedding
+        r, inner = piece.intrinsic_dim, _embedding(piece)
+        walls = (None if w is None else expr.substitute(w, inner)
+                 for w in (cell.lower, cell.upper))
+        lift = [expr.coordinate(i, r + 1) for i in range(r)]
+        pieces.append(GraphCell(
+            Slab(piece.base, *walls),
+            tuple(expr.substitute(psi, lift) for psi in piece.graph),
+            piece.perm[:r] + (dim - 1,) + piece.perm[r:]))
+    return tuple(pieces)
 
 
-def graph_cell_frontier(cell: GraphCell, box: float = DEFAULT_BOX_HALFWIDTH
-                        ) -> SetDescriptor:
-    """Closure minus cell: the graph restricted over the base boundary,
-    approximated by limit points for interval bases."""
-    base = cell.base
+def _embedding(piece: GraphCell) -> list:
+    """Ambient coordinates of a graph piece as expressions of its parameter."""
+    r = piece.intrinsic_dim
+    return list(piece.to_ambient(
+        [expr.coordinate(i, r) for i in range(r)] + list(piece.graph)))
+
+
+def frontier_pieces(cell: GraphCell, box: float = DEFAULT_BOX_HALFWIDTH
+                    ) -> tuple:
+    """Pieces of the frontier (closure minus cell) of a graph cell: its graph
+    over each boundary piece of its base; over an interval, the limit points
+    just inside the finite ends (a graph map may be singular at an end)."""
+    base, m = cell.base, cell.intrinsic_dim
     if isinstance(base, Interval):
         lo, hi = interval_bounds(base, box)
         eps = 1e-9 * max(1.0, hi - lo)
@@ -706,8 +691,23 @@ def graph_cell_frontier(cell: GraphCell, box: float = DEFAULT_BOX_HALFWIDTH
                                    (hi - eps, base.upper))
                 if bound is not None]
         X = cell.embed_rows(np.asarray(ends, dtype=float).reshape(-1, 1))
-        return SetDescriptor(tuple(PointCell(tuple(x)) for x in X.tolist()))
-    raise UnsupportedDescriptor("frontier descriptors need interval bases")
+        return tuple(PointCell(tuple(x)) for x in X.tolist())
+    return tuple(GraphCell(
+        piece.base,
+        piece.graph + tuple(expr.substitute(phi, _embedding(piece))
+                            for phi in cell.graph),
+        tuple(cell.perm[a] for a in piece.perm) + cell.perm[m:])
+        for piece in boundary_pieces(base))
+
+
+def frontier_samples(cell: GraphCell,
+                     box: float = DEFAULT_BOX_HALFWIDTH) -> np.ndarray:
+    """Rows of points on the frontier of a graph cell: 8 samples of each of
+    its :func:`frontier_pieces` (a limit point is its own sample)."""
+    return np.vstack([np.empty((0, cell.ambient_dim))] + [
+        piece.embed_rows(np.asarray(stratum_samples(piece, 8, box),
+                                    dtype=float))
+        for piece in frontier_pieces(cell, box)])
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +718,6 @@ def graph_cell_frontier(cell: GraphCell, box: float = DEFAULT_BOX_HALFWIDTH
 class LipschitzReport:
     m_hat: float
     l_hat: float
-    samples: int
 
 
 def lipschitz_estimate(graph: Sequence[ExprFn],
@@ -727,13 +726,12 @@ def lipschitz_estimate(graph: Sequence[ExprFn],
     operator norm of its Jacobian over 400 base samples, and the derived
     slope factor ``1/sqrt(1 + M^2)`` used by the distance sandwich."""
     if not graph:
-        return LipschitzReport(0.0, 1.0, 0)
+        return LipschitzReport(0.0, 1.0)
     pts = stratum_samples(identity_graph_cell(base), 400)
     jac, _, singular = _jacobian_rows(graph, np.asarray(pts, dtype=float))
     worst = float(np.linalg.norm(jac[~singular], 2, axis=(1, 2))
                   .max(initial=0.0))
-    return LipschitzReport(worst, 1.0 / math.sqrt(1.0 + worst * worst),
-                           len(pts))
+    return LipschitzReport(worst, 1.0 / math.sqrt(1.0 + worst * worst))
 
 
 @dataclass
@@ -767,7 +765,8 @@ def distance_sandwich_check(cell: GraphCell, samples: Sequence,
     # the bound each row is compared with: its normal offset on the base,
     # its lower distance bracket to the frontier off it
     bound = gap.copy()
-    bound[off], _ = distance_brackets(graph_cell_frontier(cell), X[off])
+    bound[off], _ = distance_brackets(SetDescriptor(frontier_pieces(cell)),
+                                      X[off])
     bad = np.zeros(len(X), dtype=bool)
     bad[on] = ~((lip.l_hat * gap[on] - eps <= up[on])
                 & (up[on] <= gap[on] + eps))

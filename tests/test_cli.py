@@ -24,6 +24,7 @@ VALIDATE_EXIT = {
     "defect_inconsistent_far_end": 2,
     "defect_overlapping_strata": 2,
     "defect_singular_graph": 2,
+    "defect_false_flat": 2,
 }
 
 
@@ -72,6 +73,18 @@ def test_validate_names_the_singular_graph_map(capsys, tmp_path):
            if line.startswith("INVALID") and "'arc'" in line]
     assert len(arc) == 1 and "u=" in arc[0]
     assert run("extend", scene, "-o", tmp_path / "run") == 2
+
+
+def test_false_flat_declaration_is_refused(capsys, tmp_path):
+    """The ray of the half-line declared flat: its x^3 is not 0 at its
+    samples, so all three commands refuse the scene."""
+    scene, out = scene_path("defect_false_flat"), tmp_path / "run"
+    assert run("validate", scene) == 2
+    assert capsys.readouterr().out == (
+        "INVALID  flat stratum 'ray': coefficient (0,) is 5.960e-08, not 0, "
+        "at (0.003906,)\n")
+    assert run("extend", scene, "-o", out) == 2
+    assert run("verify", scene, out) == 2 and not out.exists()
 
 
 def test_validate_incompatible_jet_scene_is_structurally_fine():

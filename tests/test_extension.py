@@ -172,23 +172,67 @@ def test_square_edge_cutoffs_vanish_around_their_endpoint_normals():
 
 
 def test_validate_reports_strata_it_cannot_check():
-    """A cell over a 3-d base has no frontier sampler and no parameter
-    samples: validate names both checks as unchecked instead of passing
-    the scene, and extension refuses it."""
+    """A bare 3-cell leaves no check undone: its samples, consistency and
+    frontier are walked like any other cell's, and the only problem is the
+    frontier it declares no boundary for."""
     cube = geo.identity_graph_cell(geo.Slab(
         geo.Slab(geo.Interval(0.0, 1.0), C(0, 1), C(1, 1)), C(0, 2), C(1, 2)))
     field = FieldSpec(3, 1, "cube", 3,
                       {a: C(0, 3) for a in multi_indices(3, 1)})
     scene = Scene(3, 1, 2, (Stratum("cube", cube, ()),), {"cube": field},
                   box=3.0)
-    assert scene.validate() == [
-        "stratum 'cube': closure unchecked (boundary descriptors "
-        "implemented through dimension 2)",
-        "stratum 'cube': disjointness unchecked (samples implemented for "
-        "dimensions 0-2)",
-        "field consistency on 'cube': samples implemented for dimensions 0-2"]
-    with pytest.raises(StratificationInvalid, match="unchecked"):
+    problems = scene.validate()
+    assert problems == [
+        "stratification not closed: frontier point (0.000977, 0.000977, 0.0) "
+        "of 'cube' has no boundary stratum"]
+    with pytest.raises(StratificationInvalid) as exc:
         extend_field(scene)
+    assert exc.value.problems == problems
+
+
+def complete_cube_scene():
+    """The closed unit cube: the 3-cell, 6 faces, 12 edges and 8 corners,
+    each carrying the jets of 0 and declaring the strata in its closure."""
+    unit, square = geo.Interval(0.0, 1.0), geo.Slab(geo.Interval(0.0, 1.0),
+                                                    C(0, 1), C(1, 1))
+    cells = {"cube": ({}, geo.identity_graph_cell(geo.Slab(
+        square, C(0, 2), C(1, 2))))}
+    # (free axes, fixed axes) of the faces, edges and corners
+    kinds = [((0, 1), (2,)), ((0, 2), (1,)), ((1, 2), (0,)),
+             ((0,), (1, 2)), ((1,), (0, 2)), ((2,), (0, 1)), ((), (0, 1, 2))]
+    for free, fixed in kinds:
+        for values in np.ndindex(*(2,) * len(fixed)):
+            pinned = dict(zip(fixed, values))
+            sid = "".join(f"x{a}={v}" for a, v in pinned.items())
+            cells[sid] = (pinned, geo.PointCell(tuple(map(float, values)))
+                          if not free else geo.GraphCell(
+                              square if len(free) == 2 else unit,
+                              tuple(C(v, len(free)) for v in values),
+                              free + fixed))
+    strata = tuple(
+        Stratum(sid, cell, tuple(o for o, (other, _) in cells.items()
+                                 if len(other) > len(pinned)
+                                 and pinned.items() <= other.items()))
+        for sid, (pinned, cell) in cells.items())
+    fields = {s.id: FieldSpec(3, 1, s.id, max(1, s.dim),
+                              {a: C(0, max(1, s.dim))
+                               for a in multi_indices(3, 1)})
+              for s in strata}
+    return Scene(3, 1, 2, strata, fields, box=3.0)
+
+
+def test_validate_passes_the_complete_cube():
+    scene = complete_cube_scene()
+    assert [len(s.boundary_ids) for s in scene.strata] == \
+        [26] + [8] * 6 + [2] * 12 + [0] * 8
+    assert scene.validate() == []
+    # a face that leaves out one of its edges misses it
+    strata = tuple(s if s.id != "x2=0" else Stratum(
+        s.id, s.cell, tuple(b for b in s.boundary_ids if b != "x1=0x2=0"))
+        for s in scene.strata)
+    assert Scene(3, 1, 2, strata, scene.fields, box=3.0).validate() == [
+        "stratification not closed: frontier point (0.4375, 0.0, 0.0) of "
+        "'x2=0' misses its declared boundary by 4.38e-01"]
 
 
 def test_validate_samples_the_frontier_of_a_2d_cell():
@@ -207,14 +251,14 @@ def test_validate_samples_the_frontier_of_a_2d_cell():
 
 
 def test_validate_propagates_unexpected_errors(monkeypatch):
-    """Only an unsupported descriptor skips a validation check; any other
-    error is a fault and reaches the caller."""
+    """An error of the frontier walker is a fault and reaches the caller;
+    validate skips no check for it."""
     scene = load_corpus_scene("square").scene
 
     def broken(*args, **kwargs):
         raise RuntimeError("frontier failed")
 
-    monkeypatch.setattr(geo, "graph_cell_frontier", broken)
+    monkeypatch.setattr(geo, "frontier_pieces", broken)
     with pytest.raises(RuntimeError, match="frontier failed"):
         scene.validate()
 

@@ -377,3 +377,168 @@ def test_higher_dim_net_unsupported():
     slab3 = geo.Slab(geo.Slab(geo.Interval(0, 1), None, None), None, None)
     with pytest.raises(UnsupportedDescriptor):
         geo.cell_param_net(geo.Slab(slab3, None, None))
+
+
+# --- the slab tower walker ------------------------------------------------
+
+def reference_interval_samples(lo, hi, lower, upper, k, rng):
+    """The 1-d sampling rule, kept verbatim as the walker's reference:
+    k midpoints, dyadic approaches at 2^-3..2^-10 of the span to each
+    finite end, seeded jitter, a clamp, a sort."""
+    span = hi - lo
+    inner = list(lo + span * (np.arange(1, k + 1) - 0.5) / k)
+    for j in range(3, 11):
+        off = span * 2.0 ** (-j)
+        if lower:
+            inner.append(lo + off)
+        if upper:
+            inner.append(hi - off)
+    if rng is not None:
+        jitter = (rng.random(len(inner)) - 0.5) * (span / (4 * k))
+        inner = [min(hi - 1e-9 * span, max(lo + 1e-9 * span, t + j))
+                 for t, j in zip(inner, jitter)]
+    return [(float(t),) for t in sorted(inner)]
+
+
+@pytest.mark.parametrize("k", [8, 16, 24, 100])
+@pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (0.0, None),
+                                          (None, 2.5), (None, None)])
+def test_interval_samples_keep_the_1d_rule(lower, upper, k):
+    from whitney.rng import SeededStream
+    cell = geo.identity_graph_cell(geo.Interval(lower, upper))
+    lo, hi = geo.interval_bounds(cell.base, 4.0)
+    for seed in range(64):
+        mine, ref = SeededStream(seed), SeededStream(seed)
+        assert geo.stratum_samples(cell, k, 4.0, rng=mine) == \
+            reference_interval_samples(lo, hi, lower is not None,
+                                       upper is not None, k, ref)
+        assert mine.random(2).tolist() == ref.random(2).tolist()
+    assert geo.stratum_samples(cell, k, 4.0) == reference_interval_samples(
+        lo, hi, lower is not None, upper is not None, k, None)
+
+
+TRIANGLE = geo.Slab(geo.Interval(0.0, 1.0), expr.constant_fn(0, 1),
+                    expr.coordinate(0, 1))
+UNDER_PARABOLA = geo.Slab(geo.Interval(-1.0, None), None,
+                          expr.polynomial(1, {(2,): 1}))
+
+
+@pytest.mark.parametrize("k", [8, 16, 24, 100])
+@pytest.mark.parametrize("base", [TRIANGLE, UNDER_PARABOLA],
+                         ids=["triangle", "under-parabola"])
+def test_2d_samples_approach_every_wall(base, k):
+    """Seeded, at most 4k, INSIDE the cell, and without jitter within
+    2^-10 of each finite wall of every fibre and of the base's ends.  The
+    triangle's walls meet over x = 0, so a base sample the jitter clamps
+    to 1e-9 of that end carries a fibre inside membership's tolerance of
+    both walls: there the seeded samples are only in the closure."""
+    from whitney.rng import SeededStream
+    cell = geo.identity_graph_cell(base)
+    draws = [np.asarray(geo.stratum_samples(cell, k, 3.0,
+                                            rng=SeededStream(s)))
+             for s in (0, 5)]
+    assert not np.array_equal(*draws)
+    U = np.asarray(geo.stratum_samples(cell, k, 3.0))
+    least = geo.BOUNDARY if base is TRIANGLE else geo.INSIDE
+    for S in draws + [U]:
+        assert len(S) <= 4 * k
+        assert np.all(geo.membership(base, S) >= least)
+    assert np.all(geo.membership(base, U) == geo.INSIDE)
+    lo, hi = geo.interval_bounds(base.base, 3.0)
+    gaps = [(U[:, 0] - lo).min() if base.base.lower is not None else 0.0,
+            (hi - U[:, 0]).min() if base.base.upper is not None else 0.0]
+    assert max(gaps) <= 2.0 ** -10 * (hi - lo) * (1 + 1e-9)
+    for t in np.unique(U[:, 0]):
+        fibre = U[U[:, 0] == t, 1]
+        w0, w1, _ = geo._walls(base, np.array([[t]]), 3.0)
+        span = w1[0] - w0[0]
+        if base.lower is not None:
+            assert (fibre - w0[0]).min() <= 2.0 ** -10 * span * (1 + 1e-9)
+        if base.upper is not None:
+            assert (w1[0] - fibre).min() <= 2.0 ** -10 * span * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("base, shape, digest", [
+    (TRIANGLE, (38385, 2), "a5c779afd4272688"),
+    (UNDER_PARABOLA, (14641, 2), "33a406679d6bde52")],
+    ids=["triangle", "under-parabola"])
+def test_2d_nets_are_unchanged(base, shape, digest):
+    """Hashes of the points and radii the 2-d nets have always had."""
+    from whitney.rng import sha256
+    points, cov = geo.cell_param_net(base, 3.0)
+    assert points.shape == shape
+    assert sha256(points.tobytes() + cov.tobytes()).hexdigest()[:16] == digest
+
+
+def test_2d_boundary_pieces_are_the_walls_then_the_side_walls():
+    C, x = expr.constant_fn, expr.coordinate(0, 1)
+    unit = geo.Interval(0.0, 1.0)
+    assert geo.boundary_pieces(TRIANGLE) == (
+        geo.GraphCell(unit, (C(0, 1),), (0, 1)),
+        geo.GraphCell(unit, (x,), (0, 1)),
+        geo.GraphCell(geo.Interval(0.0, 0.0), (C(0.0, 1),), (1, 0)),
+        geo.GraphCell(unit, (C(1.0, 1),), (1, 0)))
+    assert geo.boundary_pieces(UNDER_PARABOLA) == (
+        geo.GraphCell(geo.Interval(-1.0, None),
+                      (expr.polynomial(1, {(2,): 1}),), (0, 1)),
+        geo.GraphCell(geo.Interval(None, 1.0), (C(-1.0, 1),), (1, 0)))
+
+
+def test_3d_boundary_pieces_are_the_six_faces_of_a_cube():
+    C = expr.constant_fn
+    cube = geo.Slab(geo.Slab(geo.Interval(0.0, 1.0), C(0, 1), C(1, 1)),
+                    C(0, 2), C(1, 2))
+    pieces = geo.boundary_pieces(cube)
+    assert [p.intrinsic_dim for p in pieces] == [2] * 6
+    for piece in pieces:
+        X = piece.embed_rows(np.asarray(geo.stratum_samples(piece, 8)))
+        on_face = (np.isclose(X, 0.0) | np.isclose(X, 1.0)).sum(axis=1)
+        assert np.all(on_face == 1) and np.all((X >= 0.0) & (X <= 1.0))
+    # the last face sits over the base's side wall x = 1, as a slab in z
+    assert pieces[-1] == geo.GraphCell(
+        geo.Slab(geo.Interval(0.0, 1.0), C(0, 1), C(1, 1)), (C(1.0, 2),),
+        (1, 2, 0))
+
+
+def test_curved_boundary_and_frontier_pieces_lie_on_the_boundary():
+    """Side walls compose the walls with a slanted piece's embedding, and
+    a surface's frontier lifts the base's pieces through its graph: their
+    samples are on the boundary, never inside or off the closure."""
+    cell = geo.Slab(TRIANGLE, expr.polynomial(2, {(1, 1): 1}),
+                    expr.polynomial(2, {(0, 0): 1, (1, 0): 1}))
+    pieces = geo.boundary_pieces(cell)
+    assert len(pieces) == 6
+    for piece in pieces:
+        X = piece.embed_rows(np.asarray(geo.stratum_samples(piece, 8)))
+        assert np.all(geo.membership(cell, X) == geo.BOUNDARY)
+    surface = geo.GraphCell(TRIANGLE, (expr.polynomial(2, {(2, 0): 1}),),
+                            (0, 2, 1))
+    X = geo.frontier_samples(surface)
+    assert len(X) == 4 * 24           # four 1-d pieces, 8 + 16 samples each
+    assert np.all(geo.membership(surface, X) == geo.BOUNDARY)
+
+
+def exact_triangle_distance(X):
+    """Distance to the closed triangle with corners (0,0), (1,0), (1,1)."""
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    best = np.full(len(X), np.inf)
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        t = np.clip((X - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+        best = np.minimum(best, np.linalg.norm(X - a - t[:, None] * (b - a),
+                                               axis=1))
+    inside = (X[:, 0] < 1.0) & (X[:, 1] > 0.0) & (X[:, 1] < X[:, 0])
+    return np.where(inside, 0.0, best)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_the_frontier_closes_the_foot_point_gap(seed):
+    """A foot point clamped one coordinate at a time stalls short of the
+    slanted wall of a triangle; the frontier's pieces give the exact
+    distance there."""
+    from whitney.rng import SeededStream
+    X = -2.0 + 5.0 * SeededStream(seed).random((3000, 2))
+    lo, up = geo.distance_brackets(
+        geo.descriptor_of(geo.identity_graph_cell(TRIANGLE)), X, box=3.0)
+    exact = exact_triangle_distance(X)
+    assert np.all(np.abs(up - exact) <= 1e-12)
+    assert np.all(lo <= exact + 1e-12)
