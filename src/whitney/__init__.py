@@ -7,8 +7,8 @@ bounds, extension agreement and flatness rates.
 __version__ = "0.1.0"
 
 from .expr import ExprFn, differentiate, evaluate  # noqa: F401
-from .jets import (PointJet, FieldSpec, jet_add, jet_mul, jet_eval,  # noqa: F401
-                   jet_compose, taylor_jet, truncate_poly, multi_indices)
+from .jets import (PointJet, FieldSpec, jet_mul, jet_compose,  # noqa: F401
+                   taylor_jet, multi_indices)
 from .geometry import (Interval, Slab, GraphCell, PointCell,  # noqa: F401
                        SetDescriptor, distance_brackets, membership)
 from .cutoff import (CutoffSpec, build_cutoff, verify_cutoff,  # noqa: F401

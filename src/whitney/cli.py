@@ -22,7 +22,7 @@ from .errors import (EngineError, InputError, StratificationInvalid,
                      WhitneyError)
 from .extension import extend_field, flatness_rate_probe
 from .geometry import INSIDE, OUTSIDE, PointCell
-from .jets import jet_permute, multi_indices
+from .jets import PointJet, multi_indices
 from .rng import sha256
 from .sceneio import SceneFile, dump_deterministic, load_scene, parse_seed
 from .verify import rate_fit, whitney_residual
@@ -192,12 +192,13 @@ def _scene_jets_at(scene, points):
 
 def _stratum_jet(cell, fld, x):
     """The ambient-frame jet of the field ``fld`` at the point ``x`` of
-    ``cell``."""
+    ``cell``: the internal multi-indices of its jet map through
+    ``cell.to_ambient``."""
     if isinstance(cell, PointCell):
         return fld.jet_at((0,), cell.point)
-    y = cell.to_internal(x)
-    jet = fld.jet_at(y[:cell.intrinsic_dim], y)
-    return jet_permute(jet, tuple(np.argsort(cell.perm).tolist()))
+    jet = fld.jet_at(cell.to_internal(x)[:cell.intrinsic_dim], x)
+    return PointJet(jet.n, jet.p, jet.base,
+                    {cell.to_ambient(a): c for a, c in jet.coeffs.items()})
 
 
 def _whitney_probes(scene, cfg):

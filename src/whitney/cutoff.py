@@ -18,6 +18,10 @@ between its clamp ends), and one column per point of every other cell's
 parameter net, clustered toward the cell's frontier.  It is smooth away
 from the set and comparable to the true distance at the scales the
 cutoff transition lives on.
+
+Every evaluator here (:class:`TransitionProfile`, :class:`RegularizedDistance`
+and :class:`CutoffFn`) takes an ``(N, n)`` array of rows and returns ``N``
+values; a single point is a 1-row batch.
 """
 from __future__ import annotations
 
@@ -30,21 +34,12 @@ import numpy as np
 
 from . import geometry
 from .errors import SlackTooLarge, UnsupportedDescriptor
-from .geometry import Ball, GraphCell, PointCell, SetDescriptor
+from .geometry import GraphCell, SetDescriptor
 from .jets import multi_indices, mi_order
 from .rng import SeededStream
 from .verify import sampled_derivatives
 
 IN, OUT, INDETERMINATE = 1, 0, -1
-
-
-def _point_or_batch(batch_fn, x):
-    """``batch_fn`` (``(N, n)`` rows to ``N`` values) applied to ``x``: an
-    ``(N, n)`` array gives the array, a point gives a float (a 1-row batch)."""
-    X = np.asarray(x, dtype=float)
-    if X.ndim > 1:
-        return batch_fn(X)
-    return float(batch_fn(np.atleast_2d(X))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -54,14 +49,14 @@ def _point_or_batch(batch_fn, x):
 @dataclass(frozen=True)
 class TransitionProfile:
     """Monotone polynomial step: 1 for s <= 0, 0 for s >= 1, with
-    derivatives through ``order`` vanishing at both joints (degree
-    ``2*order + 1`` on the middle piece)."""
+    derivatives through order ``q`` vanishing at both joints (degree
+    ``2q + 1`` on the middle piece)."""
 
-    order: int
     rising: tuple  # Fraction coefficients of the degree-(2q+1) ramp, low->high
 
     def __call__(self, s):
-        # s clipped to [-1, 2] (NaN to 2), the ramp by Horner there
+        """The profile on the array ``s``, elementwise.  ``s`` is clipped to
+        [-1, 2] (NaN to 2) and the ramp is evaluated by Horner there."""
         s_mid = np.clip(np.nan_to_num(np.asarray(s, dtype=float), nan=2.0,
                                       posinf=2.0, neginf=-1.0), -1.0, 2.0)
         mid = np.zeros_like(s_mid)
@@ -70,8 +65,7 @@ class TransitionProfile:
         # Horner rounding can overshoot the exact ramp by ~1 ulp at the
         # joints; fold it back so the range is exactly [0, 1]
         ramp = np.clip(1.0 - mid, 0.0, 1.0)
-        out = np.where(s_mid <= 0.0, 1.0, np.where(s_mid >= 1.0, 0.0, ramp))
-        return float(out) if np.isscalar(s) or out.ndim == 0 else out
+        return np.where(s_mid <= 0.0, 1.0, np.where(s_mid >= 1.0, 0.0, ramp))
 
 
 def smooth_transition(q: int) -> TransitionProfile:
@@ -87,7 +81,7 @@ def smooth_transition(q: int) -> TransitionProfile:
         c = (Fraction((-1) ** j) * math.comb(q + j, j)
              * math.comb(2 * q + 1, q - j))
         coeffs[q + 1 + j] = c
-    return TransitionProfile(q, tuple(coeffs))
+    return TransitionProfile(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +251,8 @@ class RegularizedDistance:
         self._exact = 0 if table is None else len(table.lows)
         self._closed = closed
 
-    def __call__(self, x):
-        return _point_or_batch(self._eval, x)
-
     def _eval(self, X: np.ndarray) -> np.ndarray:
+        """``d~`` on the rows of the ``(N, n)`` array ``X``."""
         if not self._closed and self._points is None:
             return np.ones(len(X))
         out = np.empty(len(X))
@@ -360,21 +352,18 @@ class CutoffFn:
         self.rho_int = rho_int
         self.rho_prime = rho_prime
 
-    def ratio(self, x):
-        def batch(X):
-            dw, dz = self.d_w._eval(X), self.d_z._eval(X)
-            return np.where(dz > 0.0, dw / np.where(dz > 0.0, dz, 1.0), np.inf)
-        return _point_or_batch(batch, x)
+    def ratio(self, X: np.ndarray) -> np.ndarray:
+        """``d~_W / d~_Z`` on the rows of ``X`` (inf where ``d~_Z`` is 0)."""
+        dw, dz = self.d_w._eval(X), self.d_z._eval(X)
+        return np.where(dz > 0.0, dw / np.where(dz > 0.0, dz, 1.0), np.inf)
 
-    def transition(self, x):
+    def transition(self, X: np.ndarray) -> np.ndarray:
         """The profile's argument ``(ratio - rho_int) / (eta_int - rho_int)``:
         at most 0 on the plateau, at least 1 off the support."""
-        return (self.ratio(x) - self.rho_int) / (self.eta_int - self.rho_int)
+        return (self.ratio(X) - self.rho_int) / (self.eta_int - self.rho_int)
 
-    def __call__(self, x):
-        return _point_or_batch(self._eval, x)
-
-    def _eval(self, X):
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """The cutoff on the rows of the ``(N, n)`` array ``X``."""
         if self.spec.w_desc.is_empty:
             return np.zeros(len(X))
         return self.profile(self.transition(X))
@@ -420,7 +409,6 @@ class CutoffReport:
     support_violations: int
     bound_constants: dict          # multi-index -> scaled derivative max
     bound_ratios: dict             # refinement stability per multi-index
-    excluded_radius: float
     in_range: bool                 # all sampled values within [0, 1]
 
     @property
@@ -431,25 +419,25 @@ class CutoffReport:
 
 
 def _sample_box(w_desc, z_desc, box):
-    """Axis-aligned window padded around all descriptor pieces."""
+    """Axis-aligned window padded around all descriptor pieces: the corners
+    of every closed-form piece (:func:`geometry.closed_form_box`), widened
+    by its radius, with an infinite side (the full space) read as the box
+    edge, and a subsample of every other piece's net.  An empty spec raises
+    :class:`UnsupportedDescriptor`."""
     pts = []
     for desc in (w_desc, z_desc):
         for piece in desc.pieces:
-            if isinstance(piece, PointCell):
-                pts.append([float(v) for v in piece.point])
-            elif isinstance(piece, Ball):
-                c = [float(v) for v in piece.center]
-                pts.append([v - piece.radius for v in c])
-                pts.append([v + piece.radius for v in c])
-            elif isinstance(piece, GraphCell):
-                ends = (geometry.closed_form_box(piece, box) if piece.graph
-                        else None)
-                if ends is not None:
-                    # a constant graph: its clamp ends span its net
-                    pts.extend([list(ends[0]), list(ends[1])])
-                    continue
+            corners = geometry.closed_form_box(piece, box)
+            if corners is None:
                 net = geometry.piece_net(piece, box).points
                 pts.extend(net[::max(1, len(net) // 32)].tolist())
+                continue
+            corner = np.asarray(corners[:2], dtype=float)
+            corner = np.where(np.isinf(corner), np.copysign(box, corner),
+                              corner)
+            pts.extend([corner[0] - corners[2], corner[1] + corners[2]])
+    if not pts:
+        raise UnsupportedDescriptor("cannot infer dimension from empty spec")
     arr = np.asarray(pts)
     lo = arr.min(axis=0)
     hi = arr.max(axis=0)
@@ -468,17 +456,15 @@ def verify_cutoff(omega: CutoffFn, spec: CutoffSpec,
     below 2) under one refinement of the sample count, for every
     ``0 < |a| <= q``.
     """
-    n = _descriptor_dim(spec)
     lo, hi = _sample_box(spec.w_desc, spec.z_desc, spec.box)
+    n = len(lo)
     X = lo + (hi - lo) * SeededStream(seed).random((n_samples, n))
     lo_w, up_w = geometry.distance_brackets(spec.w_desc, X, spec.box)
     lo_z, up_z = geometry.distance_brackets(spec.z_desc, X, spec.box)
-    scene_scale = float(np.max(hi - lo))
-    exclusion = 1e-6 * scene_scale
-    keep = up_z > exclusion
+    keep = up_z > 1e-6 * float(np.max(hi - lo))
     X, lo_w, up_w, lo_z, up_z = (a[keep] for a in (X, lo_w, up_w, lo_z, up_z))
 
-    vals = np.asarray(omega(X))
+    vals = omega(X)
     in_range = bool(np.all((vals >= 0.0) & (vals <= 1.0)))
 
     plateau_mask = up_w < omega.rho_prime * lo_z
@@ -509,17 +495,5 @@ def verify_cutoff(omega: CutoffFn, spec: CutoffSpec,
         plateau_violations=plateau_viol,
         support_checked=int(np.sum(support_mask)),
         support_violations=support_viol,
-        bound_constants=consts, bound_ratios=ratios,
-        excluded_radius=exclusion, in_range=in_range)
+        bound_constants=consts, bound_ratios=ratios, in_range=in_range)
 
-
-def _descriptor_dim(spec: CutoffSpec) -> int:
-    for desc in (spec.w_desc, spec.z_desc):
-        for piece in desc.pieces:
-            if isinstance(piece, PointCell):
-                return len(piece.point)
-            if isinstance(piece, Ball):
-                return len(piece.center)
-            if isinstance(piece, GraphCell):
-                return piece.ambient_dim
-    raise UnsupportedDescriptor("cannot infer dimension from empty spec")

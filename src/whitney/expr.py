@@ -18,9 +18,13 @@ Two conventions matter throughout:
   select the active branch and keep the guard, so differentiation of a
   derived tree errors on the ridge too.
 
-:func:`evaluate` is the exact scalar evaluator.  :func:`evaluate_rows` is
-the one float evaluator over a batch of rows; it turns those errors into a
-row mask.
+:func:`evaluate` is the exact evaluator at one point.  :func:`evaluate_rows`
+is the one float evaluator over a batch of rows; it turns those errors into a
+row mask.  An :class:`ExprFn` is plain data: trees are combined through the
+folding node builders (:func:`add`, :func:`mul`, ...), :func:`polynomial`
+and :func:`substitute`, and read only through these two evaluators.
+:func:`number_from_json` is the one parser of JSON numbers, for expressions
+and scene files alike.
 """
 from __future__ import annotations
 
@@ -189,40 +193,6 @@ class ExprFn:
         if top >= self.arity:
             raise ArityMismatch(
                 f"variable index {top} exceeds arity {self.arity}")
-
-    def __call__(self, x):
-        return evaluate(self, x)
-
-    # Arithmetic sugar so jets and tests can combine expressions directly.
-    def _wrap(self, other) -> "ExprFn":
-        if isinstance(other, ExprFn):
-            if other.arity != self.arity:
-                raise ArityMismatch("mixed arity in expression arithmetic")
-            return other
-        return ExprFn(self.arity, const(other))
-
-    def __add__(self, other):
-        other = self._wrap(other)
-        return ExprFn(self.arity, add(self.root, other.root))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._wrap(other)
-        return ExprFn(self.arity, sub(self.root, other.root))
-
-    def __rsub__(self, other):
-        other = self._wrap(other)
-        return ExprFn(self.arity, sub(other.root, self.root))
-
-    def __mul__(self, other):
-        other = self._wrap(other)
-        return ExprFn(self.arity, mul(self.root, other.root))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ExprFn(self.arity, sub(ZERO, self.root))
 
 
 def _max_var_index(node: Node) -> int:
@@ -517,7 +487,7 @@ def node_from_json(obj) -> Node:
         raise UnsupportedNode(f"expression must be a nonempty array: {obj!r}")
     op = obj[0]
     if op == "const":
-        return const(_number_from_json(obj[1]))
+        return const(number_from_json(obj[1]))
     if op == "var":
         return var(int(obj[1]))
     if op == "neg":
@@ -536,16 +506,22 @@ def node_from_json(obj) -> Node:
     raise UnsupportedNode(f"unknown expression op {op!r}")
 
 
-def _number_from_json(v) -> Number:
+def number_from_json(v) -> Number:
+    """A JSON number: an int or a ``"p/q"`` (or decimal) string as an exact
+    Fraction, a float as itself.  A bool, any other type or a string that
+    is no rational raises :class:`UnsupportedNode`."""
     if isinstance(v, bool):
-        raise UnsupportedNode("booleans are not numbers")
+        raise UnsupportedNode(f"expected a number, got {v!r}")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float):
         return v
     if isinstance(v, str):
-        return Fraction(v)
-    raise UnsupportedNode(f"bad numeric literal {v!r}")
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise UnsupportedNode(f"bad rational literal {v!r}") from None
+    raise UnsupportedNode(f"expected a number, got {type(v).__name__}")
 
 
 def exprfn_from_json(obj, arity: int) -> ExprFn:

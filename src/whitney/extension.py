@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cutoff as cutoff_mod
 from . import expr, geometry, verify
-from .cutoff import CutoffFn, CutoffSpec, build_cutoff, _point_or_batch
+from .cutoff import CutoffFn, CutoffSpec, build_cutoff
 from .errors import (ConsistencyViolation, SequenceLeavesCone, SingularPoint,
                      StratificationInvalid, SupportLeak, WhitneyError)
 from .geometry import (EMPTY_SET, INSIDE, OUTSIDE, GraphCell, PointCell,
@@ -209,9 +209,6 @@ class PointGlueTerm:
         self.omega = omega
         self.center = np.asarray([float(v) for v in jet.base])
 
-    def __call__(self, x):
-        return _point_or_batch(lambda X: self.evaluate(X)[0], x)
-
     def evaluate(self, X: np.ndarray):
         """``(values, leaks)`` on the rows of ``X``; a ball term never leaks."""
         w = self.omega(X)
@@ -240,9 +237,6 @@ class CellTerm:
         self.normal_coeffs = dict(normal_coeffs)
         self.omega = omega
         self.eta = eta
-
-    def __call__(self, x):
-        return _point_or_batch(lambda X: self.evaluate(X)[0], x)
 
     def evaluate(self, X: np.ndarray):
         """``(values, leaks)`` on the rows of ``X``; ``leaks`` marks rows
@@ -301,8 +295,9 @@ class ExtensionFn:
         self.terms = list(terms)
         self.sub = sub
 
-    def __call__(self, x):
-        return _point_or_batch(lambda X: self.evaluate(X)[0], x)
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """The values on the rows of the ``(N, n)`` array ``X``."""
+        return self.evaluate(X)[0]
 
     def evaluate(self, X: np.ndarray):
         """``(values, leaks)`` on the rows of ``X``; ``leaks`` counts the
@@ -409,7 +404,7 @@ def _subtracted_coeff(orig, cell, alpha_int, g: ExtensionFn) -> Callable:
             g, [(X, alpha_amb, np.full(len(X), _SUBTRACT_STEP))])
         return coefficient_rows(orig, U) - d
 
-    return lambda u: _point_or_batch(batch, u)
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +560,6 @@ def _glue_points(scene: Scene) -> ExtensionFn:
 class FlatnessReport:
     per_kappa: dict                 # kappa -> list of normalized values
     flat: dict                      # kappa -> bool
-    theta: float
-    cone_ratio_max: float
 
 
 def flatness_rate_probe(h: Callable, z_desc: SetDescriptor,
@@ -601,7 +594,6 @@ def flatness_rate_probe(h: Callable, z_desc: SetDescriptor,
             raise SequenceLeavesCone(
                 f"point {tuple(x)} has d(x,cell)/d(x,Z) = {ratio:.3f} "
                 f"> {c_eff:.3f}")
-    ratio_max = float(ratios.max(initial=0.0))
     dzs = (0.5 * (lo_z + up_z)).tolist()
 
     kappas = multi_indices(n, p)
@@ -615,4 +607,4 @@ def flatness_rate_probe(h: Callable, z_desc: SetDescriptor,
         per_kappa[tuple(kappa)] = vals
         tail = vals[max(0, len(vals) - max(3, len(vals) // 3)):]
         flat[tuple(kappa)] = max(tail) < theta
-    return FlatnessReport(per_kappa, flat, theta, ratio_max)
+    return FlatnessReport(per_kappa, flat)

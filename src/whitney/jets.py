@@ -3,10 +3,16 @@ of jets over strata.
 
 A :class:`PointJet` stores *derivative values* ``coeffs[alpha] = F^alpha``;
 the polynomial it represents is ``sum (1/alpha!) F^alpha X^alpha`` where
-``X`` is the offset from the base point.  Multiplication is full polynomial
-multiplication followed by truncation to total degree <= p, which makes
-jets of a fixed order a commutative ring.  All operations stay exact when
-coefficients and points are rational.
+``X`` is the offset from the base point.  :func:`jet_mul` (the product
+truncated to total degree <= p) and :func:`jet_compose` (substitution,
+truncated) are exact truncated Taylor arithmetic, and :func:`taylor_jet`
+gives the exact jet of an expression.  A :class:`FieldSpec` is a jet field
+over one stratum: :meth:`FieldSpec.jet_at` gives its exact jet at one
+parameter, and :func:`coefficient_rows` one coefficient on a batch of
+parameter rows.  All exact operations stay exact when coefficients and
+points are rational.  The product evaluates jet polynomials on row
+batches in :mod:`whitney.extension`, the Whitney residual in
+:mod:`whitney.verify`.
 """
 from __future__ import annotations
 
@@ -90,18 +96,6 @@ class PointJet:
                 f"jet needs exactly the {len(expected)} coefficients of "
                 f"order <= {self.p}")
 
-    def __add__(self, other):
-        return jet_add(self, other)
-
-    def __sub__(self, other):
-        return jet_add(self, jet_scale(other, -1))
-
-    def __mul__(self, other):
-        return jet_mul(self, other)
-
-    def __call__(self, offset):
-        return jet_eval(self, offset)
-
     @property
     def constant_term(self):
         return self.coeffs[(0,) * self.n]
@@ -126,16 +120,6 @@ def _check_compatible(a: PointJet, b: PointJet):
             raise BaseMismatch("jet base points differ beyond tolerance")
 
 
-def jet_add(a: PointJet, b: PointJet) -> PointJet:
-    _check_compatible(a, b)
-    return PointJet(a.n, a.p, a.base,
-                    {k: a.coeffs[k] + b.coeffs[k] for k in a.coeffs})
-
-
-def jet_scale(a: PointJet, c) -> PointJet:
-    return PointJet(a.n, a.p, a.base, {k: c * v for k, v in a.coeffs.items()})
-
-
 def jet_to_monomial(a: PointJet) -> dict:
     """Plain polynomial coefficients ``c_alpha = F^alpha / alpha!``."""
     return {k: v * _inv_factorial(k, v) for k, v in a.coeffs.items()}
@@ -150,68 +134,12 @@ def jet_from_monomial(n, p, base, mono: Mapping) -> PointJet:
     return PointJet(n, p, tuple(base), coeffs)
 
 
-def truncate_poly(mono: Mapping, n: int, p: int, base=None) -> PointJet:
-    """Project a finitely supported polynomial (monomial-coefficient map)
-    onto total degree <= p, returned in jet form.  Linear and idempotent."""
-    base = tuple(base) if base is not None else (0,) * n
-    kept = {a: c for a, c in mono.items() if sum(a) <= p}
-    return jet_from_monomial(n, p, base, kept)
-
-
-def poly_multiply(a: Mapping, b: Mapping) -> dict:
-    """Full (untruncated) product of two monomial-coefficient maps."""
-    out: dict = {}
-    for ka, va in a.items():
-        if va == 0:
-            continue
-        for kb, vb in b.items():
-            if vb == 0:
-                continue
-            k = mi_add(ka, kb)
-            out[k] = out.get(k, 0) + va * vb
-    return out
-
-
 def jet_mul(a: PointJet, b: PointJet) -> PointJet:
+    """Product of two jets at one base: the polynomial product truncated
+    to total degree <= p."""
     _check_compatible(a, b)
-    am, bm = jet_to_monomial(a), jet_to_monomial(b)
-    out: dict = {}
-    for ka, va in am.items():
-        if va == 0:
-            continue
-        ra = a.p - sum(ka)
-        for kb, vb in bm.items():
-            if vb == 0 or sum(kb) > ra:
-                continue
-            k = mi_add(ka, kb)
-            out[k] = out.get(k, 0) + va * vb
-    return jet_from_monomial(a.n, a.p, a.base, out)
-
-
-def jet_eval(a: PointJet, offset: Sequence):
-    if len(offset) != a.n:
-        raise ShapeMismatch("offset dimension != n")
-    total = 0
-    for alpha, c in a.coeffs.items():
-        if c == 0:
-            continue
-        term = c * _inv_factorial(alpha, c)
-        for xi, k in zip(offset, alpha):
-            if k:
-                term = term * xi ** k
-        total = total + term
-    return total
-
-
-def jet_permute(a: PointJet, perm: Sequence[int]) -> PointJet:
-    """Reindex jet coordinates: output axis ``i`` is input axis ``perm[i]``."""
-    if sorted(perm) != list(range(a.n)):
-        raise ShapeMismatch("perm must be a permutation of the axes")
-    base = tuple(a.base[perm[i]] for i in range(a.n))
-    coeffs = {}
-    for alpha, c in a.coeffs.items():
-        coeffs[tuple(alpha[perm[i]] for i in range(a.n))] = c
-    return PointJet(a.n, a.p, base, coeffs)
+    return jet_from_monomial(a.n, a.p, a.base, _truncated_product(
+        jet_to_monomial(a), jet_to_monomial(b), a.p))
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +236,6 @@ def taylor_jet(f: ExprFn, p: int, u: Sequence) -> PointJet:
 CoeffFn = Union[ExprFn, Callable]
 
 
-def _eval_coeff(fn: CoeffFn, u: Sequence):
-    if isinstance(fn, ExprFn):
-        return expr.evaluate(fn, u)
-    return fn(u)
-
-
 def coefficient_rows(fn: CoeffFn, U: np.ndarray) -> np.ndarray:
     """A coefficient on the parameter rows ``U``: an expression through
     :func:`expr.evaluate_rows_or_raise`, any other callable as one batch."""
@@ -350,6 +272,9 @@ class FieldSpec:
                     "coefficient arity != stratum parameter dimension")
 
     def jet_at(self, u: Sequence, embedded_base: Sequence) -> PointJet:
-        vals = {a: _eval_coeff(fn, u) for a, fn in self.coeffs.items()}
+        """The exact jet at the parameter ``u`` of an expression field,
+        based at ``embedded_base``; its multi-indices are in the stratum's
+        internal axis order."""
+        vals = {a: expr.evaluate(fn, u) for a, fn in self.coeffs.items()}
         return PointJet(self.n, self.p, tuple(embedded_base), vals)
 

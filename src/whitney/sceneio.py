@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from . import expr, geometry
-from .errors import SceneFormatError
+from .errors import SceneFormatError, UnsupportedNode
 from .expr import ExprFn
 from .extension import Scene, Stratum
 from .geometry import GraphCell, Interval, PointCell, Slab
@@ -48,16 +47,11 @@ def _fail(path: str, message: str):
 
 
 def _num(value, path: str):
-    if isinstance(value, bool) or value is None:
-        _fail(path, f"expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return Fraction(value) if isinstance(value, int) else value
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ValueError:
-            _fail(path, f"bad rational literal {value!r}")
-    _fail(path, f"expected a number, got {type(value).__name__}")
+    """:func:`expr.number_from_json`, its error named with ``path``."""
+    try:
+        return expr.number_from_json(value)
+    except UnsupportedNode as exc:
+        _fail(path, str(exc))
 
 
 def parse_seed(value, path: str) -> int:

@@ -186,12 +186,6 @@ def straddling_pairs(c: float, scales: Sequence):
 @dataclass
 class RateFit:
     slope: float
-    intercept: float
-    fit_residual: float
-    required: float
-    margin: float
-    normalized_tail: float
-    normalized_monotone: bool
     verdict: str                  # "PASS" or "FAIL"
     reason: str = ""
 
@@ -231,15 +225,9 @@ def rate_fit(samples: Sequence[tuple], required: float) -> RateFit:
     if np.count_nonzero(nonzero) < len(values) / 2:
         # (near-)identically zero residuals: flat in the strongest sense
         if np.all(values <= 1e-15 * np.maximum(1.0, scales)):
-            return RateFit(math.inf, -math.inf, 0.0, required, _RATE_MARGIN,
-                           0.0, True, "PASS", "values identically zero")
+            return RateFit(math.inf, "PASS", "values identically zero")
     ls, lv = np.log10(scales[nonzero]), np.log10(values[nonzero])
-    if len(ls) >= 2:
-        slope, intercept = np.polyfit(ls, lv, 1)
-        resid = float(np.sqrt(np.mean((np.polyval((slope, intercept), ls)
-                                       - lv) ** 2)))
-    else:
-        slope, intercept, resid = math.inf, -math.inf, 0.0
+    slope = np.polyfit(ls, lv, 1)[0] if len(ls) >= 2 else math.inf
     slope_ok = slope >= required + _RATE_MARGIN
     decay_ok = monotone and tail < _RATE_THETA
     verdict = "PASS" if (slope_ok or decay_ok) else "FAIL"
@@ -247,8 +235,7 @@ def rate_fit(samples: Sequence[tuple], required: float) -> RateFit:
               "normalized values decay" if decay_ok else
               f"slope {slope:.3f} < {required + _RATE_MARGIN:.3f} and "
               f"normalized tail {tail:.3e} not decaying")
-    return RateFit(float(slope), float(intercept), resid, required,
-                   _RATE_MARGIN, tail, monotone, verdict, reason)
+    return RateFit(float(slope), verdict, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,27 @@ def load_corpus_scene(name: str):
     return load_scene(scene_path(name))
 
 
+def one_row(batch_fn):
+    """``batch_fn`` (``(N, n)`` rows to ``N`` values) as a function of one
+    point, through a 1-row batch: the form :func:`finite_difference` calls."""
+    return lambda x: float(batch_fn(np.asarray([x], dtype=float))[0])
+
+
+def naive_poly_mul(a: dict, b: dict) -> dict:
+    """Full product of two monomial-coefficient maps, by brute force."""
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0) + va * vb
+    return out
+
+
+def naive_truncate(mono: dict, p: int) -> dict:
+    """The nonzero monomials of total degree <= p."""
+    return {k: v for k, v in mono.items() if sum(k) <= p and v != 0}
+
+
 def rand_fraction(rng, lo=-6, hi=7, den=4) -> Fraction:
     return Fraction(int(rng.integers(lo, hi)), int(rng.integers(1, den)))
 

@@ -18,30 +18,16 @@ from whitney.jets import (jet_compose, jet_from_coeffs, jet_mul,
 from whitney.verify import (check_extension, radial_pairs, rate_fit,
                             straddling_pairs, whitney_residual)
 
-from conftest import (load_corpus_scene, rand_jet, rand_point,
-                      rand_polynomial, scene_path)
+# naive_poly_mul and naive_truncate are the independent brute-force
+# helpers, kept free of the library's fast paths
+from conftest import (load_corpus_scene, naive_poly_mul, naive_truncate,
+                      rand_jet, rand_point, rand_polynomial, scene_path)
 
 NON_DEFECT_SCENES = ["points", "halfline", "parabola", "square", "fullspace"]
 
 
 def report(criterion: str, detail: str = ""):
     print(f"ACCEPTANCE {criterion}: PASS  {detail}")
-
-
-# -- independent brute-force helpers (kept free of the library's fast paths)
-
-
-def naive_poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            out[k] = out.get(k, 0) + va * vb
-    return out
-
-
-def naive_truncate(mono: dict, p: int) -> dict:
-    return {k: v for k, v in mono.items() if sum(k) <= p and v != 0}
 
 
 def test_criterion_1_jet_algebra_oracle_equivalence():

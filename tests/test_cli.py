@@ -109,6 +109,22 @@ def test_schema_diagnostics_carry_path(tmp_path):
         load_scene(bad)
 
 
+@pytest.mark.parametrize("value", ["1/0", "x", True, None, [1]])
+def test_bad_number_literals_carry_their_path(tmp_path, value):
+    """A point coordinate goes through the one JSON number parser; every
+    bad literal, a zero denominator included, is a schema error naming
+    where it is."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema": "jetfield-scene/1", "n": 1,
+                               "p": 1, "q": 1,
+                               "strata": [{"id": "s", "cell": {
+                                   "type": "point", "coords": [value]},
+                                   "field": {}}]}))
+    with pytest.raises(SceneFormatError,
+                       match=r"strata\[0\]\.cell\.coords\[0\]: "):
+        load_scene(bad)
+
+
 def test_parse_slab_stratum(tmp_path):
     raw = {
         "schema": "jetfield-scene/1", "n": 2, "p": 1, "q": 1, "box": 2.0,

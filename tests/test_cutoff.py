@@ -8,6 +8,8 @@ from whitney import cutoff as co
 from whitney import expr
 from whitney import geometry as geo
 
+from conftest import one_row
+
 
 def point_desc(*coords):
     return geo.descriptor_of(geo.PointCell(tuple(coords)))
@@ -76,27 +78,28 @@ def test_profile_monotone_in_unit_range():
 
 def test_regularized_point_exact():
     d = co.regularized_distance(point_desc(0.0, 0.0))
-    assert d((3.0, 4.0)) == pytest.approx(5.0)
+    assert d._eval(np.asarray([[3.0, 4.0]]))[0] == pytest.approx(5.0)
     assert d.c1 == 1.0
 
 
 def test_regularized_point_scaling_homogeneous():
     d1 = co.regularized_distance(point_desc(0.0))
     for lam in (0.5, 2.0, 8.0):
-        assert d1((lam * 0.7,)) == pytest.approx(lam * d1((0.7,)))
+        near, far = d1._eval(np.asarray([[0.7], [lam * 0.7]]))
+        assert far == pytest.approx(lam * near)
 
 
 def test_regularized_two_points_softmin():
     desc = geo.descriptor_of(geo.PointCell((-1.0,)), geo.PointCell((1.0,)))
     d = co.regularized_distance(desc)
-    val = d((0.0,))
+    (val,) = d._eval(np.zeros((1, 1)))
     assert d.c1 * 1.0 <= val <= 1.0
     # comparability sampled on a grid away from the points
-    for x in np.linspace(-3, 3, 61):
-        if min(abs(x - 1), abs(x + 1)) < 1e-3:
-            continue
-        true = min(abs(x - 1.0), abs(x + 1.0))
-        assert d.c1 * true - 1e-12 <= d((float(x),)) <= true + 1e-12
+    x = np.linspace(-3, 3, 61)
+    x = x[np.minimum(np.abs(x - 1), np.abs(x + 1)) >= 1e-3]
+    true = np.minimum(np.abs(x - 1.0), np.abs(x + 1.0))
+    val = d._eval(x[:, None])
+    assert np.all(d.c1 * true - 1e-12 <= val) and np.all(val <= true + 1e-12)
 
 
 def test_regularized_segment_net_comparable():
@@ -106,8 +109,8 @@ def test_regularized_segment_net_comparable():
     desc = geo.descriptor_of(seg)
     worst_ratio = 0.0
     X = [(0.5, 0.4), (-0.3, 0.2), (1.5, -0.7), (0.2, -1.0)]
-    for x, true in zip(X, geo.distance_brackets(desc, X)[1]):
-        val = d(x)
+    for val, true in zip(d._eval(np.asarray(X)),
+                         geo.distance_brackets(desc, X)[1]):
         assert val <= true + 1e-9
         worst_ratio = max(worst_ratio, true / val)
     assert worst_ratio <= 1.0 / d.c1 + 1e-9
@@ -117,7 +120,7 @@ def test_regularized_segment_net_comparable():
 def test_full_space_distance_zero():
     full = geo.identity_graph_cell(geo.Interval(None, None))
     d = co.regularized_distance(geo.descriptor_of(full))
-    assert d((12.3,)) == 0.0
+    assert d._eval(np.asarray([[12.3]]))[0] == 0.0
 
 
 def _segment(a, b, height):
@@ -202,7 +205,7 @@ def test_regularized_distance_is_the_flat_soft_minimum():
         axis=1)
     s = d.exponent
     ref = np.sum(cols ** -float(s), axis=1) ** (-1.0 / s)
-    val = d(X)
+    val = d._eval(X)
     assert np.all(np.abs(val - ref) <= 1e-12 * ref)
     lo, up = geo.distance_brackets(z, X, box)
     assert np.all(d.c1 * lo <= val * (1 + 1e-12)) and np.all(val <= up)
@@ -221,7 +224,7 @@ def test_segment_columns_are_comparable_over_the_scene_box():
         d = co.regularized_distance(desc, box)
         lo, up = geo.distance_brackets(desc, X, box)
         assert np.array_equal(lo, up)
-        val = d(X)
+        val = d._eval(X)
         assert np.all(d.c1 * up <= val * (1 + 1e-12)) and np.all(val <= up)
     lone = co.regularized_distance(
         geo.descriptor_of(_segment(0.0, 1.0, 0.0)), box)
@@ -244,8 +247,8 @@ def test_regularized_distance_vanishes_on_its_columns_without_warnings():
                          for r in (0.0, 1e-12, 1e-9)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.all(d(on) == 0.0)
-        val = d(near)
+        assert np.all(d._eval(on) == 0.0)
+        val = d._eval(near)
     lo, up = geo.distance_brackets(z, near, box)
     assert np.all(val > 0.0) and np.all(val <= up)
     assert np.all(d.c1 * up <= val * (1 + 1e-12))
@@ -367,13 +370,13 @@ def test_single_constant_graph_w_is_one_segment_column():
     d_w = omega.d_w
     assert d_w.table is None and not d_w.nets and len(d_w.segments.length) == 1
     X = np.random.default_rng(5).uniform(-2.0, 3.0, (300, 2))
-    val = d_w(X)
+    val = d_w._eval(X)
     assert np.array_equal(val, d_w.segments.columns(X)[:, 0])
     lo, up = geo.distance_brackets(w, X, 3.0)
     assert np.array_equal(lo, up)
     assert np.all(d_w.c1 * up <= val * (1 + 1e-12)) and np.all(val <= up)
     on = np.stack([np.linspace(0.0, 1.0, 11), np.zeros(11)], axis=1)
-    assert np.all(d_w(on) == 0.0) and np.all(omega(on[1:-1]) == 1.0)
+    assert np.all(d_w._eval(on) == 0.0) and np.all(omega(on[1:-1]) == 1.0)
 
 
 def test_w_segment_with_endpoints_off_z_keeps_the_cutoff_c2():
@@ -388,9 +391,9 @@ def test_w_segment_with_endpoints_off_z_keeps_the_cutoff_c2():
     omega = co.build_cutoff(spec)
     assert not omega.d_w.nets and len(omega.d_w.segments.length) == 1
     for y in (0.25, 0.3):
-        assert 0.0 < omega((0.0, y)) < 1.0
-        left, right = (finite_difference(omega, (2, 0), (s, y), 5e-5)[0]
-                       for s in (-2e-4, 2e-4))
+        assert 0.0 < omega(np.asarray([[0.0, y]]))[0] < 1.0
+        left, right = (finite_difference(one_row(omega), (2, 0), (s, y),
+                                         5e-5)[0] for s in (-2e-4, 2e-4))
         assert abs(left - right) < 1.0, (y, left, right)
 
 
@@ -407,7 +410,8 @@ def test_half_line_w_is_a_segment_to_the_box_edge():
     assert np.array_equal(segments.start, [[0.0, 0.0]])
     assert np.array_equal(segments.start + segments.length[:, None]
                           * segments.axis, [[3.0, 0.0]])
-    assert d_w((2.5, 0.0)) == 0.0 and d_w((1.0, 0.5)) > 0.0
+    on, off = d_w._eval(np.asarray([[2.5, 0.0], [1.0, 0.5]]))
+    assert on == 0.0 and off > 0.0
 
 
 def test_cutoff_of_two_exact_w_points():
@@ -418,8 +422,8 @@ def test_cutoff_of_two_exact_w_points():
     omega = co.build_cutoff(spec)
     c_ratio = min(omega.d_w.c1, omega.d_z.c1)
     assert omega.rho_prime == pytest.approx(0.9 * c_ratio * omega.rho_int)
-    assert omega((0.0, 0.0)) == 1.0 and omega((1.0, 0.0)) == 1.0
-    assert omega((0.5, 0.9)) == 0.0
+    vals = omega(np.asarray([[0.0, 0.0], [1.0, 0.0], [0.5, 0.9]]))
+    assert vals.tolist() == [1.0, 1.0, 0.0]
 
 
 def test_parabola_arc_cutoff_keeps_its_plateau_ratio():
@@ -450,8 +454,8 @@ def test_soft_minned_z_segment_keeps_the_cutoff_c2():
     omega = co.build_cutoff(co.CutoffSpec(w, z, 0.5, 2))
     from whitney.verify import finite_difference
     for y in (0.2, 0.25):
-        left, right = (finite_difference(omega, (2, 0), (1.0 + s, y), 1e-4)[0]
-                       for s in (-1e-3, 1e-3))
+        left, right = (finite_difference(one_row(omega), (2, 0), (1.0 + s, y),
+                                         1e-4)[0] for s in (-1e-3, 1e-3))
         assert abs(left - right) < 0.05, (y, left, right)
 
 
@@ -474,9 +478,9 @@ def ball_spec(eta=0.5, q=2):
 
 def test_cutoff_plateau_and_vanishing():
     omega = co.build_cutoff(ball_spec())
-    assert omega((1.0,)) == 1.0          # on W the ratio is 0
-    assert omega((1.05,)) == 1.0         # still inside W
-    assert omega((0.1,)) == 0.0          # far outside the cone
+    # on W the ratio is 0; still inside W; far outside the cone
+    assert omega(np.asarray([[1.0], [1.05], [0.1]])).tolist() == [1.0, 1.0,
+                                                                 0.0]
     vals = omega(np.linspace(0.05, 2.0, 400).reshape(-1, 1))
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
@@ -491,7 +495,7 @@ def test_cutoff_monotone_where_ratio_monotone():
 def test_cutoff_empty_w_is_zero():
     spec = co.CutoffSpec(geo.EMPTY_SET, point_desc(0.0), 0.5, 2)
     omega = co.build_cutoff(spec)
-    assert omega((3.0,)) == 0.0
+    assert omega(np.asarray([[3.0]]))[0] == 0.0
     rep = co.verify_cutoff(omega, spec, n_samples=500, seed=3)
     assert rep.plateau_checked == 0 and rep.passed
 
@@ -500,9 +504,8 @@ def test_cutoff_empty_z_gives_tube():
     # empty Z: d(x, Z) = 1 by convention, so the support is a plain ball
     spec = co.CutoffSpec(point_desc(0.0), geo.EMPTY_SET, 0.5, 2)
     omega = co.build_cutoff(spec)
-    assert omega((0.0,)) == 1.0
-    assert omega((0.6,)) == 0.0
-    assert 0.0 < omega((0.35,)) < 1.0
+    center, off, shell = omega(np.asarray([[0.0], [0.6], [0.35]]))
+    assert center == 1.0 and off == 0.0 and 0.0 < shell < 1.0
 
 
 def test_verify_cutoff_passes_and_nests():
@@ -544,7 +547,7 @@ def test_cutoff_batched_matches_scalar():
     xs = np.linspace(0.05, 2.0, 97).reshape(-1, 1)
     batched = omega(xs)
     for x, v in zip(xs, batched):
-        assert omega(tuple(x)) == v
+        assert omega(x[None, :])[0] == v
 
 
 def test_driver_cell_cutoffs_meet_the_contract():

@@ -1,7 +1,9 @@
 """Dead-code guards: every public top-level function or class of the
 package, and every public method or property of a public class, is named by
-some other code of the package or by the acceptance gate; and every
-defaulted parameter of a package function is passed by some call."""
+some other code of the package or by the acceptance gate; every defaulted
+parameter of a package function is passed by some call; and every
+top-level import of a package module is read by that module or imported
+from it by another."""
 import ast
 from pathlib import Path
 
@@ -11,8 +13,6 @@ GATE = ROOT / "tests" / "test_acceptance.py"
 
 # Public names kept although no module or gate calls them, one reason each.
 ALLOWED = {
-    "truncate_poly": "oracle of the jet-algebra tests (ring structure)",
-    "poly_multiply": "oracle of the jet-algebra tests (untruncated product)",
     "finite_difference": "1-row stencil call of the derivative tests and "
                          "the perfbench tracer",
 }
@@ -119,3 +119,48 @@ def unpassed_defaults() -> set:
 def test_every_default_is_passed_somewhere():
     """A default that no call overrides is a constant in disguise."""
     assert unpassed_defaults() == set()
+
+
+def _top_level_imports(tree):
+    """``(bound name, line)`` of every import outside a function or class
+    body (``try``/``if`` blocks at module level included), except
+    ``from __future__``."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Try, ast.If)):
+            stack.extend(node.body + node.orelse
+                         + getattr(node, "finalbody", []))
+            for handler in getattr(node, "handlers", []):
+                stack.extend(handler.body)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.asname or a.name.split(".")[0], node.lineno
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            for a in node.names:
+                yield a.asname or a.name, node.lineno
+
+
+def unread_imports() -> set:
+    """``module.name`` of every top-level import that no line of its module
+    reads and that no other package module imports from it."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in _modules()}
+    reexported = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                reexported.update((node.module, a.name) for a in node.names)
+    out = set()
+    for stem, tree in trees.items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for name, _ in _top_level_imports(tree):
+            if name not in read and (stem, name) not in reexported:
+                out.add(f"{stem}.{name}")
+    return out
+
+
+def test_every_import_is_read():
+    """An import that nothing reads is left over from a deletion."""
+    assert unread_imports() == set()

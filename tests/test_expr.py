@@ -242,8 +242,8 @@ def test_substitute_composes():
 def test_substitute_folds_constant_subtrees():
     """Substituting 1/10 and 2/10 into x0 + x1 + x2 folds their sum to the
     exact 3/10, so the rows read 0.3 like the scalar evaluator."""
-    f = (expr.coordinate(0, 3) + expr.coordinate(1, 3)
-         + expr.coordinate(2, 3))
+    f = expr.ExprFn(3, expr.add(expr.add(expr.var(0), expr.var(1)),
+                                expr.var(2)))
     g = expr.substitute(f, [expr.constant_fn(Fraction(1, 10)),
                             expr.constant_fn(Fraction(2, 10)),
                             expr.coordinate(0, 1)])

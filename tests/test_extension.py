@@ -15,7 +15,7 @@ from whitney.extension import (CellTerm, Scene, Stratum,
 from whitney.jets import FieldSpec, multi_indices
 from whitney.verify import check_extension, finite_difference
 
-from conftest import load_corpus_scene, rand_point, rand_polynomial
+from conftest import load_corpus_scene, one_row, rand_point, rand_polynomial
 
 C = expr.constant_fn
 
@@ -47,8 +47,9 @@ def test_stratum_consistency_random_curved_fields(rng):
         m, p = 1 + trial % 2, 1 + trial % 3
         base = (geo.Interval(0.0, 1.0) if m == 1
                 else geo.Slab(geo.Interval(0.0, 1.0), C(0, 1), C(1, 1)))
-        quartic = expr.polynomial(m, {(4,) + (0,) * (m - 1): 1})
-        graph = tuple(rand_polynomial(rng, m, 3) + quartic
+        quartic = expr.polynomial(m, {(4,) + (0,) * (m - 1): 1}).root
+        graph = tuple(expr.ExprFn(m, expr.add(rand_polynomial(rng, m, 3).root,
+                                              quartic))
                       for _ in range(n - m))
         cell = geo.GraphCell(base, graph, (0, 1, 2))
         inner = [expr.coordinate(i, m) for i in range(m)] + list(graph)
@@ -61,7 +62,8 @@ def test_stratum_consistency_random_curved_fields(rng):
         tangential = [a for a in multi_indices(n, p) if any(a[:m])]
         alpha = tangential[int(rng.integers(len(tangential)))]
         bad = dict(coeffs)
-        bad[alpha] = coeffs[alpha] + Fraction(1, 100)
+        bad[alpha] = expr.ExprFn(m, expr.add(coeffs[alpha].root,
+                                             expr.const(Fraction(1, 100))))
         with pytest.raises(ConsistencyViolation, match="chain rule"):
             check_stratum_consistency(FieldSpec(n, p, "c", m, bad), cell,
                                       samples, tol=1e-12)
@@ -105,8 +107,8 @@ def test_extend_on_cell_halfline_values():
     z = scene.descriptor_for(["origin"])
     term = extend_on_cell(scene.fields["ray"], scene.stratum("ray"), z,
                           scene)
-    assert term((2.0,)) == 8.0
-    assert term((-1.0,)) == 0.0
+    vals, _ = term.evaluate(np.asarray([[2.0], [-1.0]]))
+    assert vals.tolist() == [8.0, 0.0]
 
 
 def test_extend_on_cell_fd_flat_from_left():
@@ -114,11 +116,10 @@ def test_extend_on_cell_fd_flat_from_left():
     z = scene.descriptor_for(["origin"])
     term = extend_on_cell(scene.fields["ray"], scene.stratum("ray"), z,
                           scene)
-    prev = None
+    value = one_row(lambda X: term.evaluate(X)[0])
     for j in range(3, 13):
-        d, _ = finite_difference(term, (1,), (-2.0 ** -j,), h=2.0 ** -j / 30)
+        d, _ = finite_difference(value, (1,), (-2.0 ** -j,), h=2.0 ** -j / 30)
         assert abs(d) < 1e-10
-        prev = d
 
 
 def test_extend_on_cell_zero_field_is_zero():
@@ -126,8 +127,7 @@ def test_extend_on_cell_zero_field_is_zero():
     zero_field = FieldSpec(1, 1, "ray", 1, {(0,): C(0, 1), (1,): C(0, 1)})
     z = scene.descriptor_for(["origin"])
     term = extend_on_cell(zero_field, scene.stratum("ray"), z, scene)
-    for x in np.linspace(-2, 3, 50):
-        assert term((float(x),)) == 0.0
+    assert np.all(term.evaluate(np.linspace(-2, 3, 50)[:, None])[0] == 0.0)
 
 
 def test_support_discipline():
@@ -144,7 +144,7 @@ def test_support_discipline():
     w_desc = geo.descriptor_of(scene.stratum("ray").cell)
     member, _ = cone_membership_batch(w_desc, z, term.eta, X)
     assert np.any(member == OUT)
-    assert np.all(term(X[member == OUT]) == 0.0)
+    assert np.all(term.evaluate(X[member == OUT])[0] == 0.0)
 
 
 def test_square_edge_cutoffs_vanish_around_their_endpoint_normals():
@@ -221,6 +221,19 @@ def complete_cube_scene():
     return Scene(3, 1, 2, strata, fields, box=3.0)
 
 
+def test_complete_cube_leak_rows_lie_in_the_closed_form_window():
+    """The cube's cutoff window comes from the closed-form boxes of its
+    pieces, so its leak-check rows are built without a net of a 3-d cell,
+    and every one lies in the padded unit cube [-0.75, 1.75]^3."""
+    from whitney.extension import _leak_samples
+    scene = complete_cube_scene()
+    cube = scene.stratum("cube").cell
+    z = scene.descriptor_for([s.id for s in scene.strata if s.id != "cube"])
+    X = _leak_samples(cube, z, scene, 2000, 0)
+    assert X.shape == (30_800, 3)
+    assert np.all((X >= -0.75) & (X <= 1.75))
+
+
 def test_validate_passes_the_complete_cube():
     scene = complete_cube_scene()
     assert [len(s.boundary_ids) for s in scene.strata] == \
@@ -287,13 +300,13 @@ def test_oversized_cone_leaks_are_reported_not_stored():
 @pytest.mark.parametrize("name", ["points", "halfline", "parabola", "square",
                                   "fullspace"])
 def test_batched_extension_matches_pointwise(name):
-    """One (N, n) call gives, bit for bit, the values of N point calls."""
+    """One (N, n) call gives, bit for bit, the values of N 1-row calls."""
     scene = load_corpus_scene(name).scene
     f = extend_field(scene)
     X = np.random.default_rng(5).uniform(-1.0, 2.0, (60, scene.n))
     batch = f(X)
-    points = np.asarray([f(x) for x in X])
-    assert batch.shape == (60,) and isinstance(f(X[0]), float)
+    points = np.concatenate([f(X[i:i + 1]) for i in range(len(X))])
+    assert batch.shape == (60,) and points.shape == (60,)
     assert batch.tobytes() == points.tobytes()
 
 
@@ -304,20 +317,18 @@ def test_subtract_taylor_zero_g_keeps_field():
     scene = halfline_scene()
     g = lambda x: 0.0
     out = subtract_taylor(scene.fields, scene, g)
-    for u in [(0.3,), (1.7,)]:
-        got = out["ray"].coeffs[(0,)](u)
-        assert got == pytest.approx(u[0] ** 3, abs=1e-12)
+    U = np.asarray([[0.3], [1.7]])
+    got = out["ray"].coeffs[(0,)](U)
+    assert got == pytest.approx(U[:, 0] ** 3, abs=1e-12)
 
 
 def test_subtract_taylor_exact_extension_flattens():
     scene = halfline_scene()
     f = extend_field(scene)
     out = subtract_taylor(scene.fields, scene, f)
-    worst = 0.0
-    for u in np.linspace(0.05, 2.5, 100):
-        for alpha in [(0,), (1,)]:
-            worst = max(worst, abs(float(out["ray"].coeffs[alpha]((float(u),)))))
-    assert worst < 1e-6
+    U = np.linspace(0.05, 2.5, 100)[:, None]
+    for alpha in [(0,), (1,)]:
+        assert np.max(np.abs(out["ray"].coeffs[alpha](U))) < 1e-6
 
 
 def test_subtract_taylor_polynomial_matches_symbolic():
@@ -326,9 +337,9 @@ def test_subtract_taylor_polynomial_matches_symbolic():
     g = lambda X: np.asarray([float(expr.evaluate(g_expr, tuple(x)))
                               for x in X])
     out = subtract_taylor(scene.fields, scene, g)
-    for u in [(0.4,), (1.1,), (2.3,)]:
-        assert out["ray"].coeffs[(0,)](u) == pytest.approx(0.0, abs=1e-11)
-        assert out["ray"].coeffs[(1,)](u) == pytest.approx(0.0, abs=1e-9)
+    U = np.asarray([[0.4], [1.1], [2.3]])
+    assert np.all(np.abs(out["ray"].coeffs[(0,)](U)) <= 1e-11)
+    assert np.all(np.abs(out["ray"].coeffs[(1,)](U)) <= 1e-9)
 
 
 # --- the induction driver ----------------------------------------------------
@@ -337,9 +348,9 @@ def test_subtract_taylor_polynomial_matches_symbolic():
 def test_points_scene_interpolates_jets():
     sf = load_corpus_scene("points")
     f = extend_field(sf.scene)
-    assert f((0.0,)) == 0.0 and f((1.0,)) == 1.0
-    d0, _ = finite_difference(f, (1,), (0.0,), 1e-3)
-    d1, _ = finite_difference(f, (1,), (1.0,), 1e-3)
+    assert f(np.asarray([[0.0], [1.0]])).tolist() == [0.0, 1.0]
+    d0, _ = finite_difference(one_row(f), (1,), (0.0,), 1e-3)
+    d1, _ = finite_difference(one_row(f), (1,), (1.0,), 1e-3)
     assert abs(d0) < 1e-10 and abs(d1 - 2.0) < 1e-10
     assert f.evaluate(np.linspace(-1.0, 2.0, 31)[:, None])[1] == 0
     kinds = {t["kind"] for t in f.assembly_trace()}
@@ -371,8 +382,8 @@ def test_parabola_arc_support_ratio_is_seed_pinned(seed, eta):
 def test_fullspace_scene_uses_representative():
     sf = load_corpus_scene("fullspace")
     f = extend_field(sf.scene)
-    for x in np.linspace(-4, 4, 17):
-        assert f((float(x),)) == pytest.approx(x * x, abs=1e-12)
+    x = np.linspace(-4, 4, 17)
+    assert f(x[:, None]) == pytest.approx(x * x, abs=1e-12)
     rep = check_extension(f, sf.scene, tol=1e-4, samples_per_stratum=100)
     assert rep.passed
 
@@ -429,8 +440,8 @@ def test_filled_square_full_dimensional_stratum():
     there."""
     scene = filled_square_scene()
     f = extend_field(scene)
-    for x1, x2 in [(0.5, 0.5), (0.97, 0.02), (0.25, 0.8)]:
-        assert f((x1, x2)) == pytest.approx(x1 * x2, abs=1e-12)
+    X = np.asarray([(0.5, 0.5), (0.97, 0.02), (0.25, 0.8)])
+    assert f(X) == pytest.approx(X[:, 0] * X[:, 1], abs=1e-12)
     rep = check_extension(f, scene, tol=1e-4, samples_per_stratum=60)
     by_key = {(e.stratum_id, e.alpha): e for e in rep.entries}
     for alpha in [(0, 0), (1, 0), (0, 1)]:
@@ -504,7 +515,8 @@ def test_permuted_curved_cell_scene():
     samples = geo.stratum_samples(arc, 12, scene.box)
     assert check_stratum_consistency(fields["arc"], arc, samples) < 1e-6
     f = extend_field(scene)
-    assert f((0.25, 0.5)) == pytest.approx(0.25, abs=1e-12)  # on the arc
+    on_arc = f(np.asarray([[0.25, 0.5]]))[0]
+    assert on_arc == pytest.approx(0.25, abs=1e-12)
     rep = check_extension(f, scene, tol=1e-4, samples_per_stratum=80)
     assert rep.passed, [l for l in rep.lines() if "FAIL" in l]
 
@@ -530,9 +542,10 @@ def test_disconnected_scene_two_segments():
     fields["right"] = FieldSpec(1, 1, "right", 1, {(0,): x2, (1,): dx2})
     scene = Scene(1, 1, 2, strata, fields, frozenset(), box=5.0)
     f = extend_field(scene)
-    assert f((0.5,)) == pytest.approx(0.25, abs=1e-12)
-    assert f((2.5,)) == pytest.approx(6.25, abs=1e-12)
-    assert f((1.5,)) == 0.0          # outside both cone supports
+    left, right, gap = f(np.asarray([[0.5], [2.5], [1.5]]))
+    assert left == pytest.approx(0.25, abs=1e-12)
+    assert right == pytest.approx(6.25, abs=1e-12)
+    assert gap == 0.0                # outside both cone supports
     rep = check_extension(f, scene, tol=1e-4, samples_per_stratum=60)
     by_key = {(e.stratum_id, e.alpha): e for e in rep.entries}
     for sid in ("left", "right"):
@@ -552,8 +565,8 @@ def test_flatness_of_subtracted_cell_term_on_curve():
     term = next(t for t in f.terms if t.stratum_id == "arc")
     z = sf.scene.descriptor_for(["p0", "p1"])
     pts = [(2.0 ** -j, 4.0 ** -j) for j in range(3, 13)]
-    rep = flatness_rate_probe(term, z, term.cell, 0.5, sf.scene.p, pts,
-                              theta=1e-2)
+    rep = flatness_rate_probe(lambda X: term.evaluate(X)[0], z, term.cell,
+                              0.5, sf.scene.p, pts, theta=1e-2)
     assert all(rep.flat.values()), rep.per_kappa
 
 
