@@ -9,9 +9,7 @@ mandatory in every report, defaulting to 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,20 +22,10 @@ from .extension import extend_field, flatness_rate_probe
 from .geometry import INSIDE, OUTSIDE, PointCell
 from .jets import PointJet, multi_indices
 from .rng import sha256
-from .sceneio import SceneFile, dump_deterministic, load_scene, parse_seed
+from .sceneio import dump_deterministic, load_scene, parse_seed
 from .verify import rate_fit, whitney_residual
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_ENGINE = 0, 1, 2, 3
-
-BOX_ENV = "WHITNEY_BOX"
-
-
-def _load(path: str) -> SceneFile:
-    sf = load_scene(path)
-    env_box = os.environ.get(BOX_ENV)
-    if env_box and "box" not in sf.raw:
-        sf.scene = dataclasses.replace(sf.scene, box=float(env_box))
-    return sf
 
 
 def _file_sha(path: Path) -> str:
@@ -54,8 +42,7 @@ def _file_sha(path: Path) -> str:
 
 
 def cmd_validate(args) -> int:
-    sf = _load(args.scene)
-    scene = sf.scene
+    scene = load_scene(args.scene).scene
     problems = scene.validate()
     if problems:
         for p in problems:
@@ -89,7 +76,7 @@ def _parse_grid(specs, n: int, box: float):
 
 
 def cmd_extend(args) -> int:
-    sf = _load(args.scene)
+    sf = load_scene(args.scene)
     scene = sf.scene
     seed = (sf.plan.seed if args.seed is None
             else parse_seed(args.seed, "--seed"))
@@ -286,7 +273,7 @@ def _run_flatness(scene, f, plan) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    sf = _load(args.scene)
+    sf = load_scene(args.scene)
     scene, plan = sf.scene, sf.plan
     rundir = Path(args.artifact)
     report_path = rundir / "report.json"
@@ -303,7 +290,7 @@ def cmd_verify(args) -> int:
     if f.assembly_trace() != run_report["assembly"]:
         raise InputError("assembly trace mismatch; artifact out of date")
 
-    wanted = set(args.checks.split(",")) if args.checks else set(plan.checks)
+    wanted = set(plan.checks)
     verdicts = {}
     details: dict = {"schema": "jetfield-verify/1", "version": __version__,
                      "seed": seed, "scene": Path(args.scene).name}
@@ -316,8 +303,7 @@ def cmd_verify(args) -> int:
     if "consistency" in wanted:
         verdicts["consistency"] = True
     if "agreement" in wanted:
-        tol = args.tol if args.tol is not None else plan.tolerance
-        rep = verify.check_extension(f, scene, tol=tol,
+        rep = verify.check_extension(f, scene, tol=plan.tolerance,
                                      samples_per_stratum=plan.samples_per_stratum,
                                      seed=seed)
         verdicts["agreement"] = rep.passed
@@ -406,9 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("verify", help="run the scene's verification plan")
     c.add_argument("scene")
     c.add_argument("artifact", help="run directory from 'extend'")
-    c.add_argument("--checks", default=None,
-                   help="comma-separated subset of the plan's checks")
-    c.add_argument("--tol", type=float, default=None)
     c.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("plotdata", help="emit tabular data from a run")

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import geometry
-from .errors import SlackTooLarge, UnsupportedDescriptor
+from .errors import SlackTooLarge
 from .geometry import GraphCell, SetDescriptor
 from .jets import multi_indices, mi_order
 from .rng import SeededStream
@@ -323,6 +323,9 @@ def cone_membership_batch(w_desc: SetDescriptor, z_desc: SetDescriptor,
 
 @dataclass(frozen=True)
 class CutoffSpec:
+    """A cutoff's data: the nonempty set ``W`` it is 1 near, the set ``Z``
+    it vanishes near, the support ratio ``eta > 0`` and the smoothness
+    order ``q``; an empty ``W`` or ``eta <= 0`` raises ``ValueError``."""
     w_desc: SetDescriptor
     z_desc: SetDescriptor
     eta: float
@@ -332,6 +335,8 @@ class CutoffSpec:
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+        if self.w_desc.is_empty:
+            raise ValueError("W must be nonempty")
 
 
 class CutoffFn:
@@ -364,8 +369,6 @@ class CutoffFn:
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """The cutoff on the rows of the ``(N, n)`` array ``X``."""
-        if self.spec.w_desc.is_empty:
-            return np.zeros(len(X))
         return self.profile(self.transition(X))
 
 
@@ -374,17 +377,15 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
     for ``spec``; :func:`verify_cutoff` is the authority on whether it
     does.
 
-    Both distances are :func:`regularized_distance`.  The transition
-    starts at ``rho = eta * c^2 / 2``, with ``c`` the smaller ``c1``, in
-    regularized-ratio units, so comparability slack cannot push the
-    plateau past the support ratio; the certified plateau
+    Both distances are :func:`regularized_distance`: ``W`` is nonempty (see
+    :class:`CutoffSpec`), and an empty ``Z`` has the constant distance 1.
+    The transition starts at ``rho = eta * c^2 / 2``, with ``c`` the
+    smaller ``c1``, in regularized-ratio units, so comparability slack
+    cannot push the plateau past the support ratio; the certified plateau
     ``rho_prime = 0.9 c rho`` is in true-distance units.
     """
     profile = smooth_transition(max(spec.q, 4))
     d_z = regularized_distance(spec.z_desc, spec.box)
-    if spec.w_desc.is_empty:
-        return CutoffFn(spec, regularized_distance(spec.w_desc), d_z,
-                        profile, spec.eta, spec.eta / 2, spec.eta / 2)
     d_w = regularized_distance(spec.w_desc, spec.box)
     c_ratio = min(d_w.c1, d_z.c1)
     if c_ratio ** 2 / 2.0 < 5e-3:
@@ -422,8 +423,7 @@ def _sample_box(w_desc, z_desc, box):
     """Axis-aligned window padded around all descriptor pieces: the corners
     of every closed-form piece (:func:`geometry.closed_form_box`), widened
     by its radius, with an infinite side (the full space) read as the box
-    edge, and a subsample of every other piece's net.  An empty spec raises
-    :class:`UnsupportedDescriptor`."""
+    edge, and a subsample of every other piece's net."""
     pts = []
     for desc in (w_desc, z_desc):
         for piece in desc.pieces:
@@ -436,8 +436,6 @@ def _sample_box(w_desc, z_desc, box):
             corner = np.where(np.isinf(corner), np.copysign(box, corner),
                               corner)
             pts.extend([corner[0] - corners[2], corner[1] + corners[2]])
-    if not pts:
-        raise UnsupportedDescriptor("cannot infer dimension from empty spec")
     arr = np.asarray(pts)
     lo = arr.min(axis=0)
     hi = arr.max(axis=0)

@@ -65,6 +65,8 @@ def const(value: Number) -> Node:
 
 
 def var(index: int) -> Node:
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise UnsupportedNode(f"variable index must be an integer: {index!r}")
     if index < 0:
         raise ArityMismatch(f"variable index {index} out of range")
     return Node("var", index)
@@ -121,7 +123,8 @@ def div(a: Node, b: Node) -> Node:
 
 
 def pow_(base: Node, exponent: int) -> Node:
-    if not isinstance(exponent, int) or exponent < 0:
+    if (isinstance(exponent, bool) or not isinstance(exponent, int)
+            or exponent < 0):
         raise UnsupportedNode("pow exponent must be a nonnegative integer")
     if exponent == 0:
         return ONE
@@ -489,7 +492,7 @@ def node_from_json(obj) -> Node:
     if op == "const":
         return const(number_from_json(obj[1]))
     if op == "var":
-        return var(int(obj[1]))
+        return var(obj[1])
     if op == "neg":
         return sub(ZERO, node_from_json(obj[1]))
     if op in _BINARY_OPS:
@@ -498,7 +501,7 @@ def node_from_json(obj) -> Node:
     if op in _UNARY_OPS:
         return _CONSTRUCTORS[op](node_from_json(obj[1]))
     if op == "pow":
-        return pow_(node_from_json(obj[1]), int(obj[2]))
+        return pow_(node_from_json(obj[1]), obj[2])
     if op == "piecewise":
         branches = [(node_from_json(b[0]), node_from_json(b[1]))
                     for b in obj[1:]]

@@ -321,8 +321,11 @@ class ExtensionFn:
 # field consistency along a graph cell
 
 
+_CONSISTENCY_TOL = 1e-5      # largest relative chain-rule residual accepted
+
+
 def check_stratum_consistency(fld: FieldSpec, cell: GraphCell,
-                              samples: Sequence, tol: float = 1e-5) -> float:
+                              samples: Sequence) -> float:
     """Chain-rule compatibility of a field over the graph cell
     ``{(u, phi(u))}``: for every ``|gamma| < p``, tangential axis ``i < m``
     and sample ``u``,
@@ -334,7 +337,8 @@ def check_stratum_consistency(fld: FieldSpec, cell: GraphCell,
     exact Fractions at rational samples.  Over a constant graph the sum
     vanishes; higher tangential orders follow by induction.  Returns the
     worst relative residual ``|lhs - rhs| / (1 + |rhs|)``; raises
-    :class:`~whitney.errors.ConsistencyViolation` beyond ``tol``.
+    :class:`~whitney.errors.ConsistencyViolation` beyond
+    ``_CONSISTENCY_TOL``.
     """
     m, n = cell.intrinsic_dim, fld.n
     unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
@@ -360,7 +364,7 @@ def check_stratum_consistency(fld: FieldSpec, cell: GraphCell,
                         f"at u={tuple(u)} ({exc})") from exc
                 resid = float(abs(lhs - rhs) / (1 + abs(rhs)))
                 worst = max(worst, resid)
-                if resid > tol:
+                if resid > _CONSISTENCY_TOL:
                     raise ConsistencyViolation(
                         f"stratum {fld.stratum_id!r}: chain rule for "
                         f"coefficient {gamma} along axis {i} deviates by "

@@ -275,18 +275,18 @@ class DistanceTable:
         n = len(lows[0]) if lows else self.nets[0][1].points.shape[1]
         self.lows = np.asarray(lows, dtype=float).reshape(len(lows), n)
         self.highs = np.asarray(highs, dtype=float).reshape(len(lows), n)
-        self.radii = np.asarray(radii, dtype=float) if any(radii) else None
-        # without extent, every box is its own nearest point
-        self.extent = bool(np.any(self.lows < self.highs))
+        self.radii = np.asarray(radii, dtype=float)
 
     def exact(self, X: np.ndarray) -> np.ndarray:
         """Distances from a point, or every row of ``X`` (axis 0), to every
-        closed-form piece (last axis, in descriptor order)."""
-        Y = X[..., None, :]
-        near = (np.minimum(np.maximum(Y, self.lows), self.highs)
-                if self.extent else self.lows)
-        d = _row_norms(Y - near)
-        return d if self.radii is None else np.maximum(0.0, d - self.radii)
+        closed-form piece (last axis, in descriptor order), summed one
+        coordinate at a time in axis order as :func:`_row_norms` sums."""
+        sq = 0.0
+        for k, (low, high) in enumerate(zip(self.lows.T, self.highs.T)):
+            y = X[..., k, None]
+            gap = y - np.minimum(np.maximum(y, low), high)
+            sq = sq + gap * gap
+        return np.maximum(0.0, np.sqrt(sq) - self.radii)
 
     def __call__(self, X: np.ndarray):
         lo = up = self.exact(X).min(axis=1, initial=np.inf)
@@ -738,7 +738,6 @@ def lipschitz_estimate(graph: Sequence[ExprFn],
 class SandwichReport:
     checked: int
     violations: list
-    max_graph_gap: float
 
 
 def distance_sandwich_check(cell: GraphCell, samples: Sequence,
@@ -773,9 +772,4 @@ def distance_sandwich_check(cell: GraphCell, samples: Sequence,
     bad[off] = up[off] < lip.l_hat * bound[off] - eps
     violations = [(tuple(X[i].tolist()), float(up[i]), float(bound[i]))
                   for i in np.flatnonzero(bad)]
-    max_gap = 0.0
-    if all(g.root.op == "const" for g in cell.graph):
-        # zero slope forces equality between the distance and the normal
-        # offset; record how tightly it holds
-        max_gap = float(np.abs(up[on] - gap[on]).max(initial=0.0))
-    return SandwichReport(len(on) + len(off), violations, max_gap)
+    return SandwichReport(len(on) + len(off), violations)

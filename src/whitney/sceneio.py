@@ -11,7 +11,8 @@ tolerances.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -23,23 +24,23 @@ from .geometry import GraphCell, Interval, PointCell, Slab
 from .jets import FieldSpec, mi_from_string, mi_to_string, multi_indices
 
 SCHEMA = "jetfield-scene/1"
+CHECKS = ("structure", "consistency", "agreement", "whitney", "flatness")
 
 
 @dataclass
 class Plan:
-    seed: int = 0
-    samples_per_stratum: int = 100
-    tolerance: float = 1e-4
-    checks: tuple = ("structure", "consistency", "agreement")
-    flatness: tuple = ()
-    whitney: Optional[dict] = None
+    seed: int
+    samples_per_stratum: int
+    tolerance: float
+    checks: tuple
+    flatness: tuple
+    whitney: Optional[dict]
 
 
 @dataclass
 class SceneFile:
     scene: Scene
     plan: Plan
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _fail(path: str, message: str):
@@ -59,6 +60,30 @@ def parse_seed(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         _fail(path, f"must be a non-negative integer, got {value!r}")
     return value
+
+
+def _parse_plan(raw: dict) -> Plan:
+    """The verification plan, its keys typed: a bool, a non-integer count,
+    a tolerance that is no positive finite number or an unknown check
+    raises :class:`SceneFormatError` naming the key."""
+    count = raw.get("samples_per_stratum", 100)
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        _fail("plan.samples_per_stratum",
+              f"must be a positive integer, got {count!r}")
+    tol = raw.get("tolerance", 1e-4)
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or not 0 < tol < math.inf):
+        _fail("plan.tolerance", f"must be a positive number, got {tol!r}")
+    checks = raw.get("checks", ["structure", "consistency", "agreement"])
+    if not isinstance(checks, list):
+        _fail("plan.checks", "must be an array")
+    for i, check in enumerate(checks):
+        if check not in CHECKS:
+            _fail(f"plan.checks[{i}]",
+                  f"must be one of {', '.join(CHECKS)}, got {check!r}")
+    return Plan(parse_seed(raw.get("seed", 0), "plan.seed"), count,
+                float(tol), tuple(checks), tuple(raw.get("flatness", ())),
+                raw.get("whitney"))
 
 
 def _opt_num(value, path: str):
@@ -175,16 +200,7 @@ def parse_scene(raw: dict) -> SceneFile:
             flat.add(sid)
 
     scene = Scene(n, p, q, tuple(strata), fields, frozenset(flat), box)
-    plan_raw = raw.get("plan", {})
-    plan = Plan(
-        seed=parse_seed(plan_raw.get("seed", 0), "plan.seed"),
-        samples_per_stratum=int(plan_raw.get("samples_per_stratum", 100)),
-        tolerance=float(plan_raw.get("tolerance", 1e-4)),
-        checks=tuple(plan_raw.get("checks",
-                                  ("structure", "consistency", "agreement"))),
-        flatness=tuple(plan_raw.get("flatness", ())),
-        whitney=plan_raw.get("whitney"))
-    return SceneFile(scene, plan, raw)
+    return SceneFile(scene, _parse_plan(raw.get("plan", {})))
 
 
 def dump_deterministic(obj) -> str:

@@ -71,19 +71,18 @@ def sampled_derivatives(fn, requests) -> list:
     """Richardson-extrapolated central differences of a batched callable:
     one ``(values, error_estimates)`` pair per ``(X, alpha, h)`` request,
     the mixed partial of order ``alpha`` at the rows of ``X`` with per-row
-    steps ``h``, from a single call of ``fn`` per row width.  An estimate
-    is the disagreement between the steps ``h`` and ``h/2`` scaled by the
+    steps ``h``, from a single call of ``fn``.  An estimate is the
+    disagreement between the steps ``h`` and ``h/2`` scaled by the
     extrapolation factor, so for smooth inputs halving ``h`` shrinks it by
     about 4x.
 
-    The stencil rows of every request at the steps ``h`` and ``h/2`` (its
-    own rows once when ``alpha`` is 0) are stacked, evaluated together and
-    split back; each request then combines its own values exactly as a
-    call of its own would.  A ``fn`` that returns a scalar for a batch is
-    broadcast to the batch; no rows at all make no call.
+    Every request's rows have one width, and ``fn`` returns one value per
+    row.  The stencil rows of every request at the steps ``h`` and ``h/2``
+    (its own rows once when ``alpha`` is 0) are stacked, evaluated
+    together and split back; each request then combines its own values
+    exactly as a call of its own would.  No rows at all make no call.
     """
-    blocks: dict = {}           # row width -> stencil rows to evaluate
-    plans = []
+    blocks, plans = [], []      # stencil rows to evaluate; their owners
     for X, alpha, h in requests:
         X = np.asarray(X, dtype=float)
         k = mi_order(alpha)
@@ -95,22 +94,17 @@ def sampled_derivatives(fn, requests) -> list:
             steps = (h, h / 2.0)
             rows = [(X[:, None, :] + offs[None, :, :] * step[:, None, None]
                      ).reshape(-1, X.shape[1]) for step in steps]
-        group = blocks.setdefault(X.shape[1], [])
-        plans.append((len(X), k, stencil, steps, X.shape[1],
-                      range(len(group), len(group) + len(rows))))
-        group.extend(rows)
+        plans.append((len(X), k, stencil, steps,
+                       range(len(blocks), len(blocks) + len(rows))))
+        blocks.extend(rows)
 
-    values = {}
-    for width, group in blocks.items():
-        flat = np.concatenate(group)
-        out = np.asarray(fn(flat) if len(flat) else (), dtype=float)
-        if out.ndim == 0:
-            out = np.full(len(flat), out)
-        values[width] = np.split(out, np.cumsum([len(b) for b in group])[:-1])
+    flat = np.concatenate(blocks)
+    out = np.asarray(fn(flat) if len(flat) else (), dtype=float)
+    values = np.split(out, np.cumsum([len(b) for b in blocks])[:-1])
 
     results = []
-    for count, k, stencil, steps, width, parts in plans:
-        vals = [values[width][i] for i in parts]
+    for count, k, stencil, steps, parts in plans:
+        vals = [values[i] for i in parts]
         if k == 0:
             results.append((vals[0], np.zeros(count)))
             continue
@@ -129,7 +123,6 @@ def sampled_derivatives(fn, requests) -> list:
 class ResidualSample:
     a: tuple
     b: tuple
-    beta: MultiIndex
     residual: object     # exact when the field is rational
     separation: float
 
@@ -165,7 +158,7 @@ def whitney_residual(jets_at: Callable, c: Sequence, beta: MultiIndex,
         r = ja.coeffs[tuple(beta)] - acc
         sep = math.sqrt(sum(float(d) ** 2 for d in diff))
         if sep > 0:
-            out.append(ResidualSample(tuple(a), tuple(b), tuple(beta), r, sep))
+            out.append(ResidualSample(tuple(a), tuple(b), r, sep))
     return out
 
 
@@ -187,7 +180,6 @@ def straddling_pairs(c: float, scales: Sequence):
 class RateFit:
     slope: float
     verdict: str                  # "PASS" or "FAIL"
-    reason: str = ""
 
     @property
     def passed(self) -> bool:
@@ -225,17 +217,13 @@ def rate_fit(samples: Sequence[tuple], required: float) -> RateFit:
     if np.count_nonzero(nonzero) < len(values) / 2:
         # (near-)identically zero residuals: flat in the strongest sense
         if np.all(values <= 1e-15 * np.maximum(1.0, scales)):
-            return RateFit(math.inf, "PASS", "values identically zero")
+            return RateFit(math.inf, "PASS")
     ls, lv = np.log10(scales[nonzero]), np.log10(values[nonzero])
     slope = np.polyfit(ls, lv, 1)[0] if len(ls) >= 2 else math.inf
     slope_ok = slope >= required + _RATE_MARGIN
     decay_ok = monotone and tail < _RATE_THETA
     verdict = "PASS" if (slope_ok or decay_ok) else "FAIL"
-    reason = ("slope clears margin" if slope_ok else
-              "normalized values decay" if decay_ok else
-              f"slope {slope:.3f} < {required + _RATE_MARGIN:.3f} and "
-              f"normalized tail {tail:.3e} not decaying")
-    return RateFit(float(slope), verdict, reason)
+    return RateFit(float(slope), verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +242,6 @@ class AgreementEntry:
 @dataclass
 class AgreementReport:
     entries: list[AgreementEntry] = field(default_factory=list)
-    tolerance: float = 1e-4
 
     @property
     def passed(self) -> bool:
@@ -302,7 +289,7 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
             requests.append((X, cell.to_ambient(alpha_int), H))
             expected.append((stratum.id, alpha_int, len(U),
                              coefficient_rows(fld.coeffs[alpha_int], U)))
-    report = AgreementReport(tolerance=tol)
+    report = AgreementReport()
     for (sid, alpha_int, count, expect), (got, _) in zip(
             expected, sampled_derivatives(f, requests)):
         dev = np.abs(got - expect) / (1.0 + np.abs(expect))

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 
 import pytest
@@ -125,6 +126,102 @@ def test_bad_number_literals_carry_their_path(tmp_path, value):
         load_scene(bad)
 
 
+def test_validate_names_a_non_integer_expression_payload(tmp_path, capsys):
+    raw = json.loads(scene_path("halfline").read_text())
+    raw["strata"][1]["field"]["0"] = ["pow", ["var", 0], 2.5]
+    scene = tmp_path / "halfline.json"
+    scene.write_text(json.dumps(raw))
+    assert run("validate", scene) == 2
+    assert ("strata[1].field['0']: bad expression: pow exponent"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("checks", ["structure", "agreemnt"], "plan.checks[1]"),
+    ("checks", "agreement", "plan.checks"),
+    ("samples_per_stratum", "many", "plan.samples_per_stratum"),
+    ("samples_per_stratum", 2.9, "plan.samples_per_stratum"),
+    ("samples_per_stratum", True, "plan.samples_per_stratum"),
+    ("samples_per_stratum", 0, "plan.samples_per_stratum"),
+    ("tolerance", True, "plan.tolerance"),
+    ("tolerance", "1e-4", "plan.tolerance"),
+    ("tolerance", -1e-4, "plan.tolerance")])
+def test_plan_keys_are_typed(tmp_path, capsys, key, value, path):
+    """A plan key of the wrong type stops every command with exit 2 and
+    names the key: no check is dropped, no count is truncated."""
+    raw = json.loads(scene_path("points").read_text())
+    raw["plan"][key] = value
+    scene, out = tmp_path / "points.json", tmp_path / "run"
+    scene.write_text(json.dumps(raw))
+    for argv in (("validate", scene), ("extend", scene, "-o", out),
+                 ("verify", scene, out)):
+        assert run(*argv) == 2
+        assert f"{path}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the jets of 0 in R^3 at p = 1
+ZERO_JETS_3D = {k: ["const", 0] for k in ("0,0,0", "1,0,0", "0,1,0", "0,0,1")}
+
+
+def cube_scene() -> dict:
+    """The closed unit cube as a scene file: the 3-cell, 6 faces, 12 edges
+    and 8 corners, each carrying the jets of 0 and declaring the strata in
+    its closure (``complete_cube_scene`` of test_extension.py)."""
+    unit = {"type": "interval", "lower": 0, "upper": 1}
+    square = {"type": "slab", "base": unit, "lower": ["const", 0],
+              "upper": ["const", 1]}
+    cells = {"cube": ({}, dict(square, base=square))}
+    for free, fixed in (((0, 1), (2,)), ((0, 2), (1,)), ((1, 2), (0,)),
+                        ((0,), (1, 2)), ((1,), (0, 2)), ((2,), (0, 1)),
+                        ((), (0, 1, 2))):
+        for values in itertools.product((0, 1), repeat=len(fixed)):
+            pinned = dict(zip(fixed, values))
+            cell = ({"type": "graph", "base": [unit, square][len(free) - 1],
+                     "graph": [["const", v] for v in values],
+                     "perm": list(free + fixed)}
+                    if free else {"type": "point", "coords": list(values)})
+            sid = "".join(f"x{a}={v}" for a, v in pinned.items())
+            cells[sid] = (pinned, cell)
+    strata = [{"id": sid, "cell": cell, "field": ZERO_JETS_3D,
+               "boundary": [other for other, (more, _) in cells.items()
+                            if len(more) > len(pinned)
+                            and pinned.items() <= more.items()]}
+              for sid, (pinned, cell) in cells.items()]
+    return {"schema": "jetfield-scene/1", "n": 3, "p": 1, "q": 2, "box": 3.0,
+            "strata": strata}
+
+
+def test_extend_builds_the_closed_cube(tmp_path):
+    """A 3-cell with constant walls needs no parameter net: the cube and
+    its 26 boundary strata validate and extend, 27 terms, no leak."""
+    scene, out = tmp_path / "cube.json", tmp_path / "run"
+    scene.write_text(json.dumps(cube_scene()))
+    assert run("validate", scene) == 0
+    assert run("extend", scene, "-o", out, "--grid=0.5:0.5:1") == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["assembly"]) == 27 and report["leaks"] == 0
+
+
+def test_extend_refuses_a_3_cell_with_a_sloped_wall(tmp_path, capsys):
+    """The half-space above the plane z = x/2 validates, but its 3-cell
+    would need a 3-d parameter net, so ``extend`` exits 2."""
+    plane = {"type": "slab", "base": {"type": "interval"}}
+    wall = ["mul", ["const", "1/2"], ["var", 0]]
+    scene = tmp_path / "above.json"
+    scene.write_text(json.dumps({
+        "schema": "jetfield-scene/1", "n": 3, "p": 1, "q": 2, "box": 3.0,
+        "strata": [
+            {"id": "wall", "field": ZERO_JETS_3D, "cell": {
+                "type": "graph", "base": plane, "graph": [wall]}},
+            {"id": "above", "field": ZERO_JETS_3D, "boundary": ["wall"],
+             "cell": {"type": "slab", "base": plane, "lower": wall}}]}))
+    assert run("validate", scene) == 0
+    assert run("extend", scene, "-o", tmp_path / "run") == 2
+    assert ("parameter nets implemented for dimensions 1-2, got 3"
+            in capsys.readouterr().err)
+
+
 def test_parse_slab_stratum(tmp_path):
     raw = {
         "schema": "jetfield-scene/1", "n": 2, "p": 1, "q": 1, "box": 2.0,
@@ -150,7 +247,7 @@ def test_parse_slab_stratum(tmp_path):
 
 def test_scene_roundtrip():
     sf = load_scene(scene_path("parabola"))
-    again = parse_scene(sf.raw)
+    again = parse_scene(json.loads(scene_path("parabola").read_text()))
     assert again.scene.n == sf.scene.n
     assert [s.id for s in again.scene.strata] == \
         [s.id for s in sf.scene.strata]
@@ -260,8 +357,7 @@ def test_verify_square_whitney_through_permuted_edge(tmp_path):
     out = tmp_path / "run"
     assert run("extend", scene_path("square"), "-o", out,
                "--grid=-0.5:1.5:0.25") == 0
-    assert run("verify", scene_path("square"), out,
-               "--checks", "structure,consistency,whitney") == 0
+    assert run("verify", scene_path("square"), out) == 0
     rep = json.loads((out / "verify_report.json").read_text())
     targets = {tuple(r["target"]) for r in rep["whitney"]}
     assert (1.0, 0.0) in targets        # probe along the permuted edge
@@ -277,17 +373,6 @@ def test_verify_defect_scene_fails(tmp_path):
     assert rep["verdicts"]["agreement"] == "FAIL"
 
 
-def test_verify_checks_flag_restricts(tmp_path):
-    out = tmp_path / "run"
-    run("extend", scene_path("defect_incompatible_jet"), "-o", out,
-        "--grid=-1:1:0.1")
-    # whitney-only: still fails, but agreement never runs
-    assert run("verify", scene_path("defect_incompatible_jet"), out,
-               "--checks", "whitney") == 1
-    rep = json.loads((out / "verify_report.json").read_text())
-    assert "agreement" not in rep["verdicts"]
-
-
 def test_whitney_probe_off_every_stratum_fails_only_its_entries(tmp_path):
     raw = json.loads(scene_path("halfline").read_text())
     raw["plan"]["whitney"] = {"probes": [
@@ -297,7 +382,7 @@ def test_whitney_probe_off_every_stratum_fails_only_its_entries(tmp_path):
     scene.write_text(json.dumps(raw))
     out = tmp_path / "run"
     assert run("extend", scene, "-o", out, "--grid=-1:1:0.1") == 0
-    assert run("verify", scene, out, "--checks", "whitney") == 1
+    assert run("verify", scene, out) == 1
     entries = json.loads((out / "verify_report.json").read_text())["whitney"]
     on = [e for e in entries if e["target"] == [0.0]]
     off = [e for e in entries if e["target"] == [-1.0]]
@@ -347,7 +432,7 @@ def test_verify_stops_on_an_invalid_scene_before_any_check(tmp_path,
     (out / "report.json").write_text(json.dumps(
         {"schema": "jetfield-run/1", "seed": 0,
          "scene_sha": hashlib.sha256(scene.read_bytes()).hexdigest()}))
-    assert run("verify", scene, out, "--checks", "structure") == 2
+    assert run("verify", scene, out) == 2
     assert "strata 'A' and 'B' overlap" in capsys.readouterr().err
     assert not (out / "verify_report.json").exists()
 
@@ -396,17 +481,6 @@ def test_plotdata_unmatched_kappa_header_only(tmp_path):
     assert run("plotdata", out, "--select", "flatness:kappa=9",
                "-o", dest) == 0
     assert dest.read_text().strip() == "scale_index,normalized"
-
-
-def test_bounding_box_env_var(tmp_path, monkeypatch):
-    raw = json.loads(scene_path("points").read_text())
-    raw.pop("box", None)
-    boxless = tmp_path / "boxless.json"
-    boxless.write_text(json.dumps(raw))
-    monkeypatch.setenv("WHITNEY_BOX", "2.5")
-    assert run("validate", boxless) == 0
-    from whitney.cli import _load
-    assert _load(boxless).scene.box == 2.5
 
 
 # --- determinism -----------------------------------------------------------------

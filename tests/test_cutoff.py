@@ -492,12 +492,10 @@ def test_cutoff_monotone_where_ratio_monotone():
     assert np.all(np.diff(vals) <= 1e-12)
 
 
-def test_cutoff_empty_w_is_zero():
-    spec = co.CutoffSpec(geo.EMPTY_SET, point_desc(0.0), 0.5, 2)
-    omega = co.build_cutoff(spec)
-    assert omega(np.asarray([[3.0]]))[0] == 0.0
-    rep = co.verify_cutoff(omega, spec, n_samples=500, seed=3)
-    assert rep.plateau_checked == 0 and rep.passed
+def test_cutoff_spec_rejects_empty_w():
+    """A term's W is its own cell or point, never empty."""
+    with pytest.raises(ValueError, match="W must be nonempty"):
+        co.CutoffSpec(geo.EMPTY_SET, point_desc(0.0), 0.5, 2)
 
 
 def test_cutoff_empty_z_gives_tube():

@@ -1,9 +1,9 @@
 """Dead-code guards: every public top-level function or class of the
 package, and every public method or property of a public class, is named by
 some other code of the package or by the acceptance gate; every defaulted
-parameter of a package function is passed by some call; and every
-top-level import of a package module is read by that module or imported
-from it by another."""
+parameter of a package function is passed by some call of the package or
+the gate; and every top-level import of a package module is read by that
+module or imported from it by another."""
 import ast
 from pathlib import Path
 
@@ -15,6 +15,10 @@ GATE = ROOT / "tests" / "test_acceptance.py"
 ALLOWED = {
     "finite_difference": "1-row stencil call of the derivative tests and "
                          "the perfbench tracer",
+}
+# Defaulted parameters kept although no package or gate call passes them.
+ALLOWED_DEFAULTS = {
+    "verify.finite_difference.h": ALLOWED["finite_difference"],
 }
 
 
@@ -80,14 +84,25 @@ def _defaulted(fn: ast.FunctionDef):
             yield a.arg, None
 
 
-def _callee(call: ast.Call):
-    f = call.func
-    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+def _calls(path: Path):
+    """``(callee name, call node)`` of every call in ``path``; a name
+    bound by ``from x import name as alias`` calls ``name``."""
+    tree = ast.parse(path.read_text())
+    aliases = {a.asname: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for a in node.names
+               if a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = (aliases.get(f.id, f.id) if isinstance(f, ast.Name)
+                    else getattr(f, "attr", None))
+            yield name, node
 
 
 def unpassed_defaults() -> set:
     """``module.function.parameter`` of every defaulted parameter that no
-    call in the package or the tests passes, by keyword or by position.
+    call in the package or the acceptance gate passes, by keyword or by
+    position; a call from another test does not keep a default alive.
     Calls match definitions by name (a class name calls its ``__init__``),
     and a definition's calls of itself do not count."""
     defs = []                   # (path, callee name, def node)
@@ -100,13 +115,12 @@ def unpassed_defaults() -> set:
                             and item.name == "__init__")
             elif isinstance(node, ast.FunctionDef) and node.name != "__init__":
                 defs.append((path, node.name, node))
-    calls = []                  # (path, call node)
-    for path in _modules() + sorted((ROOT / "tests").glob("*.py")):
-        calls.extend((path, node) for node in ast.walk(ast.parse(
-            path.read_text())) if isinstance(node, ast.Call))
+    calls = [(path, callee, node)
+             for path in _modules() + [GATE]
+             for callee, node in _calls(path)]
     out = set()
     for path, name, fn in defs:
-        mine = [c for where, c in calls if _callee(c) == name and not (
+        mine = [c for where, callee, c in calls if callee == name and not (
             where == path and fn.lineno <= c.lineno <= fn.end_lineno)]
         for param, position in _defaulted(fn):
             if not any(any(k.arg == param for k in c.keywords)
@@ -117,8 +131,9 @@ def unpassed_defaults() -> set:
 
 
 def test_every_default_is_passed_somewhere():
-    """A default that no call overrides is a constant in disguise."""
-    assert unpassed_defaults() == set()
+    """A default that no product or gate call overrides is a constant in
+    disguise."""
+    assert unpassed_defaults() == set(ALLOWED_DEFAULTS)
 
 
 def _top_level_imports(tree):

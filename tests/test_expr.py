@@ -269,6 +269,16 @@ def test_unknown_op_rejected():
         expr.pow_(expr.var(0), -2)
 
 
+@pytest.mark.parametrize("obj", [["pow", ["var", 0], 2.5],
+                                 ["pow", ["var", 0], True],
+                                 ["var", True], ["var", 1.0]])
+def test_int_payloads_are_never_rounded(obj):
+    """A ``var`` index and a ``pow`` exponent are ints: 2.5 is not read as
+    2, nor ``true`` as 1."""
+    with pytest.raises(UnsupportedNode, match="integer"):
+        expr.node_from_json(obj)
+
+
 def test_derivative_cache_stays_bounded():
     """Differentiating far more distinct trees than the cache holds leaves
     it at its bound, and derivatives stay exact."""

@@ -58,7 +58,7 @@ def test_stratum_consistency_random_curved_fields(rng):
                   for alpha in multi_indices(n, p)}
         samples = [rand_point(rng, m, 0, 1) for _ in range(5)]
         fld = FieldSpec(n, p, "c", m, coeffs)
-        assert check_stratum_consistency(fld, cell, samples, tol=1e-12) == 0
+        assert check_stratum_consistency(fld, cell, samples) == 0
         tangential = [a for a in multi_indices(n, p) if any(a[:m])]
         alpha = tangential[int(rng.integers(len(tangential)))]
         bad = dict(coeffs)
@@ -66,7 +66,7 @@ def test_stratum_consistency_random_curved_fields(rng):
                                              expr.const(Fraction(1, 100))))
         with pytest.raises(ConsistencyViolation, match="chain rule"):
             check_stratum_consistency(FieldSpec(n, p, "c", m, bad), cell,
-                                      samples, tol=1e-12)
+                                      samples)
 
 
 def test_stratum_consistency_accepts_valid_curved_field():
@@ -315,7 +315,7 @@ def test_batched_extension_matches_pointwise(name):
 
 def test_subtract_taylor_zero_g_keeps_field():
     scene = halfline_scene()
-    g = lambda x: 0.0
+    g = lambda X: np.zeros(len(X))
     out = subtract_taylor(scene.fields, scene, g)
     U = np.asarray([[0.3], [1.7]])
     got = out["ray"].coeffs[(0,)](U)
@@ -611,7 +611,8 @@ def test_flatness_probe_positive_side_real_decay():
 def test_flatness_probe_zero_function():
     scene = halfline_scene()
     z = scene.descriptor_for(["origin"])
-    rep = flatness_rate_probe(lambda x: 0.0, z, scene.stratum("ray").cell,
+    rep = flatness_rate_probe(lambda X: np.zeros(len(X)), z,
+                              scene.stratum("ray").cell,
                               0.5, 1, [(-2.0 ** -j,) for j in range(3, 12)])
     assert all(rep.flat.values())
 

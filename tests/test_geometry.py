@@ -213,6 +213,24 @@ def test_set_distance_is_a_row_of_the_batched_table(piece, far_distance):
         assert up[0] == pytest.approx(far_distance, rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_columns_are_the_clamped_norm_bit_for_bit(n, rng):
+    """``DistanceTable.exact`` sums one coordinate at a time; its columns
+    equal the norm of the offset to the clamped point minus the radius,
+    bit for bit, for a batch and for a single point."""
+    box = {1: geo.identity_graph_cell(geo.Interval(0.0, 1.0)), 2: BOX,
+           3: geo.identity_graph_cell(geo.Slab(
+               BOX.base, expr.constant_fn(0, 2), expr.constant_fn(1, 2)))}[n]
+    pieces = (geo.PointCell((0.5,) * n), geo.Ball((-1.0,) * n, 0.25), box)
+    table = geo.distance_table(geo.SetDescriptor(pieces), 3.0)
+    X = rng.uniform(-4.0, 4.0, (500, n))
+    Y = X[:, None, :]
+    near = np.minimum(np.maximum(Y, table.lows), table.highs)
+    want = np.maximum(0.0, geo._row_norms(Y - near) - table.radii)
+    assert table.exact(X).tobytes() == want.tobytes()
+    assert table.exact(X[7]).tobytes() == want[7].tobytes()
+
+
 def normal_offsets(cell, U, rng):
     """Rows ``embed(u) + s n`` with ``n`` the unit normal of a hypersurface
     graph at ``u`` and seeded offsets ``s`` in [-0.1, 0.1]."""
@@ -263,7 +281,10 @@ def test_sandwich_constant_graph_equality():
     samples = [(u, 2.0 + w) for u in (0.2, 0.5, 0.8) for w in (-0.5, 0.3)]
     rep = geo.distance_sandwich_check(cell, samples, eps=1e-9)
     assert not rep.violations
-    assert rep.max_graph_gap < 1e-9
+    # zero slope: the distance equals the normal offset
+    _, up = geo.distance_brackets(geo.descriptor_of(cell), samples)
+    for (u, w), d in zip(samples, up):
+        assert abs(d - abs(w - 2.0)) < 1e-9
 
 
 def test_sandwich_line_cell_lower_bound_tight():

@@ -216,6 +216,6 @@ def test_consistency_random_taylor_fields(rng):
                 dg, [expr.coordinate(0, 1), expr.constant_fn(0, 1)])
         fld = FieldSpec(2, p, "t", 1, coeffs)
         samples = [(float(k) / 51,) for k in range(1, 51)]
-        worst = check_stratum_consistency(fld, FLAT_CELL, samples, tol=1e-9)
+        worst = check_stratum_consistency(fld, FLAT_CELL, samples)
         assert worst < 1e-9
 
