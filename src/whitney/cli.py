@@ -193,13 +193,11 @@ def _whitney_probes(scene, cfg):
     (full-dimensional strata) or along a stratum parameterization (curved
     strata), plus pairs anchored at the target point itself -- the family
     that exposes incompatible jets on lower strata."""
-    j0, j1 = cfg.get("j0", 4), cfg.get("j1", 14)
-    scales = [2.0 ** (-j) for j in range(j0, j1)]
+    scales = [2.0 ** (-j) for j in range(cfg["j0"], cfg["j1"])]
     probes = cfg.get("probes")
     if probes is None:
-        probes = [{"target": t, "direction": d} for t, d in zip(
-            cfg.get("targets") or [[0.0] * scene.n],
-            cfg.get("directions") or [[1.0] * scene.n])]
+        probes = [{"target": t, "direction": d}
+                  for t, d in zip(cfg["targets"], cfg["directions"])]
     for probe in probes:
         if "stratum" in probe:
             cell = scene.stratum(probe["stratum"]).cell
@@ -215,8 +213,7 @@ def _whitney_probes(scene, cfg):
             target = anchor
         else:
             t = np.asarray(probe["target"], dtype=float)
-            d = np.asarray(probe.get("direction", [1.0] * scene.n),
-                           dtype=float)
+            d = np.asarray(probe["direction"], dtype=float)
             line = lambda s: tuple(float(v) for v in t + d * s)
             radial = [(line(s), line(s / 2)) for s in scales]
             anchored = [(line(s), tuple(float(v) for v in t))
@@ -226,7 +223,7 @@ def _whitney_probes(scene, cfg):
 
 
 def _run_whitney_check(scene, plan) -> list[dict]:
-    probes = list(_whitney_probes(scene, plan.whitney or {}))
+    probes = list(_whitney_probes(scene, plan.whitney))
     jets_at = _scene_jets_at(scene, [x for _, families in probes
                                      for pairs in families.values()
                                      for pair in pairs for x in pair])
@@ -257,14 +254,13 @@ def _run_flatness(scene, f, plan) -> list[dict]:
         stratum = scene.stratum(sid)
         target = np.asarray(item["target"], dtype=float)
         direction = np.asarray(item["direction"], dtype=float)
-        j0, j1 = item.get("j0", 3), item.get("j1", 14)
         points = [tuple(target + direction * 2.0 ** (-j))
-                  for j in range(j0, j1 + 1)]
+                  for j in range(item["j0"], item["j1"] + 1)]
         z_ids = [s.id for s in scene.strata if s.id != sid]
         z_desc = scene.descriptor_for(z_ids)
         report = flatness_rate_probe(
-            f, z_desc, stratum.cell, item.get("cone", 0.5), scene.p, points,
-            theta=item.get("theta", 1e-2), box=scene.box)
+            f, z_desc, stratum.cell, item["cone"], scene.p, points,
+            theta=item["theta"], box=scene.box)
         for kappa, vals in sorted(report.per_kappa.items()):
             out.append({"stratum": sid, "kappa": list(kappa),
                         "normalized": [float(v) for v in vals],
@@ -311,11 +307,11 @@ def cmd_verify(args) -> int:
             {"stratum": e.stratum_id, "alpha": list(e.alpha),
              "max_rel_dev": e.max_rel_dev, "pass": e.passed}
             for e in rep.entries]
-    if "whitney" in wanted and plan.whitney is not None:
+    if "whitney" in wanted:
         res = _run_whitney_check(scene, plan)
         verdicts["whitney"] = all(r["verdict"] == "PASS" for r in res)
         details["whitney"] = res
-    if "flatness" in wanted and plan.flatness:
+    if "flatness" in wanted:
         res = _run_flatness(scene, f, plan)
         verdicts["flatness"] = all(r["flat"] for r in res)
         details["flatness"] = res

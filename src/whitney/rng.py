@@ -7,9 +7,10 @@ bit for bit: the seed's 32-bit words are hash-mixed into a pool of four
 and these seed O'Neill's PCG64 ("PCG: A family of simple fast
 space-efficient statistically good algorithms for random number
 generation", 2014), a 128-bit LCG with XSL-RR output; each double is
-``(x >> 11) * 2**-53``.  The LCG runs as a Python-int loop and the output
-mixing in numpy ``uint64``, so ``numpy.random``, which loads ``secrets``
-and through it OpenSSL, is never imported.
+``(x >> 11) * 2**-53``.  The LCG runs as a Python-int loop that packs each
+state's two 64-bit halves into one ``array("Q")``, and the output mixing
+runs in numpy ``uint64`` over that buffer, so ``numpy.random``, which
+loads ``secrets`` and through it OpenSSL, is never imported.
 
 ``sha256`` is CPython's builtin ``_sha2`` (3.12+) or ``_sha256`` (3.10,
 3.11), imported as ``random.py`` imports ``_sha512``; the OpenSSL-backed
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from itertools import repeat
 
 import numpy as np
@@ -98,13 +100,16 @@ class SeededStream:
         """Doubles in [0, 1) of the given shape, in C order."""
         count = math.prod(shape) if isinstance(shape, tuple) else shape
         s, inc = self._state, self._inc
-        states = [s := (s * _PCG_MULT + inc) & _M128
-                  for _ in repeat(None, count)]
+        # the (low, high) little-endian uint64 halves of each 128-bit
+        # state, appended as it is stepped: no object is kept per draw
+        packed = array("Q")
+        put, to_bytes = packed.frombytes, int.to_bytes
+        for _ in repeat(None, count):
+            s = (s * _PCG_MULT + inc) & _M128
+            put(to_bytes(s, 16, "little"))
         self._state = s
-        # the (low, high) uint64 halves of each 128-bit state
-        halves = np.frombuffer(b"".join(map(
-            int.to_bytes, states, repeat(16), repeat("little"))),
-            dtype="<u8").astype(np.uint64).reshape(count, 2)
+        halves = np.frombuffer(packed, dtype="<u8").astype(
+            np.uint64, copy=False).reshape(count, 2)
         lo, hi = halves[:, 0], halves[:, 1]
         x, rot = hi ^ lo, hi >> 58                        # XSL-RR
         x = (x >> rot) | (x << ((64 - rot) & 63))

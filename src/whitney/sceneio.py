@@ -62,18 +62,120 @@ def parse_seed(value, path: str) -> int:
     return value
 
 
-def _parse_plan(raw: dict) -> Plan:
+def _int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, f"must be an integer, got {value!r}")
+    return value
+
+
+def _positive(value, path: str):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value < math.inf):
+        _fail(path, f"must be a positive number, got {value!r}")
+
+
+def _vector(value, length: int, path: str):
+    """A list of ``length`` finite JSON numbers (no bool, no string)."""
+    if not (isinstance(value, list) and len(value) == length and all(
+            not isinstance(v, bool) and isinstance(v, (int, float))
+            and math.isfinite(v) for v in value)):
+        _fail(path, f"must be a list of {length} numbers, got {value!r}")
+
+
+def _object(value, path: str):
+    if not isinstance(value, dict):
+        _fail(path, f"must be an object, got {value!r}")
+
+
+def _scale_range(obj: dict, path: str):
+    """Integers ``j0 < j1``."""
+    j0, j1 = _int(obj["j0"], f"{path}.j0"), _int(obj["j1"], f"{path}.j1")
+    if j1 <= j0:
+        _fail(f"{path}.j1", f"must be greater than j0 ({j0}), got {j1!r}")
+
+
+def _nonempty(value, path: str):
+    if not isinstance(value, list) or not value:
+        _fail(path, f"must be a nonempty array, got {value!r}")
+
+
+def _whitney_block(cfg, scene: Scene) -> dict:
+    """The ``whitney`` block with its defaults filled in: a scale range
+    and either ``probes`` or ``targets`` and ``directions``, one direction
+    per target."""
+    path, n = "plan.whitney", scene.n
+    _object(cfg, path)
+    cfg = {"j0": 4, "j1": 14, **cfg}
+    _scale_range(cfg, path)
+    if "probes" not in cfg:
+        cfg = {"targets": [[0.0] * n], "directions": [[1.0] * n], **cfg}
+        for key in ("targets", "directions"):
+            _nonempty(cfg[key], f"{path}.{key}")
+            for i, v in enumerate(cfg[key]):
+                _vector(v, n, f"{path}.{key}[{i}]")
+        if len(cfg["directions"]) != len(cfg["targets"]):
+            _fail(f"{path}.directions", "must hold one direction per "
+                                        f"target ({len(cfg['targets'])})")
+        return cfg
+    if "targets" in cfg or "directions" in cfg:
+        _fail(path, "must give probes or targets/directions, not both")
+    _nonempty(cfg["probes"], f"{path}.probes")
+    strata = {s.id: s for s in scene.strata}
+    for i, probe in enumerate(cfg["probes"]):
+        where = f"{path}.probes[{i}]"
+        _object(probe, where)
+        if "stratum" not in probe:
+            for key in ("target", "direction"):
+                _vector(probe.get(key), n, f"{where}.{key}")
+            continue
+        sid = probe["stratum"]
+        stratum = strata.get(sid) if isinstance(sid, str) else None
+        if stratum is None or stratum.dim == 0:
+            _fail(f"{where}.stratum", "must name a stratum of positive "
+                                      f"dimension, got {sid!r}")
+        for key in ("param_target", "param_direction"):
+            _vector(probe.get(key), stratum.dim, f"{where}.{key}")
+        _vector(probe.get("anchor"), n, f"{where}.anchor")
+    return cfg
+
+
+def _flatness_items(items, scene: Scene) -> tuple:
+    """The ``flatness`` items with their defaults filled in: each names a
+    stratum and has an n-vector ``target`` and ``direction``, a scale
+    range and positive ``cone`` and ``theta``."""
+    _nonempty(items, "plan.flatness")
+    ids = {s.id for s in scene.strata}
+    out = []
+    for i, item in enumerate(items):
+        path = f"plan.flatness[{i}]"
+        _object(item, path)
+        item = {"j0": 3, "j1": 14, "cone": 0.5, "theta": 1e-2, **item}
+        sid = item.get("stratum")
+        if not isinstance(sid, str) or sid not in ids:
+            _fail(f"{path}.stratum", f"must name a stratum, got {sid!r}")
+        for key in ("target", "direction"):
+            _vector(item.get(key), scene.n, f"{path}.{key}")
+        _scale_range(item, path)
+        for key in ("cone", "theta"):
+            _positive(item[key], f"{path}.{key}")
+        out.append(item)
+    return tuple(out)
+
+
+def _parse_plan(raw, scene: Scene) -> Plan:
     """The verification plan, its keys typed: a bool, a non-integer count,
-    a tolerance that is no positive finite number or an unknown check
-    raises :class:`SceneFormatError` naming the key."""
+    a tolerance that is no positive finite number, an unknown check, a
+    listed ``whitney`` or ``flatness`` check without its data, or a
+    malformed probe raises :class:`SceneFormatError` naming the key.  The
+    probe data reach the checks with the values read and the defaults of
+    the keys left out."""
+    _object(raw, "plan")
     count = raw.get("samples_per_stratum", 100)
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         _fail("plan.samples_per_stratum",
               f"must be a positive integer, got {count!r}")
     tol = raw.get("tolerance", 1e-4)
-    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-            or not 0 < tol < math.inf):
-        _fail("plan.tolerance", f"must be a positive number, got {tol!r}")
+    _positive(tol, "plan.tolerance")
     checks = raw.get("checks", ["structure", "consistency", "agreement"])
     if not isinstance(checks, list):
         _fail("plan.checks", "must be an array")
@@ -81,9 +183,16 @@ def _parse_plan(raw: dict) -> Plan:
         if check not in CHECKS:
             _fail(f"plan.checks[{i}]",
                   f"must be one of {', '.join(CHECKS)}, got {check!r}")
+    for key in ("whitney", "flatness"):
+        if key in checks and key not in raw:
+            _fail(f"plan.{key}", f"must be given: plan.checks lists {key}")
+    whitney, flatness = None, ()
+    if "whitney" in checks or raw.get("whitney") is not None:
+        whitney = _whitney_block(raw["whitney"], scene)
+    if "flatness" in checks or raw.get("flatness"):
+        flatness = _flatness_items(raw["flatness"], scene)
     return Plan(parse_seed(raw.get("seed", 0), "plan.seed"), count,
-                float(tol), tuple(checks), tuple(raw.get("flatness", ())),
-                raw.get("whitney"))
+                float(tol), tuple(checks), flatness, whitney)
 
 
 def _opt_num(value, path: str):
@@ -200,7 +309,7 @@ def parse_scene(raw: dict) -> SceneFile:
             flat.add(sid)
 
     scene = Scene(n, p, q, tuple(strata), fields, frozenset(flat), box)
-    return SceneFile(scene, _parse_plan(raw.get("plan", {})))
+    return SceneFile(scene, _parse_plan(raw.get("plan", {}), scene))
 
 
 def dump_deterministic(obj) -> str:

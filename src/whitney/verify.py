@@ -190,25 +190,39 @@ _RATE_MARGIN = 0.25           # slope excess over the required exponent
 _RATE_THETA = 1e-2            # tail bound of the normalized values
 
 
+def _log_log_slope(ls: np.ndarray, lv: np.ndarray) -> float:
+    """Least-squares slope of ``lv`` on ``ls`` in closed form, the centred
+    sums ``sum(dx * dy) / sum(dx^2)``; ``inf`` with fewer than two distinct
+    ``ls``, where no line is determined."""
+    if len(ls) < 2:
+        return math.inf
+    dx, dy = ls - ls.mean(), lv - lv.mean()
+    sxx = float((dx * dx).sum())
+    return float((dx * dy).sum()) / sxx if sxx > 0 else math.inf
+
+
 def rate_fit(samples: Sequence[tuple], required: float) -> RateFit:
     """Decide whether ``value = o(scale^required)`` from (scale, value)
     samples at geometrically decreasing scales.
 
-    PASS if the least-squares log-log slope clears ``required`` plus
-    ``_RATE_MARGIN``, or if ``value / scale^required`` decreases
-    monotonically below ``_RATE_THETA``.  Needs at least 6 scales spanning
-    two decades.
+    PASS if the least-squares log-log slope over the nonzero values clears
+    ``required`` plus ``_RATE_MARGIN``, or if ``value / scale^required``
+    decreases monotonically below ``_RATE_THETA``.  Needs at least 6
+    scales spanning two decades.  The slope is :func:`_log_log_slope`'s
+    closed form and the scales are ordered by Python's sort, so a fit
+    pages in neither LAPACK nor a numpy sort kernel.
     """
     if len(samples) < 6:
         raise DegenerateScales("need at least 6 scales")
-    scales = np.asarray([float(s) for s, _ in samples])
-    values = np.abs(np.asarray([float(v) for _, v in samples]))
+    # largest scale first; equal scales in reverse input order
+    pairs = sorted(((float(s), abs(float(v))) for s, v in samples),
+                   key=lambda sv: sv[0])[::-1]
+    scales = np.asarray([s for s, _ in pairs])
+    values = np.asarray([v for _, v in pairs])
     if np.any(scales <= 0):
         raise DegenerateScales("scales must be positive")
     if scales.max() / scales.min() < 99.0:
         raise DegenerateScales("scales must span at least two decades")
-    order = np.argsort(scales)[::-1]
-    scales, values = scales[order], values[order]
 
     normalized = values / scales ** required
     monotone = bool(np.all(np.diff(normalized) <= 1e-12 + 0.0 * normalized[1:]))
@@ -218,12 +232,12 @@ def rate_fit(samples: Sequence[tuple], required: float) -> RateFit:
         # (near-)identically zero residuals: flat in the strongest sense
         if np.all(values <= 1e-15 * np.maximum(1.0, scales)):
             return RateFit(math.inf, "PASS")
-    ls, lv = np.log10(scales[nonzero]), np.log10(values[nonzero])
-    slope = np.polyfit(ls, lv, 1)[0] if len(ls) >= 2 else math.inf
+    slope = _log_log_slope(np.log10(scales[nonzero]),
+                           np.log10(values[nonzero]))
     slope_ok = slope >= required + _RATE_MARGIN
     decay_ok = monotone and tail < _RATE_THETA
     verdict = "PASS" if (slope_ok or decay_ok) else "FAIL"
-    return RateFit(float(slope), verdict)
+    return RateFit(slope, verdict)
 
 
 # ---------------------------------------------------------------------------

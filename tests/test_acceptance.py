@@ -9,7 +9,6 @@ import numpy as np
 
 from whitney import expr
 from whitney import geometry as geo
-from whitney.corpus import bundled_cutoff_specs, bundled_graph_cells
 from whitney.cutoff import build_cutoff, verify_cutoff
 from whitney.cli import main as cli_main
 from whitney.extension import extend_field, flatness_rate_probe
@@ -20,7 +19,8 @@ from whitney.verify import (check_extension, radial_pairs, rate_fit,
 
 # naive_poly_mul and naive_truncate are the independent brute-force
 # helpers, kept free of the library's fast paths
-from conftest import (load_corpus_scene, naive_poly_mul, naive_truncate,
+from conftest import (bundled_cutoff_specs, bundled_graph_cells,
+                      load_corpus_scene, naive_poly_mul, naive_truncate,
                       rand_jet, rand_point, rand_polynomial, scene_path)
 
 NON_DEFECT_SCENES = ["points", "halfline", "parabola", "square", "fullspace"]

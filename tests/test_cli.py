@@ -136,6 +136,18 @@ def test_validate_names_a_non_integer_expression_payload(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def _refused_by_every_command(tmp_path, capsys, raw, message):
+    """``validate``, ``extend`` and ``verify`` of the scene ``raw`` each exit
+    2 with ``message`` on stderr, and no run directory is written."""
+    scene, out = tmp_path / "scene.json", tmp_path / "run"
+    scene.write_text(json.dumps(raw))
+    for argv in (("validate", scene), ("extend", scene, "-o", out),
+                 ("verify", scene, out)):
+        assert run(*argv) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, path", [
     ("checks", ["structure", "agreemnt"], "plan.checks[1]"),
     ("checks", "agreement", "plan.checks"),
@@ -151,13 +163,127 @@ def test_plan_keys_are_typed(tmp_path, capsys, key, value, path):
     names the key: no check is dropped, no count is truncated."""
     raw = json.loads(scene_path("points").read_text())
     raw["plan"][key] = value
-    scene, out = tmp_path / "points.json", tmp_path / "run"
-    scene.write_text(json.dumps(raw))
-    for argv in (("validate", scene), ("extend", scene, "-o", out),
-                 ("verify", scene, out)):
-        assert run(*argv) == 2
-        assert f"{path}: must be" in capsys.readouterr().err
-    assert not out.exists()
+    _refused_by_every_command(tmp_path, capsys, raw, f"{path}: must be")
+
+
+@pytest.mark.parametrize("name, checks, drop, path", [
+    ("points", ["structure", "whitney", "flatness"], None, "plan.whitney"),
+    ("points", ["structure", "flatness"], None, "plan.flatness"),
+    ("halfline", None, "whitney", "plan.whitney"),
+    ("halfline", None, "flatness", "plan.flatness")])
+def test_listed_check_without_its_data_is_refused(tmp_path, capsys, name,
+                                                  checks, drop, path):
+    """A plan that lists ``whitney`` or ``flatness`` without its probes is
+    a schema error naming the missing key, not a check left out."""
+    raw = json.loads(scene_path(name).read_text())
+    if checks is not None:
+        raw["plan"]["checks"] = checks
+    if drop is not None:
+        del raw["plan"][drop]
+    _refused_by_every_command(tmp_path, capsys, raw, f"{path}: must be given")
+
+
+def test_listed_flatness_with_no_items_is_refused(tmp_path, capsys):
+    raw = json.loads(scene_path("halfline").read_text())
+    raw["plan"]["flatness"] = []
+    _refused_by_every_command(tmp_path, capsys, raw,
+                              "plan.flatness: must be a nonempty array")
+
+
+_DROP = object()
+
+
+def _set(*keys_value):
+    """A plan edit: set ``plan[k0][k1]...`` to the last argument, or delete
+    that key when the last argument is ``_DROP``."""
+    *keys, value = keys_value
+
+    def edit(plan):
+        for k in keys[:-1]:
+            plan = plan[k]
+        if value is _DROP:
+            del plan[keys[-1]]
+        else:
+            plan[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, path", [
+    ("halfline", _set("flatness", ["ray"]), "plan.flatness[0]"),
+    ("halfline", _set("flatness", 0, "stratum", "line"),
+     "plan.flatness[0].stratum"),
+    ("halfline", _set("flatness", 0, "stratum", ["ray"]),
+     "plan.flatness[0].stratum"),
+    ("halfline", _set("flatness", 0, "target", [0, 0]),
+     "plan.flatness[0].target"),
+    ("halfline", _set("flatness", 0, "direction", [True]),
+     "plan.flatness[0].direction"),
+    ("halfline", _set("flatness", 0, "j0", 2.5), "plan.flatness[0].j0"),
+    ("halfline", _set("flatness", 0, "j1", 3), "plan.flatness[0].j1"),
+    ("halfline", _set("flatness", 0, "cone", 0), "plan.flatness[0].cone"),
+    ("halfline", _set("flatness", 0, "theta", True),
+     "plan.flatness[0].theta"),
+    ("halfline", _set("whitney", []), "plan.whitney"),
+    ("halfline", _set("whitney", "j0", "4"), "plan.whitney.j0"),
+    ("halfline", _set("whitney", "j1", 4), "plan.whitney.j1"),
+    ("halfline", _set("whitney", "targets", [[0, 1]]),
+     "plan.whitney.targets[0]"),
+    ("halfline", _set("whitney", "directions", [["1"]]),
+     "plan.whitney.directions[0]"),
+    ("halfline", _set("whitney", "directions", [[1.0], [-1.0]]),
+     "plan.whitney.directions"),
+    ("square", _set("whitney", "targets", [[0, 0]]), "plan.whitney"),
+    ("square", _set("whitney", "probes", []), "plan.whitney.probes"),
+    ("square", _set("whitney", "probes", [{"target": [0, 0]}]),
+     "plan.whitney.probes[0].direction"),
+    ("square", _set("whitney", "probes", 0, "stratum", "c00"),
+     "plan.whitney.probes[0].stratum"),
+    ("square", _set("whitney", "probes", 0, "stratum", ["bottom"]),
+     "plan.whitney.probes[0].stratum"),
+    ("square", _set("whitney", "probes", 0, "param_target", [0, 0]),
+     "plan.whitney.probes[0].param_target"),
+    ("square", _set("whitney", "probes", 0, "param_direction", _DROP),
+     "plan.whitney.probes[0].param_direction"),
+    ("square", _set("whitney", "probes", 1, "anchor", [1]),
+     "plan.whitney.probes[1].anchor")])
+def test_plan_probe_keys_are_typed(tmp_path, capsys, name, edit, path):
+    """Each key of the ``whitney`` block and the ``flatness`` items is typed:
+    a wrong one stops every command with exit 2 and names it."""
+    raw = json.loads(scene_path(name).read_text())
+    edit(raw["plan"])
+    _refused_by_every_command(tmp_path, capsys, raw, f"{path}: must")
+
+
+def test_plan_that_is_no_object_is_refused(tmp_path, capsys):
+    raw = json.loads(scene_path("points").read_text())
+    raw["plan"] = []
+    _refused_by_every_command(tmp_path, capsys, raw,
+                              "plan: must be an object, got []")
+
+
+@pytest.mark.parametrize("name", ["halfline", "parabola", "square"])
+def test_plan_probe_data_reach_the_checks_as_read(name):
+    """Typing changes no value: square's integer anchors stay integers."""
+    plan = json.loads(scene_path(name).read_text())["plan"]
+    parsed = load_scene(scene_path(name)).plan
+    assert parsed.whitney == plan["whitney"]
+    assert parsed.flatness == tuple(plan.get("flatness", ()))
+    if name == "square":
+        assert parsed.whitney["probes"][0]["anchor"] == [0, 0]
+        assert type(parsed.whitney["probes"][0]["anchor"][0]) is int
+
+
+def test_plan_probe_defaults_fill_left_out_keys():
+    raw = json.loads(scene_path("halfline").read_text())
+    raw["plan"]["whitney"] = {}
+    raw["plan"]["flatness"] = [{"stratum": "ray", "target": [0],
+                                "direction": [-1]}]
+    plan = parse_scene(raw).plan
+    assert plan.whitney == {"j0": 4, "j1": 14, "targets": [[0.0]],
+                            "directions": [[1.0]]}
+    assert plan.flatness == ({"stratum": "ray", "target": [0],
+                              "direction": [-1], "j0": 3, "j1": 14,
+                              "cone": 0.5, "theta": 1e-2},)
 
 
 # the jets of 0 in R^3 at p = 1

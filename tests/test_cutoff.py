@@ -385,7 +385,7 @@ def test_w_segment_with_endpoints_off_z_keeps_the_cutoff_c2():
     inside the transition shell (d2 omega/dx2 would jump by about 30 at
     y=0.25 and 0.3); the segment's potential column is smooth there."""
     import dataclasses
-    from whitney.corpus import bundled_cutoff_specs
+    from conftest import bundled_cutoff_specs
     from whitney.verify import finite_difference
     spec = dataclasses.replace(bundled_cutoff_specs()[2], q=2)
     omega = co.build_cutoff(spec)

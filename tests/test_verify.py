@@ -180,6 +180,38 @@ def test_rate_fit_identically_zero_passes():
     assert fit.passed and fit.slope == math.inf
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_rate_fit_slope_matches_polyfit(seed):
+    """The closed-form slope is ``np.polyfit``'s over the nonzero points, on
+    seeded geometric scales in shuffled order, some values 0 or negative."""
+    rng = np.random.default_rng(seed)
+    ratio = rng.uniform(0.3, 0.8)
+    k = max(6, math.ceil(math.log(99.0) / -math.log(ratio)) + 1) + int(
+        rng.integers(0, 8))
+    scales = rng.uniform(1e-3, 1.0) * ratio ** np.arange(k)
+    values = (rng.uniform(0.1, 1e3) * scales ** rng.uniform(0.5, 4.0)
+              * np.exp(rng.normal(0.0, 0.3, k))
+              * rng.choice([-1.0, 1.0], k))
+    values[rng.permutation(k)[:int(rng.integers(0, k // 2))]] = 0.0
+    order = rng.permutation(k)
+    fit = rate_fit(list(zip(scales[order].tolist(), values[order].tolist())),
+                   1.0)
+    nonzero = values != 0
+    want = np.polyfit(np.log10(scales[nonzero]),
+                      np.log10(np.abs(values[nonzero])), 1)[0]
+    assert abs(fit.slope - want) <= 1e-12 * abs(want)
+
+
+def test_rate_fit_without_two_nonzero_scales_has_no_slope():
+    """One nonzero point, or nonzero points at one scale only, fit no
+    line: the slope is ``inf``."""
+    scales = [10.0 ** -k for k in range(1, 8)]
+    one = [(s, 1.0 if i == 0 else 0.0) for i, s in enumerate(scales)]
+    assert rate_fit(one, 1).slope == math.inf
+    tied = one + [(scales[0], 2.0)]
+    assert rate_fit(tied, 1).slope == math.inf
+
+
 def test_rate_fit_degenerate_scales():
     with pytest.raises(DegenerateScales):
         rate_fit([(0.1, 1), (0.09, 1), (0.08, 1), (0.07, 1), (0.06, 1),
