@@ -9,6 +9,7 @@ mandatory in every report, defaulting to 0.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -399,6 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # What the process holds by now (modules, classes, functions) lives
+    # until it exits, so the cyclic collector need not walk it again: not
+    # in the command's collections, nor in the full collections at
+    # interpreter shutdown, which take about 10 ms of a command's wall time
+    if not gc.get_freeze_count():
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

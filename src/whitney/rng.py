@@ -7,10 +7,12 @@ bit for bit: the seed's 32-bit words are hash-mixed into a pool of four
 and these seed O'Neill's PCG64 ("PCG: A family of simple fast
 space-efficient statistically good algorithms for random number
 generation", 2014), a 128-bit LCG with XSL-RR output; each double is
-``(x >> 11) * 2**-53``.  The LCG runs as a Python-int loop that packs each
-state's two 64-bit halves into one ``array("Q")``, and the output mixing
-runs in numpy ``uint64`` over that buffer, so ``numpy.random``, which
-loads ``secrets`` and through it OpenSSL, is never imported.
+``(x >> 11) * 2**-53``.  A Python-int loop steps the LCG through the
+first states of a draw; the rest follow in numpy ``uint64`` pairs (high,
+low) by jump-ahead, the states so far mapped by the LCG's m-fold step
+``s -> A_m s + C_m (mod 2**128)`` to the next m, doubling each pass.  The
+output mixing also runs in numpy, so ``numpy.random``, which loads
+``secrets`` and through it OpenSSL, is never imported.
 
 ``sha256`` is CPython's builtin ``_sha2`` (3.12+) or ``_sha256`` (3.10,
 3.11), imported as ``random.py`` imports ``_sha512``; the OpenSSL-backed
@@ -20,8 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-from array import array
-from itertools import repeat
 
 import numpy as np
 
@@ -34,6 +34,7 @@ except ImportError:
         from hashlib import sha256
 
 _M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 # SeedSequence's hash constants and PCG64's default 128-bit multiplier
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -99,18 +100,48 @@ class SeededStream:
     def random(self, shape) -> np.ndarray:
         """Doubles in [0, 1) of the given shape, in C order."""
         count = math.prod(shape) if isinstance(shape, tuple) else shape
-        s, inc = self._state, self._inc
-        # the (low, high) little-endian uint64 halves of each 128-bit
-        # state, appended as it is stepped: no object is kept per draw
-        packed = array("Q")
-        put, to_bytes = packed.frombytes, int.to_bytes
-        for _ in repeat(None, count):
-            s = (s * _PCG_MULT + inc) & _M128
-            put(to_bytes(s, 16, "little"))
-        self._state = s
-        halves = np.frombuffer(packed, dtype="<u8").astype(
-            np.uint64, copy=False).reshape(count, 2)
-        lo, hi = halves[:, 0], halves[:, 1]
+        hi, lo = _states(self._state, self._inc, count)
+        if count:
+            self._state = int(hi[-1]) << 64 | int(lo[-1])
         x, rot = hi ^ lo, hi >> 58                        # XSL-RR
         x = (x >> rot) | (x << ((64 - rot) & 63))
         return ((x >> 11).astype(np.float64) * 2.0 ** -53).reshape(shape)
+
+
+def _states(s: int, inc: int, count: int):
+    """The 64-bit halves (high, low) of the ``count`` LCG states after
+    ``s``: the first 64 stepped as Python ints, the rest by jump-ahead,
+    each pass mapping the first m states to the next m."""
+    head = []
+    for _ in range(min(count, 64)):
+        s = (s * _PCG_MULT + inc) & _M128
+        head.append(s)
+    hi = np.array([v >> 64 for v in head], dtype=np.uint64)
+    lo = np.array([v & _M64 for v in head], dtype=np.uint64)
+    # (A, C) of 2**6 = 64 steps from those of one: the map of m steps
+    # composed with itself is the map of 2m
+    a, c = _PCG_MULT, inc
+    for _ in range(6):
+        a, c = a * a & _M128, (a * c + c) & _M128
+    while len(lo) < count:
+        m = min(len(lo), count - len(lo))
+        hi_m, lo_m = _affine(hi[:m], lo[:m], a, c)
+        hi, lo = np.concatenate((hi, hi_m)), np.concatenate((lo, lo_m))
+        a, c = a * a & _M128, (a * c + c) & _M128
+    return hi, lo
+
+
+def _affine(hi, lo, a: int, c: int):
+    """``(a * s + c) mod 2**128`` of the states ``s = hi * 2**64 + lo``,
+    as (high, low) halves; the high half of ``lo * (a mod 2**64)`` comes
+    from four 32-bit partial products."""
+    a_lo, c_lo = np.uint64(a & _M64), np.uint64(c & _M64)
+    a0, a1 = np.uint64(a & _M32), np.uint64(a >> 32 & _M32)
+    x0, x1 = lo & _M32, lo >> 32
+    p01, p10 = x0 * a1, x1 * a0
+    mid = (x0 * a0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = x1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    low = lo * a_lo + c_lo
+    high = (carry + lo * np.uint64(a >> 64) + hi * a_lo
+            + np.uint64(c >> 64) + (low < c_lo))
+    return high, low

@@ -1,6 +1,9 @@
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -621,3 +624,25 @@ def test_reports_byte_identical_across_runs(tmp_path):
         outs.append(out)
     for name in ("report.json", "verify_report.json", "samples.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_main_freezes_the_collector_once():
+    """The first command call moves what the process holds into the cyclic
+    collector's permanent generation; later calls leave it as it is, so
+    an in-process caller's garbage is not frozen call after call."""
+    script = (
+        "import gc, json\n"
+        "from whitney.cli import main\n"
+        f"scene = {str(scene_path('points'))!r}\n"
+        "counts = [gc.get_freeze_count()]\n"
+        "for _ in range(2):\n"
+        "    codes = main(['validate', scene])\n"
+        "    junk = [[] for _ in range(1000)]\n"
+        "    counts.append(gc.get_freeze_count())\n"
+        "print(json.dumps([codes, counts]))\n")
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ,
+                                   PYTHONPATH=os.pathsep.join(sys.path)))
+    code, (before, first, second) = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0 and before == 0 and first > 0 and second == first

@@ -17,7 +17,8 @@ from whitney.rng import SeededStream, sha256
 from conftest import SCENES_DIR, scene_path
 
 SEEDS = list(range(64)) + [2 ** 32, 2 ** 64 + 5, 2 ** 128 + 3]
-SHAPES = [(0,), (7,), (2000, 2)]
+# within the Python-stepped head of a draw, just past it, and far past it
+SHAPES = [(0,), (7,), (65,), (3, 43), (2000, 2)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
