@@ -14,6 +14,6 @@ from .geometry import (Interval, Slab, GraphCell, PointCell,  # noqa: F401
 from .cutoff import (CutoffSpec, build_cutoff, verify_cutoff,  # noqa: F401
                      smooth_transition, regularized_distance)
 from .extension import (Scene, Stratum, ExtensionFn, extend_field,  # noqa: F401
-                        extend_on_cell, subtract_taylor, flatness_rate_probe)
+                        extend_on_cell, flatness_rate_probe)
 from .verify import (finite_difference, whitney_residual, rate_fit,  # noqa: F401
                      check_extension)

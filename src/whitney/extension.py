@@ -2,13 +2,13 @@
 
 The driver works by induction on stratum dimension: point strata are glued
 with ball cutoffs of disjoint support; for positive dimension the skeleton
-(everything of lower dimension) is extended first, its sampled Taylor data
-is subtracted from the field -- making the remainder numerically flat on
-the skeleton -- and each top-dimensional graph cell then contributes a
-term ``f_j * omega_j``: the degree-p normal polynomial of the cell's
-field, cut off inside a cone neighborhood of the cell relative to the
-rest of the scene.  Each term is identically zero wherever its cutoff
-vanishes, so the assembled function is total on all of R^n.
+(everything of lower dimension) is extended first, and each
+top-dimensional graph cell then contributes a term ``f_j * omega_j``: the
+degree-p normal polynomial of the cell's field minus the skeleton's
+sampled Taylor data -- a remainder numerically flat on the skeleton --
+cut off inside a cone neighborhood of the cell relative to the rest of
+the scene.  Each term is identically zero wherever its cutoff vanishes,
+so the assembled function is total on all of R^n.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from .errors import (ConsistencyViolation, SequenceLeavesCone, SingularPoint,
                      StratificationInvalid, SupportLeak, WhitneyError)
 from .geometry import (EMPTY_SET, INSIDE, OUTSIDE, GraphCell, PointCell,
                        SetDescriptor, membership)
-from .jets import (FieldSpec, PointJet, coefficient_rows, mi_add,
-                   mi_factorial, mi_order, multi_indices)
+from .jets import (FieldSpec, PointJet, mi_add, mi_factorial, mi_order,
+                   multi_indices)
 from .rng import SeededStream, sha256
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,8 @@ class Scene:
                 X = s.cell.embed_rows(U)
                 U = U if U.shape[1] else np.zeros((1, 1))
                 for alpha in multi_indices(self.n, self.p):
-                    v = coefficient_rows(self.fields[s.id].coeffs[alpha], U)
+                    v = expr.evaluate_rows_or_raise(
+                        self.fields[s.id].coeffs[alpha], U)
                     if np.any(v != 0.0):
                         i = int(np.argmax(v != 0.0))
                         x = tuple(round(float(c), 6) for c in X[i])
@@ -226,17 +227,27 @@ class PointGlueTerm:
                 "hash": _term_hash(self.jet.coeffs)}
 
 
+_SUBTRACT_STEP = 1e-4         # finite-difference step of D^alpha g
+
+
 class CellTerm:
     """Normal-degree-p polynomial of a graph cell's field, cut off inside
-    a cone neighborhood of the cell relative to the rest of the scene."""
+    a cone neighborhood of the cell relative to the rest of the scene.
+
+    With a ``skeleton`` extension ``g``, each normal coefficient
+    ``F^(0,beta)`` is replaced by ``F^(0,beta) - D^(0,beta) g`` sampled on
+    the cell at the step ``_SUBTRACT_STEP``: one
+    :func:`verify.sampled_derivatives` call per batch reads every beta."""
 
     def __init__(self, stratum_id: str, cell: GraphCell,
-                 normal_coeffs: Mapping, omega: CutoffFn, eta: float):
+                 normal_coeffs: Mapping, omega: CutoffFn, eta: float,
+                 skeleton: Optional["ExtensionFn"] = None):
         self.stratum_id = stratum_id
         self.cell = cell
         self.normal_coeffs = dict(normal_coeffs)
         self.omega = omega
         self.eta = eta
+        self.skeleton = skeleton
 
     def evaluate(self, X: np.ndarray):
         """``(values, leaks)`` on the rows of ``X``; ``leaks`` marks rows
@@ -256,9 +267,18 @@ class CellTerm:
         out = np.zeros(len(X))
         rows = rows[~leaks[rows]]
         if len(rows):
-            coeffs = [(beta, coefficient_rows(fn, Y[rows, :m]))
-                      for beta, fn in self.normal_coeffs.items()]
-            out[rows] = _jet_polynomial(coeffs, Y[rows, m:]) * w[rows]
+            U = Y[rows, :m]
+            coeffs = [expr.evaluate_rows_or_raise(fn, U)
+                      for fn in self.normal_coeffs.values()]
+            if self.skeleton is not None:
+                X0 = self.cell.embed_rows(U)
+                H = np.full(len(U), _SUBTRACT_STEP)
+                derivs = verify.sampled_derivatives(self.skeleton, [
+                    (X0, self.cell.to_ambient((0,) * m + beta), H)
+                    for beta in self.normal_coeffs])
+                coeffs = [c - d for c, (d, _) in zip(coeffs, derivs)]
+            out[rows] = _jet_polynomial(zip(self.normal_coeffs, coeffs),
+                                        Y[rows, m:]) * w[rows]
         return out, leaks
 
     def trace(self) -> dict:
@@ -373,45 +393,6 @@ def check_stratum_consistency(fld: FieldSpec, cell: GraphCell,
 
 
 # ---------------------------------------------------------------------------
-# Taylor-data subtraction
-
-
-_SUBTRACT_STEP = 1e-4         # finite-difference step of D^alpha g
-
-
-def subtract_taylor(fields: Mapping[str, FieldSpec], scene: Scene,
-                    g: ExtensionFn) -> dict[str, FieldSpec]:
-    """New field family with coefficients ``F^alpha - D^alpha g`` sampled
-    along every stratum, at the step ``_SUBTRACT_STEP``.  Where ``g``
-    already realizes the field the result is numerically flat.  ``g`` and
-    each new coefficient take row batches; one batch of a coefficient
-    evaluates ``g`` once, on the stencil rows of both Richardson steps."""
-    out = {}
-    for stratum in scene.strata:
-        fld = fields[stratum.id]
-        cell = stratum.cell
-        coeffs = {}
-        for alpha in multi_indices(scene.n, scene.p):
-            coeffs[alpha] = _subtracted_coeff(fld.coeffs[alpha], cell,
-                                              alpha, g)
-        out[stratum.id] = FieldSpec(scene.n, scene.p, fld.stratum_id,
-                                    fld.param_arity, coeffs)
-    return out
-
-
-def _subtracted_coeff(orig, cell, alpha_int, g: ExtensionFn) -> Callable:
-    alpha_amb = cell.to_ambient(alpha_int)
-
-    def batch(U):
-        X = cell.embed_rows(U)
-        [(d, _)] = verify.sampled_derivatives(
-            g, [(X, alpha_amb, np.full(len(X), _SUBTRACT_STEP))])
-        return coefficient_rows(orig, U) - d
-
-    return batch
-
-
-# ---------------------------------------------------------------------------
 # single-cell extension
 
 
@@ -421,10 +402,11 @@ _LEAK_SAMPLES = 2000          # uniform rows of the support leak check
 
 
 def extend_on_cell(fld: FieldSpec, stratum: Stratum, z_desc: SetDescriptor,
-                   scene: Scene, *, seed: int = 0) -> CellTerm:
-    """Extension term for one graph cell whose field vanishes on the rest
-    of the scene: the normal-degree-p polynomial of the cell's jets,
-    multiplied by a cone-neighborhood cutoff.
+                   scene: Scene, *, seed: int = 0,
+                   skeleton: Optional[ExtensionFn] = None) -> CellTerm:
+    """Extension term for one graph cell: the normal-degree-p polynomial of
+    the cell's jets, less the Taylor data of the ``skeleton`` extension when
+    one is given, multiplied by a cone-neighborhood cutoff.
 
     The support ratio starts at ``_ETA0`` and is halved until the sampled
     cone neighborhood stays inside the cell's parameter slab; more than
@@ -453,7 +435,7 @@ def extend_on_cell(fld: FieldSpec, stratum: Stratum, z_desc: SetDescriptor,
     spec = CutoffSpec(geometry.descriptor_of(cell), z_desc, eta, scene.q,
                       box=scene.box)
     omega = build_cutoff(spec)
-    return CellTerm(stratum.id, cell, normal, omega, eta)
+    return CellTerm(stratum.id, cell, normal, omega, eta, skeleton)
 
 
 def _support_fits(cell: GraphCell, z_desc: SetDescriptor, scene: Scene,
@@ -497,8 +479,8 @@ def extend_field(scene: Scene, *, seed: int = 0,
                  skip_skeleton_subtraction: bool = False) -> ExtensionFn:
     """Global extension of a scene's jet field, by induction on dimension.
 
-    ``skip_skeleton_subtraction`` disables the Taylor-data subtraction
-    before the top-dimensional terms are built; it exists so tests can
+    ``skip_skeleton_subtraction`` builds the top-dimensional terms without
+    their skeleton, so they subtract no Taylor data; it exists so tests can
     demonstrate that the subtraction is load-bearing, and must stay False
     for correct output.
     """
@@ -515,20 +497,17 @@ def _extend(scene: Scene, seed: int, skip_sub: bool) -> ExtensionFn:
 
     skeleton_ids = [s.id for s in scene.strata if s.dim < top_dim]
     top = [s for s in scene.strata if s.dim == top_dim]
-    sub = None
-    fields = dict(scene.fields)
-    if skeleton_ids:
-        sub = _extend(scene.restrict(skeleton_ids), seed, skip_sub)
-        if not skip_sub:
-            fields = subtract_taylor(fields, scene, sub)
+    sub = (_extend(scene.restrict(skeleton_ids), seed, skip_sub)
+           if skeleton_ids else None)
 
     terms = []
     for stratum in top:
         other_ids = [s.id for s in scene.strata if s.id != stratum.id]
         z_desc = (scene.descriptor_for(other_ids) if other_ids
                   else EMPTY_SET)
-        terms.append(extend_on_cell(fields[stratum.id], stratum, z_desc,
-                                    scene, seed=seed))
+        terms.append(extend_on_cell(scene.fields[stratum.id], stratum, z_desc,
+                                    scene, seed=seed,
+                                    skeleton=None if skip_sub else sub))
     return ExtensionFn(scene.n, terms, sub)
 
 

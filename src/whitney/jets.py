@@ -7,8 +7,9 @@ the polynomial it represents is ``sum (1/alpha!) F^alpha X^alpha`` where
 truncated to total degree <= p) and :func:`jet_compose` (substitution,
 truncated) are exact truncated Taylor arithmetic, and :func:`taylor_jet`
 gives the exact jet of an expression.  A :class:`FieldSpec` is a jet field
-over one stratum: :meth:`FieldSpec.jet_at` gives its exact jet at one
-parameter, and :func:`coefficient_rows` one coefficient on a batch of
+over one stratum whose every coefficient is an expression:
+:meth:`FieldSpec.jet_at` gives its exact jet at one parameter, and
+:func:`expr.evaluate_rows_or_raise` one coefficient on a batch of
 parameter rows.  All exact operations stay exact when coefficients and
 points are rational.  The product evaluates jet polynomials on row
 batches in :mod:`whitney.extension`, the Whitney residual in
@@ -19,12 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
-
-import numpy as np
+from typing import Mapping, Sequence, Union
 
 from . import expr
-from .errors import ArityMismatch, BaseMismatch, ShapeMismatch
+from .errors import ArityMismatch, BaseMismatch, ShapeMismatch, UnsupportedNode
 from .expr import ExprFn
 
 MultiIndex = tuple  # of nonnegative ints
@@ -233,24 +232,13 @@ def taylor_jet(f: ExprFn, p: int, u: Sequence) -> PointJet:
 # ---------------------------------------------------------------------------
 # fields of jets over strata
 
-CoeffFn = Union[ExprFn, Callable]
-
-
-def coefficient_rows(fn: CoeffFn, U: np.ndarray) -> np.ndarray:
-    """A coefficient on the parameter rows ``U``: an expression through
-    :func:`expr.evaluate_rows_or_raise`, any other callable as one batch."""
-    if isinstance(fn, ExprFn):
-        return expr.evaluate_rows_or_raise(fn, U)
-    return np.asarray(fn(U), dtype=float)
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """A jet-valued field over one stratum: for every multi-index of order
     <= p (in the stratum's internal coordinate order) a coefficient
-    function of the stratum parameter ``u``.
+    expression of the stratum parameter ``u``.
 
-    ``param_arity`` is the arity the coefficient functions expect; point
+    ``param_arity`` is the arity the coefficient expressions take; point
     strata use a single dummy parameter evaluated at 0.
     """
 
@@ -258,7 +246,7 @@ class FieldSpec:
     p: int
     stratum_id: str
     param_arity: int
-    coeffs: Mapping[MultiIndex, CoeffFn] = field(repr=False)
+    coeffs: Mapping[MultiIndex, ExprFn] = field(repr=False)
 
     def __post_init__(self):
         expected = set(multi_indices(self.n, self.p))
@@ -266,8 +254,12 @@ class FieldSpec:
             raise ShapeMismatch(
                 f"field over {self.stratum_id!r} must carry all "
                 f"{len(expected)} coefficient functions")
-        for fn in self.coeffs.values():
-            if isinstance(fn, ExprFn) and fn.arity != self.param_arity:
+        for alpha, fn in self.coeffs.items():
+            if not isinstance(fn, ExprFn):
+                raise UnsupportedNode(
+                    f"coefficient {alpha} over {self.stratum_id!r} must be "
+                    f"an expression, got {type(fn).__name__}")
+            if fn.arity != self.param_arity:
                 raise ArityMismatch(
                     "coefficient arity != stratum parameter dimension")
 

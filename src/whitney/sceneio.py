@@ -82,9 +82,16 @@ def _vector(value, length: int, path: str):
         _fail(path, f"must be a list of {length} numbers, got {value!r}")
 
 
-def _object(value, path: str):
+def _object(value, path: str, *keys: str):
+    """An object; given ``keys``, every key must be one of them.  An unknown
+    key is refused by its ``path.key``, so a misspelt key never reads as
+    left out."""
     if not isinstance(value, dict):
-        _fail(path, f"must be an object, got {value!r}")
+        _fail(path or "scene", f"must be an object, got {value!r}")
+    for key in value:
+        if keys and key not in keys:
+            _fail(f"{path}.{key}" if path else key,
+                  f"must be one of the keys {', '.join(keys)}")
 
 
 def _scale_range(obj: dict, path: str):
@@ -104,7 +111,7 @@ def _whitney_block(cfg, scene: Scene) -> dict:
     and either ``probes`` or ``targets`` and ``directions``, one direction
     per target."""
     path, n = "plan.whitney", scene.n
-    _object(cfg, path)
+    _object(cfg, path, "j0", "j1", "targets", "directions", "probes")
     cfg = {"j0": 4, "j1": 14, **cfg}
     _scale_range(cfg, path)
     if "probes" not in cfg:
@@ -125,9 +132,12 @@ def _whitney_block(cfg, scene: Scene) -> dict:
         where = f"{path}.probes[{i}]"
         _object(probe, where)
         if "stratum" not in probe:
+            _object(probe, where, "target", "direction")
             for key in ("target", "direction"):
                 _vector(probe.get(key), n, f"{where}.{key}")
             continue
+        _object(probe, where, "stratum", "param_target", "param_direction",
+                "anchor")
         sid = probe["stratum"]
         stratum = strata.get(sid) if isinstance(sid, str) else None
         if stratum is None or stratum.dim == 0:
@@ -148,7 +158,8 @@ def _flatness_items(items, scene: Scene) -> tuple:
     out = []
     for i, item in enumerate(items):
         path = f"plan.flatness[{i}]"
-        _object(item, path)
+        _object(item, path, "stratum", "target", "direction", "j0", "j1",
+                "cone", "theta")
         item = {"j0": 3, "j1": 14, "cone": 0.5, "theta": 1e-2, **item}
         sid = item.get("stratum")
         if not isinstance(sid, str) or sid not in ids:
@@ -169,7 +180,8 @@ def _parse_plan(raw, scene: Scene) -> Plan:
     malformed probe raises :class:`SceneFormatError` naming the key.  The
     probe data reach the checks with the values read and the defaults of
     the keys left out."""
-    _object(raw, "plan")
+    _object(raw, "plan", "seed", "samples_per_stratum", "tolerance", "checks",
+            "whitney", "flatness")
     count = raw.get("samples_per_stratum", 100)
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         _fail("plan.samples_per_stratum",
@@ -207,14 +219,17 @@ def parse_expr(obj, arity: int, path: str) -> ExprFn:
 
 
 def parse_open_cell(obj: dict, path: str):
+    _object(obj, path)
     kind = obj.get("type")
     if kind == "interval":
+        _object(obj, path, "type", "lower", "upper")
         lo = _opt_num(obj.get("lower"), f"{path}.lower")
         hi = _opt_num(obj.get("upper"), f"{path}.upper")
         return Interval(None if lo is None else float(lo),
                         None if hi is None else float(hi))
     if kind == "slab":
-        base = parse_open_cell(obj["base"], f"{path}.base")
+        _object(obj, path, "type", "base", "lower", "upper")
+        base = parse_open_cell(obj.get("base"), f"{path}.base")
         dim = geometry.open_cell_dim(base)
         lo = obj.get("lower")
         hi = obj.get("upper")
@@ -225,8 +240,10 @@ def parse_open_cell(obj: dict, path: str):
 
 
 def parse_cell(obj: dict, n: int, path: str):
+    _object(obj, path)
     kind = obj.get("type")
     if kind == "point":
+        _object(obj, path, "type", "coords")
         coords = obj.get("coords")
         if not isinstance(coords, list) or len(coords) != n:
             _fail(f"{path}.coords", f"need {n} coordinates")
@@ -238,17 +255,21 @@ def parse_cell(obj: dict, n: int, path: str):
             _fail(path, "open-cell stratum must be full-dimensional")
         return geometry.identity_graph_cell(base)
     if kind == "graph":
-        base = parse_open_cell(obj["base"], f"{path}.base")
+        _object(obj, path, "type", "base", "graph", "perm")
+        base = parse_open_cell(obj.get("base"), f"{path}.base")
         m = geometry.open_cell_dim(base)
         graph_raw = obj.get("graph", [])
+        if not isinstance(graph_raw, list):
+            _fail(f"{path}.graph", f"must be an array, got {graph_raw!r}")
         graph = tuple(parse_expr(g, m, f"{path}.graph[{i}]")
                       for i, g in enumerate(graph_raw))
         if m + len(graph) != n:
             _fail(path, f"graph cell dims {m}+{len(graph)} != ambient {n}")
-        perm = tuple(obj.get("perm", range(n)))
-        if sorted(perm) != list(range(n)):
+        perm = obj.get("perm", list(range(n)))
+        if not (isinstance(perm, list) and all(type(k) is int for k in perm)
+                and sorted(perm) == list(range(n))):
             _fail(f"{path}.perm", "must be a permutation of the axes")
-        return GraphCell(base, graph, perm)
+        return GraphCell(base, graph, tuple(perm))
     _fail(path, f"unknown cell type {kind!r}")
 
 
@@ -279,15 +300,18 @@ def load_scene(path) -> SceneFile:
 
 
 def parse_scene(raw: dict) -> SceneFile:
+    _object(raw, "", "schema", "n", "p", "q", "box", "strata", "plan")
     if raw.get("schema") != SCHEMA:
         _fail("schema", f"expected {SCHEMA!r}, got {raw.get('schema')!r}")
     for key in ("n", "p", "q"):
-        if not isinstance(raw.get(key), int) or raw[key] < 1:
-            _fail(key, "must be a positive integer")
+        value = raw.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            _fail(key, f"must be a positive integer, got {value!r}")
     n, p, q = raw["n"], raw["p"], raw["q"]
     if p > q:
         _fail("p", "requires p <= q")
-    box = float(raw.get("box", geometry.DEFAULT_BOX_HALFWIDTH))
+    box = raw.get("box", geometry.DEFAULT_BOX_HALFWIDTH)
+    _positive(box, "box")
 
     strata_raw = raw.get("strata")
     if not isinstance(strata_raw, list) or not strata_raw:
@@ -295,20 +319,28 @@ def parse_scene(raw: dict) -> SceneFile:
     strata, fields, flat = [], {}, set()
     for i, s in enumerate(strata_raw):
         path = f"strata[{i}]"
+        _object(s, path, "id", "cell", "boundary", "field", "flat")
         sid = s.get("id")
         if not isinstance(sid, str) or not sid:
             _fail(f"{path}.id", "must be a nonempty string")
         cell = parse_cell(s.get("cell", {}), n, f"{path}.cell")
-        boundary = tuple(s.get("boundary", []))
+        boundary = s.get("boundary", [])
+        if not (isinstance(boundary, list)
+                and all(isinstance(b, str) for b in boundary)):
+            _fail(f"{path}.boundary",
+                  f"must be an array of stratum ids, got {boundary!r}")
         m = 0 if isinstance(cell, PointCell) else cell.intrinsic_dim
         fld = parse_field(s.get("field", {}), n, p, sid, max(1, m),
                           f"{path}.field")
-        strata.append(Stratum(sid, cell, boundary))
+        if not isinstance(s.get("flat", False), bool):
+            _fail(f"{path}.flat", f"must be true or false, got {s['flat']!r}")
+        strata.append(Stratum(sid, cell, tuple(boundary)))
         fields[sid] = fld
         if s.get("flat"):
             flat.add(sid)
 
-    scene = Scene(n, p, q, tuple(strata), fields, frozenset(flat), box)
+    scene = Scene(n, p, q, tuple(strata), fields, frozenset(flat),
+                  float(box))
     return SceneFile(scene, _parse_plan(raw.get("plan", {}), scene))
 
 

@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import expr, geometry
 from .errors import DegenerateScales, StencilOutOfDomain
-from .jets import (MultiIndex, _inv_factorial, coefficient_rows, mi_order,
-                   multi_indices)
+from .jets import MultiIndex, _inv_factorial, mi_order, multi_indices
 from .rng import SeededStream
 
 # ---------------------------------------------------------------------------
@@ -284,8 +284,6 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
     relative to ``1 + |F^alpha|``; the step is a tenth of the bracketed
     distance to the stratum's boundary (1 without one), within [1e-7, 1e-3].
     """
-    from . import geometry  # local import to keep module layers acyclic
-
     rng = SeededStream(seed)
     requests, expected = [], []
     for stratum in scene.strata:
@@ -302,7 +300,8 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
         for alpha_int in multi_indices(scene.n, scene.p):
             requests.append((X, cell.to_ambient(alpha_int), H))
             expected.append((stratum.id, alpha_int, len(U),
-                             coefficient_rows(fld.coeffs[alpha_int], U)))
+                             expr.evaluate_rows_or_raise(
+                                 fld.coeffs[alpha_int], U)))
     report = AgreementReport()
     for (sid, alpha_int, count, expect), (got, _) in zip(
             expected, sampled_derivatives(f, requests)):

@@ -289,6 +289,73 @@ def test_plan_probe_defaults_fill_left_out_keys():
                               "cone": 0.5, "theta": 1e-2},)
 
 
+def _scene_raw(name: str) -> dict:
+    return cube_scene() if name == "cube" else json.loads(
+        scene_path(name).read_text())
+
+
+@pytest.mark.parametrize("name, edit, path", [
+    ("points", _set("comment", "x"), "comment"),
+    ("halfline", _set("strata", 1, "bounds", []), "strata[1].bounds"),
+    ("points", _set("strata", 0, "cell", "coord", [0]),
+     "strata[0].cell.coord"),
+    ("halfline", _set("strata", 1, "cell", "uper", 3), "strata[1].cell.uper"),
+    ("square", _set("strata", 4, "cell", "permutation", [0, 1]),
+     "strata[4].cell.permutation"),
+    ("parabola", _set("strata", 2, "cell", "base", "lowr", 0),
+     "strata[2].cell.base.lowr"),
+    ("cube", _set("strata", 0, "cell", "lowr", ["const", 0]),
+     "strata[0].cell.lowr"),
+    ("cube", _set("strata", 0, "cell", "base", "uppr", ["const", 1]),
+     "strata[0].cell.base.uppr"),
+    ("halfline", _set("plan", "sample_per_stratum", 3),
+     "plan.sample_per_stratum"),
+    ("halfline", _set("plan", "whitney", "J1", 6), "plan.whitney.J1"),
+    ("square", _set("plan", "whitney", "probes", 0, "anchr", [0, 0]),
+     "plan.whitney.probes[0].anchr"),
+    ("square", _set("plan", "whitney", "probes", [
+        {"target": [0, 0], "direction": [1, 0], "anchor": [0, 0]}]),
+     "plan.whitney.probes[0].anchor"),
+    ("halfline", _set("plan", "flatness", 0, "thetha", 1e-9),
+     "plan.flatness[0].thetha")],
+    ids=["scene", "stratum", "point", "interval", "graph", "graph-base",
+         "slab", "slab-base", "plan", "whitney", "probe-on-stratum",
+         "probe-at-target", "flatness"])
+def test_unknown_keys_are_refused(tmp_path, capsys, name, edit, path):
+    """Every object of a scene knows its keys (a cell and a probe by their
+    form): a misspelt or misplaced key stops every command with exit 2 and
+    is named, never read as a key left out."""
+    raw = _scene_raw(name)
+    edit(raw)
+    _refused_by_every_command(tmp_path, capsys, raw,
+                              f"{path}: must be one of the keys")
+
+
+@pytest.mark.parametrize("name, edit, path", [
+    ("halfline", _set("box", "many"), "box"),
+    ("halfline", _set("box", True), "box"),
+    ("halfline", _set("box", -4), "box"),
+    ("halfline", _set("n", True), "n"),
+    ("halfline", _set("q", True), "q"),
+    ("halfline", _set("strata", 1, "boundary", "origin"),
+     "strata[1].boundary"),
+    ("halfline", _set("strata", 0, "flat", "yes"), "strata[0].flat"),
+    ("square", _set("strata", 4, "cell", "perm", [False, True]),
+     "strata[4].cell.perm"),
+    ("parabola", _set("strata", 2, "cell", "graph", 5),
+     "strata[2].cell.graph")],
+    ids=["box-string", "box-bool", "box-negative", "n-bool", "q-bool",
+         "boundary-string", "flat-string", "perm-bools", "graph-number"])
+def test_scene_values_are_typed(tmp_path, capsys, name, edit, path):
+    """``box`` is a positive finite number, ``n``, ``p`` and ``q`` are
+    integers and no bool, ``boundary`` an array of ids, ``flat`` a bool,
+    ``perm`` a permutation of integers and ``graph`` an array: anything
+    else stops every command with exit 2 and names the key."""
+    raw = _scene_raw(name)
+    edit(raw)
+    _refused_by_every_command(tmp_path, capsys, raw, f"{path}: must")
+
+
 # the jets of 0 in R^3 at p = 1
 ZERO_JETS_3D = {k: ["const", 0] for k in ("0,0,0", "1,0,0", "0,1,0", "0,0,1")}
 

@@ -8,12 +8,13 @@ from whitney import geometry as geo
 from whitney.cutoff import CutoffSpec, build_cutoff
 from whitney.errors import (ConsistencyViolation, SequenceLeavesCone,
                             SingularPoint, StratificationInvalid)
-from whitney.extension import (CellTerm, Scene, Stratum,
-                               check_stratum_consistency,
+from whitney.extension import (_SUBTRACT_STEP, CellTerm, Scene, Stratum,
+                               _jet_polynomial, check_stratum_consistency,
                                extend_field, extend_on_cell,
-                               flatness_rate_probe, subtract_taylor)
+                               flatness_rate_probe)
 from whitney.jets import FieldSpec, multi_indices
-from whitney.verify import check_extension, finite_difference
+from whitney.verify import (check_extension, finite_difference,
+                            sampled_derivatives)
 
 from conftest import load_corpus_scene, one_row, rand_point, rand_polynomial
 
@@ -313,33 +314,88 @@ def test_batched_extension_matches_pointwise(name):
 # --- Taylor-data subtraction ------------------------------------------------
 
 
-def test_subtract_taylor_zero_g_keeps_field():
+def ray_term(scene, skeleton):
+    return extend_on_cell(scene.fields["ray"], scene.stratum("ray"),
+                          scene.descriptor_for(["origin"]), scene,
+                          skeleton=skeleton)
+
+
+def test_skeleton_subtraction_zero_g_keeps_field():
+    """A skeleton that is 0 subtracts nothing: on the ray the term reads the
+    field's x^3, bit for bit what the term without a skeleton reads."""
     scene = halfline_scene()
-    g = lambda X: np.zeros(len(X))
-    out = subtract_taylor(scene.fields, scene, g)
-    U = np.asarray([[0.3], [1.7]])
-    got = out["ray"].coeffs[(0,)](U)
-    assert got == pytest.approx(U[:, 0] ** 3, abs=1e-12)
+    X = np.asarray([[0.3], [1.7]])
+    got = ray_term(scene, lambda X: np.zeros(len(X))).evaluate(X)[0]
+    assert got == pytest.approx(X[:, 0] ** 3, abs=1e-12)
+    assert got.tobytes() == ray_term(scene, None).evaluate(X)[0].tobytes()
 
 
-def test_subtract_taylor_exact_extension_flattens():
+def test_skeleton_subtraction_exact_extension_flattens():
+    """With the scene's own extension as its skeleton, the ray term's value
+    coefficient F - g is numerically 0 along the ray."""
     scene = halfline_scene()
-    f = extend_field(scene)
-    out = subtract_taylor(scene.fields, scene, f)
-    U = np.linspace(0.05, 2.5, 100)[:, None]
-    for alpha in [(0,), (1,)]:
-        assert np.max(np.abs(out["ray"].coeffs[alpha](U))) < 1e-6
+    term = ray_term(scene, extend_field(scene))
+    X = np.linspace(0.05, 2.5, 100)[:, None]
+    assert np.max(np.abs(term.evaluate(X)[0])) < 1e-6
 
 
-def test_subtract_taylor_polynomial_matches_symbolic():
+def test_skeleton_subtraction_polynomial_matches_symbolic():
+    """A polynomial skeleton g is subtracted as its exact Taylor data: the
+    ray term of the half-line (beta = ()) reads x^3 - g = 0, and square's
+    bottom edge term (beta = (0,), (1,)) reads ``(0 - g(x, 0)) + (x -
+    g_y(x, 0)) y`` times its cutoff, for g = x^3 + x y^2 + 2y."""
     scene = halfline_scene()
     g_expr = expr.polynomial(1, {(3,): 1})              # the field's own rep
     g = lambda X: np.asarray([float(expr.evaluate(g_expr, tuple(x)))
                               for x in X])
-    out = subtract_taylor(scene.fields, scene, g)
-    U = np.asarray([[0.4], [1.1], [2.3]])
-    assert np.all(np.abs(out["ray"].coeffs[(0,)](U)) <= 1e-11)
-    assert np.all(np.abs(out["ray"].coeffs[(1,)](U)) <= 1e-9)
+    X = np.asarray([[0.4], [1.1], [2.3]])
+    assert np.all(np.abs(ray_term(scene, g).evaluate(X)[0]) <= 1e-11)
+
+    square = load_corpus_scene("square").scene
+    bottom = next(t for t in extend_field(square).terms
+                  if t.stratum_id == "bottom")
+    g = lambda X: X[:, 0] ** 3 + X[:, 0] * X[:, 1] ** 2 + 2.0 * X[:, 1]
+    term = CellTerm("bottom", bottom.cell, bottom.normal_coeffs, bottom.omega,
+                    bottom.eta, g)
+    x, y = np.meshgrid(np.linspace(0.05, 0.95, 10), np.linspace(-0.2, 0.2, 9))
+    X = np.stack([x.ravel(), y.ravel()], axis=1)
+    want = (-X[:, 0] ** 3 + (X[:, 0] - 2.0) * X[:, 1]) * term.omega(X)
+    got, leaks = term.evaluate(X)
+    assert not leaks.any() and np.count_nonzero(got) > 40
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_square_edge_term_reads_its_skeleton_once():
+    """A square edge term evaluates its skeleton once per batch, for both
+    normal multi-indices, and gives bit for bit what one stencil call per
+    multi-index gives."""
+    scene = load_corpus_scene("square").scene
+    bottom = next(t for t in extend_field(scene).terms
+                  if t.stratum_id == "bottom")
+    calls = []
+
+    def counted(X):
+        calls.append(len(X))
+        return bottom.skeleton(X)
+
+    term = CellTerm("bottom", bottom.cell, bottom.normal_coeffs, bottom.omega,
+                    bottom.eta, counted)
+    X = np.random.default_rng(3).uniform([-0.2, -0.3], [1.2, 0.3], (60, 2))
+    got, leaks = term.evaluate(X)
+    assert len(calls) == 1 and len(bottom.normal_coeffs) == 2
+
+    w = term.omega(X)
+    rows = np.flatnonzero((w != 0.0) & ~leaks)
+    U, H = X[rows, :1], np.full(len(rows), _SUBTRACT_STEP)
+    coeffs = []
+    for beta, fn in bottom.normal_coeffs.items():
+        [(d, _)] = sampled_derivatives(bottom.skeleton, [
+            (bottom.cell.embed_rows(U), bottom.cell.to_ambient((0,) + beta),
+             H)])
+        coeffs.append((beta, expr.evaluate_rows_or_raise(fn, U) - d))
+    want = np.zeros(len(X))
+    want[rows] = _jet_polynomial(coeffs, X[rows, 1:]) * w[rows]
+    assert len(rows) > 10 and got.tobytes() == want.tobytes()
 
 
 # --- the induction driver ----------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from whitney import expr
-from whitney.errors import BaseMismatch, ConsistencyViolation, ShapeMismatch
+from whitney.errors import (BaseMismatch, ConsistencyViolation, ShapeMismatch,
+                            UnsupportedNode)
 from whitney.extension import _jet_polynomial, check_stratum_consistency
 from whitney.geometry import GraphCell, Interval
 from whitney.jets import (FieldSpec, jet_compose, jet_from_coeffs, jet_mul,
@@ -191,6 +192,15 @@ def test_taylor_functorial(rng):
 # --- fields over strata -------------------------------------------------
 
 FLAT_CELL = GraphCell(Interval(0.0, 1.0), (expr.constant_fn(0, 1),), (0, 1))
+
+
+def test_field_coefficients_must_be_expressions():
+    """A field holds expressions only: a callable coefficient is refused
+    with an error naming the multi-index and the stratum."""
+    with pytest.raises(UnsupportedNode, match=r"coefficient \(1,\) over "
+                                              r"'ray' must be an expression"):
+        FieldSpec(1, 1, "ray", 1, {(0,): expr.constant_fn(0, 1),
+                                   (1,): lambda U: U[:, 0]})
 
 
 def test_consistency_planted_defect():

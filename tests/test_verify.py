@@ -7,8 +7,8 @@ import pytest
 from whitney import expr, geometry
 from whitney.errors import DegenerateScales
 from whitney.extension import extend_field
-from whitney.jets import (coefficient_rows, jet_from_coeffs, multi_indices,
-                          taylor_jet)
+from whitney.expr import evaluate_rows_or_raise
+from whitney.jets import jet_from_coeffs, multi_indices, taylor_jet
 from whitney.verify import (check_extension, finite_difference, radial_pairs,
                             rate_fit, sampled_derivatives, straddling_pairs,
                             whitney_residual)
@@ -272,8 +272,8 @@ def test_check_extension_evaluates_f_once():
         for alpha in multi_indices(scene.n, scene.p):
             [(got, _)] = sampled_derivatives(
                 f, [(X, cell.to_ambient(alpha), H)])
-            expect = coefficient_rows(scene.fields[stratum.id].coeffs[alpha],
-                                      U)
+            expect = evaluate_rows_or_raise(
+                scene.fields[stratum.id].coeffs[alpha], U)
             want.append((stratum.id, alpha, float(np.max(
                 np.abs(got - expect) / (1.0 + np.abs(expect))))))
     assert [(e.stratum_id, e.alpha, e.max_rel_dev)
