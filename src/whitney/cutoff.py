@@ -26,14 +26,13 @@ values; a single point is a 1-row batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from . import geometry
-from .errors import SlackTooLarge
+from .errors import Record, SlackTooLarge
 from .geometry import GraphCell, SetDescriptor
 from .jets import multi_indices, mi_order
 from .rng import SeededStream
@@ -46,8 +45,7 @@ IN, OUT, INDETERMINATE = 1, 0, -1
 # transition profile
 
 
-@dataclass(frozen=True)
-class TransitionProfile:
+class TransitionProfile(Record):
     """Monotone polynomial step: 1 for s <= 0, 0 for s >= 1, with
     derivatives through order ``q`` vanishing at both joints (degree
     ``2q + 1`` on the middle piece)."""
@@ -184,8 +182,7 @@ def _segment_kappa(low, high, box: float) -> float:
             ) ** (1.0 / (2 * j))
 
 
-@dataclass(frozen=True, eq=False)
-class _Segments:
+class _Segments(Record):
     """Segment columns of a :class:`RegularizedDistance`: ends ``start``
     (S, n), unit directions ``axis`` (S, n), lengths and each column's
     :func:`_segment_kappa`."""
@@ -193,6 +190,8 @@ class _Segments:
     axis: np.ndarray
     length: np.ndarray
     kappa: np.ndarray
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @classmethod
     def of(cls, ends, box: float) -> "_Segments":
@@ -321,8 +320,7 @@ def cone_membership_batch(w_desc: SetDescriptor, z_desc: SetDescriptor,
 # the cutoff itself
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
+class CutoffSpec(Record):
     """A cutoff's data: the nonempty set ``W`` it is 1 near, the set ``Z``
     it vanishes near, the support ratio ``eta > 0`` and the smoothness
     order ``q``; an empty ``W`` or ``eta <= 0`` raises ``ValueError``."""
@@ -402,8 +400,7 @@ def build_cutoff(spec: CutoffSpec) -> CutoffFn:
 # derivative sampling and the contract report
 
 
-@dataclass
-class CutoffReport:
+class CutoffReport(Record):
     plateau_checked: int
     plateau_violations: int
     support_checked: int

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
-from .errors import ArityMismatch, SingularPoint, UnsupportedNode
+from .errors import ArityMismatch, Record, SingularPoint, UnsupportedNode
 
 Number = Union[int, float, Fraction]
 
@@ -46,8 +45,7 @@ _BINARY_OPS = ("add", "sub", "mul", "div", "min", "max")
 _UNARY_OPS = ("sqrt", "abs")
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     """One expression node.  ``payload`` holds the constant value, the
     variable index or the integer exponent depending on ``op``."""
 
@@ -184,8 +182,7 @@ def _fold(node: Node) -> Node:
     return const(value)
 
 
-@dataclass(frozen=True)
-class ExprFn:
+class ExprFn(Record):
     arity: int
     root: Node
 

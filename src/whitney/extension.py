@@ -13,7 +13,6 @@ so the assembled function is total on all of R^n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -21,8 +20,9 @@ import numpy as np
 from . import cutoff as cutoff_mod
 from . import expr, geometry, verify
 from .cutoff import CutoffFn, CutoffSpec, build_cutoff
-from .errors import (ConsistencyViolation, SequenceLeavesCone, SingularPoint,
-                     StratificationInvalid, SupportLeak, WhitneyError)
+from .errors import (ConsistencyViolation, Record, SequenceLeavesCone,
+                     SingularPoint, StratificationInvalid, SupportLeak,
+                     WhitneyError)
 from .geometry import (EMPTY_SET, INSIDE, OUTSIDE, GraphCell, PointCell,
                        SetDescriptor, membership)
 from .jets import (FieldSpec, PointJet, mi_add, mi_factorial, mi_order,
@@ -33,8 +33,7 @@ from .rng import SeededStream, sha256
 # scenes
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Record):
     id: str
     cell: object                      # PointCell | GraphCell
     boundary_ids: tuple[str, ...] = ()
@@ -44,8 +43,7 @@ class Stratum:
         return self.cell.intrinsic_dim
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(Record):
     n: int
     p: int
     q: int
@@ -539,8 +537,7 @@ def _glue_points(scene: Scene) -> ExtensionFn:
 # flatness rate probe
 
 
-@dataclass
-class FlatnessReport:
+class FlatnessReport(Record):
     per_kappa: dict                 # kappa -> list of normalized values
     flat: dict                      # kappa -> bool
 

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import expr
-from .errors import SingularPoint, UnsupportedDescriptor
+from .errors import Record, SingularPoint, UnsupportedDescriptor
 from .expr import ExprFn
 
 DEFAULT_BOX_HALFWIDTH = 10.0
@@ -36,15 +35,13 @@ DEFAULT_BOX_HALFWIDTH = 10.0
 # cell descriptions
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Open interval; ``None`` bounds mean the line is unbounded there."""
     lower: Optional[float]
     upper: Optional[float]
 
 
-@dataclass(frozen=True)
-class Slab:
+class Slab(Record):
     """Open set between two walls over a lower-dimensional open cell."""
     base: "OpenCell"
     lower: Optional[ExprFn]
@@ -54,8 +51,7 @@ class Slab:
 OpenCell = Union[Interval, Slab]
 
 
-@dataclass(frozen=True)
-class GraphCell:
+class GraphCell(Record):
     """Graph of ``phi`` over an open parameter cell.
 
     Internal coordinate ``i`` is ambient coordinate ``perm[i]``; the first
@@ -94,8 +90,7 @@ class GraphCell:
         return X
 
 
-@dataclass(frozen=True)
-class PointCell:
+class PointCell(Record):
     """A point: its frame is the ambient one, any parameter embeds to it."""
     point: tuple
     intrinsic_dim = 0
@@ -203,8 +198,7 @@ def interval_bounds(cell: Interval, box: float) -> tuple[float, float]:
 # set descriptors and bracketed distances
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Record):
     center: tuple
     radius: float
 
@@ -212,8 +206,7 @@ class Ball:
 Piece = Union[PointCell, Ball, GraphCell]
 
 
-@dataclass(frozen=True)
-class SetDescriptor:
+class SetDescriptor(Record):
     """Finite union of cell closures, balls and points.  The empty
     descriptor has distance exactly 1 by convention."""
     pieces: tuple[Piece, ...]
@@ -363,8 +356,7 @@ def _distance_blocks(X: np.ndarray, points: Optional[np.ndarray],
         yield rows, block
 
 
-@dataclass(frozen=True, eq=False)
-class PieceNet:
+class PieceNet(Record):
     """Parameter net of a cell's closure, embedded in the ambient space:
     ``slack[i] = cov[i] * (1 + L)`` is the ambient covering radius of the
     i-th point, ``cov[i]`` its parameter-space one (see
@@ -372,6 +364,8 @@ class PieceNet:
     graph map."""
     points: np.ndarray
     slack: np.ndarray
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def scan(self, X: np.ndarray):
         """``(lo, up, nearest)`` per row of ``X``: ``up = min_i d_i``,
@@ -714,8 +708,7 @@ def frontier_samples(cell: GraphCell,
 # probes
 
 
-@dataclass
-class LipschitzReport:
+class LipschitzReport(Record):
     m_hat: float
     l_hat: float
 
@@ -734,8 +727,7 @@ def lipschitz_estimate(graph: Sequence[ExprFn],
     return LipschitzReport(worst, 1.0 / math.sqrt(1.0 + worst * worst))
 
 
-@dataclass
-class SandwichReport:
+class SandwichReport(Record):
     checked: int
     violations: list
 

@@ -18,12 +18,12 @@ batches in :mod:`whitney.extension`, the Whitney residual in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from . import expr
-from .errors import ArityMismatch, BaseMismatch, ShapeMismatch, UnsupportedNode
+from .errors import (ArityMismatch, BaseMismatch, Record, ShapeMismatch,
+                     UnsupportedNode)
 from .expr import ExprFn
 
 MultiIndex = tuple  # of nonnegative ints
@@ -77,8 +77,7 @@ def _inv_factorial(alpha: MultiIndex, sample):
     return Fraction(1, f)
 
 
-@dataclass(frozen=True)
-class PointJet:
+class PointJet(Record):
     """One jet: order-``p`` polynomial data anchored at ``base``."""
 
     n: int
@@ -232,8 +231,7 @@ def taylor_jet(f: ExprFn, p: int, u: Sequence) -> PointJet:
 # ---------------------------------------------------------------------------
 # fields of jets over strata
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """A jet-valued field over one stratum: for every multi-index of order
     <= p (in the stratum's internal coordinate order) a coefficient
     expression of the stratum parameter ``u``.
@@ -246,7 +244,9 @@ class FieldSpec:
     p: int
     stratum_id: str
     param_arity: int
-    coeffs: Mapping[MultiIndex, ExprFn] = field(repr=False)
+    coeffs: Mapping[MultiIndex, ExprFn]
+
+    _repr_skip = ("coeffs",)
 
     def __post_init__(self):
         expected = set(multi_indices(self.n, self.p))

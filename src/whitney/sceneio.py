@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import expr, geometry
-from .errors import SceneFormatError, UnsupportedNode
+from .errors import Record, SceneFormatError, UnsupportedNode
 from .expr import ExprFn
 from .extension import Scene, Stratum
 from .geometry import GraphCell, Interval, PointCell, Slab
@@ -27,8 +26,7 @@ SCHEMA = "jetfield-scene/1"
 CHECKS = ("structure", "consistency", "agreement", "whitney", "flatness")
 
 
-@dataclass
-class Plan:
+class Plan(Record):
     seed: int
     samples_per_stratum: int
     tolerance: float
@@ -37,8 +35,7 @@ class Plan:
     whitney: Optional[dict]
 
 
-@dataclass
-class SceneFile:
+class SceneFile(Record):
     scene: Scene
     plan: Plan
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import expr, geometry
-from .errors import DegenerateScales, StencilOutOfDomain
+from .errors import DegenerateScales, Record, StencilOutOfDomain
 from .jets import MultiIndex, _inv_factorial, mi_order, multi_indices
 from .rng import SeededStream
 
@@ -119,8 +118,7 @@ def sampled_derivatives(fn, requests) -> list:
 # jet-field compatibility residual
 
 
-@dataclass(frozen=True)
-class ResidualSample:
+class ResidualSample(Record):
     a: tuple
     b: tuple
     residual: object     # exact when the field is rational
@@ -176,8 +174,7 @@ def straddling_pairs(c: float, scales: Sequence):
 # rate fitting
 
 
-@dataclass
-class RateFit:
+class RateFit(Record):
     slope: float
     verdict: str                  # "PASS" or "FAIL"
 
@@ -244,8 +241,7 @@ def rate_fit(samples: Sequence[tuple], required: float) -> RateFit:
 # extension agreement
 
 
-@dataclass
-class AgreementEntry:
+class AgreementEntry(Record):
     stratum_id: str
     alpha: MultiIndex
     max_rel_dev: float
@@ -253,9 +249,8 @@ class AgreementEntry:
     passed: bool
 
 
-@dataclass
-class AgreementReport:
-    entries: list[AgreementEntry] = field(default_factory=list)
+class AgreementReport(Record):
+    entries: list[AgreementEntry] = []
 
     @property
     def passed(self) -> bool:

@@ -384,10 +384,11 @@ def test_w_segment_with_endpoints_off_z_keeps_the_cutoff_c2():
     are not in Z, so its exact distance would bend on the normal line x=0
     inside the transition shell (d2 omega/dx2 would jump by about 30 at
     y=0.25 and 0.3); the segment's potential column is smooth there."""
-    import dataclasses
     from conftest import bundled_cutoff_specs
     from whitney.verify import finite_difference
-    spec = dataclasses.replace(bundled_cutoff_specs()[2], q=2)
+    bundled = bundled_cutoff_specs()[2]
+    spec = co.CutoffSpec(bundled.w_desc, bundled.z_desc, bundled.eta, 2,
+                         bundled.box)
     omega = co.build_cutoff(spec)
     assert not omega.d_w.nets and len(omega.d_w.segments.length) == 1
     for y in (0.25, 0.3):
