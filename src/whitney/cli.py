@@ -71,6 +71,9 @@ def _parse_grid(specs, n: int, box: float):
             a, b, step = (float(v) for v in spec.split(":"))
         except ValueError:
             raise InputError(f"bad grid spec {spec!r}; use a:b:step")
+        if not (np.isfinite([a, b, step]).all() and a <= b and step > 0.0):
+            raise InputError(f"bad grid spec {spec!r}: a <= b must be "
+                             "finite and the step positive and finite")
         count = int(round((b - a) / step)) + 1
         axes.append(np.linspace(a, b, count))
     return axes
@@ -81,6 +84,7 @@ def cmd_extend(args) -> int:
     scene = sf.scene
     seed = (sf.plan.seed if args.seed is None
             else parse_seed(args.seed, "--seed"))
+    axes = _parse_grid(args.grid, scene.n, scene.box)
     try:
         f = extend_field(scene, seed=seed)     # validates the scene first
     except StratificationInvalid as exc:
@@ -89,7 +93,6 @@ def cmd_extend(args) -> int:
         for p in exc.problems:
             print(f"INVALID  {p}")
         return EXIT_INPUT
-    axes = _parse_grid(args.grid, scene.n, scene.box)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
 

@@ -38,7 +38,8 @@ from .jets import multi_indices, mi_order
 from .rng import SeededStream
 from .verify import sampled_derivatives
 
-IN, OUT, INDETERMINATE = 1, 0, -1
+# relative margin of a bracket against the rounding of the value it bounds
+_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +202,9 @@ class _Segments(Record):
         kappa = np.asarray([_segment_kappa(lo, hi, box) for lo, hi in ends])
         return cls(start, delta / length[:, None], length, kappa)
 
-    def columns(self, X: np.ndarray) -> np.ndarray:
-        """``(N, S)`` segment columns for the rows of ``X``, one coordinate
-        at a time as in :func:`geometry._distance_blocks`."""
+    def _frame(self, X: np.ndarray):
+        """``(r, t)``: each row's distance to each segment's line and the
+        foot's offset from its start, summed as in ``_distance_blocks``."""
         t = np.zeros((len(X), len(self.length)))
         for k in range(X.shape[1]):
             t += (X[:, k, None] - self.start[:, k]) * self.axis[:, k]
@@ -211,8 +212,19 @@ class _Segments(Record):
         for k in range(X.shape[1]):
             diff = X[:, k, None] - self.start[:, k] - t * self.axis[:, k]
             r2 += diff * diff
-        return (_segment_potential_distance(np.sqrt(r2), t, self.length - t)
-                / self.kappa)
+        return np.sqrt(r2), t
+
+    def columns(self, X: np.ndarray) -> np.ndarray:
+        """``(N, S)`` segment columns for the rows of ``X``."""
+        r, t = self._frame(X)
+        return _segment_potential_distance(r, t, self.length - t) / self.kappa
+
+    def floors(self, X: np.ndarray) -> np.ndarray:
+        """Lower bounds of :meth:`columns`: distance over ``kappa`` (no upper
+        twin: a potential is below ``kappa`` times it only in the box)."""
+        r, t = self._frame(X)
+        return np.hypot(r, np.maximum(0.0, np.maximum(-t, t - self.length))
+                        ) / self.kappa
 
 
 class RegularizedDistance:
@@ -249,6 +261,10 @@ class RegularizedDistance:
                         if nets else None)
         self._exact = 0 if table is None else len(table.lows)
         self._closed = closed
+        self._shrink = max(1, total) ** (-1.0 / self.exponent) * (1 - _MARGIN)
+        self._balls = (np.concatenate([net.points[net.ball_start]
+                                       for net in nets]) if nets else None)
+        self._radius = np.concatenate([[]] + [n.ball_radius for n in nets])
 
     def _eval(self, X: np.ndarray) -> np.ndarray:
         """``d~`` on the rows of the ``(N, n)`` array ``X``."""
@@ -270,6 +286,27 @@ class RegularizedDistance:
             np.power(d, self.exponent, out=d)
             out[rows] = m * d.sum(axis=1) ** (-1.0 / self.exponent)
         return out
+
+    def bracket(self, X: np.ndarray):
+        """``(lo, up)`` with ``lo <= d~ <= up`` on the rows of ``X``: exact
+        columns, segment :meth:`_Segments.floors` (``lo`` only) and, for the
+        first point ``c`` of each net ball, ``|x - c| - r`` and ``|x - c|``;
+        ``lo`` is times ``total^(-1/s)`` and shaded by ``_MARGIN``."""
+        if not self._closed and self._points is None:
+            return np.ones(len(X)), np.ones(len(X))
+        lo, up = np.empty(len(X)), np.empty(len(X))
+        for rows, d in geometry._distance_blocks(X, self._balls,
+                                                 self._closed):
+            x = X[rows]
+            if self.table is not None:
+                d[:, :self._exact] = self.table.exact(x)
+            d[:, self._exact:self._closed] = np.inf
+            np.min(d, axis=1, out=up[rows])
+            if self.segments is not None:
+                d[:, self._exact:self._closed] = self.segments.floors(x)
+            d[:, self._closed:] -= self._radius
+            np.min(d, axis=1, out=lo[rows])
+        return np.maximum(lo, 0.0) * self._shrink, up
 
 
 def regularized_distance(desc: SetDescriptor,
@@ -299,21 +336,6 @@ def regularized_distance(desc: SetDescriptor,
              if exact else None)
     segments = _Segments.of(ends, box) if ends else None
     return RegularizedDistance(table, segments, nets)
-
-
-def cone_membership_batch(w_desc: SetDescriptor, z_desc: SetDescriptor,
-                          eta: float, X: np.ndarray,
-                          box: float = geometry.DEFAULT_BOX_HALFWIDTH):
-    """Membership certificates for the rows of ``X``: IN when the upper
-    W-bracket beats ``eta`` times the lower Z-bracket, OUT for the reverse
-    certificate, INDETERMINATE when the brackets overlap.  Returns the int
-    array and the Z upper bracket for reuse."""
-    lo_w, up_w = geometry.distance_brackets(w_desc, X, box)
-    lo_z, up_z = geometry.distance_brackets(z_desc, X, box)
-    out = np.full(len(np.atleast_2d(X)), INDETERMINATE, dtype=int)
-    out[up_w < eta * lo_z] = IN
-    out[lo_w >= eta * up_z] = OUT
-    return out, up_z
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +377,26 @@ class CutoffFn:
         self.rho_int = rho_int
         self.rho_prime = rho_prime
 
-    def ratio(self, X: np.ndarray) -> np.ndarray:
-        """``d~_W / d~_Z`` on the rows of ``X`` (inf where ``d~_Z`` is 0)."""
-        dw, dz = self.d_w._eval(X), self.d_z._eval(X)
-        return np.where(dz > 0.0, dw / np.where(dz > 0.0, dz, 1.0), np.inf)
-
     def transition(self, X: np.ndarray) -> np.ndarray:
-        """The profile's argument ``(ratio - rho_int) / (eta_int - rho_int)``:
-        at most 0 on the plateau, at least 1 off the support."""
-        return (self.ratio(X) - self.rho_int) / (self.eta_int - self.rho_int)
+        """The profile's argument ``(ratio - rho_int) / (eta_int - rho_int)``
+        with ``ratio = d~_W / d~_Z`` (inf where ``d~_Z`` is 0): at most 0 on
+        the plateau, at least 1 off the support."""
+        dw, dz = self.d_w._eval(X), self.d_z._eval(X)
+        ratio = np.where(dz > 0.0, dw / np.where(dz > 0.0, dz, 1.0), np.inf)
+        return (ratio - self.rho_int) / (self.eta_int - self.rho_int)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        """The cutoff on the rows of the ``(N, n)`` array ``X``."""
-        return self.profile(self.transition(X))
+        """The cutoff on the rows of the ``(N, n)`` array ``X``: exactly 0
+        or 1 where the distance brackets put the ratio past ``eta_int`` or
+        ``rho_int`` by ``_MARGIN``, the profile on the other rows."""
+        lo_w, up_w = self.d_w.bracket(X)
+        lo_z, up_z = self.d_z.bracket(X)
+        out = np.zeros(len(X))
+        out[(lo_z > 0.0) & (up_w <= self.rho_int * lo_z * (1 - _MARGIN))] = 1.0
+        rest = np.flatnonzero((out == 0.0) & (up_z > 0.0) & (
+            lo_w < self.eta_int * up_z * (1 + _MARGIN)))
+        out[rest] = self.profile(self.transition(X[rest]))
+        return out
 
 
 def build_cutoff(spec: CutoffSpec) -> CutoffFn:

@@ -407,8 +407,10 @@ def extend_on_cell(fld: FieldSpec, stratum: Stratum, z_desc: SetDescriptor,
     one is given, multiplied by a cone-neighborhood cutoff.
 
     The support ratio starts at ``_ETA0`` and is halved until the sampled
-    cone neighborhood stays inside the cell's parameter slab; more than
-    ``_MAX_HALVINGS`` halvings raise :class:`SupportLeak`.
+    cone neighborhood (``up_W < eta * lo_Z``) stays inside the cell's
+    parameter slab; more than ``_MAX_HALVINGS`` halvings raise
+    :class:`SupportLeak`.  ``up_W`` is read once, on the rows whose W floor
+    is below ``_ETA0 * lo_Z``.
     """
     cell = stratum.cell
     if not isinstance(cell, GraphCell):
@@ -420,9 +422,15 @@ def extend_on_cell(fld: FieldSpec, stratum: Stratum, z_desc: SetDescriptor,
         normal[beta] = fld.coeffs[key]
 
     X = _leak_samples(cell, z_desc, scene, _LEAK_SAMPLES, seed)
+    lo_z, _ = geometry.distance_brackets(z_desc, X, scene.box)
+    table = geometry.distance_table(geometry.descriptor_of(cell), scene.box)
+    keep = table.floor(X) < _ETA0 * lo_z
+    X, lo_z = X[keep], lo_z[keep]
+    (_, up_w), U = table(X), X[:, list(cell.perm[:m])]
     eta = _ETA0
     for _ in range(_MAX_HALVINGS + 1):
-        if _support_fits(cell, z_desc, scene, eta, X):
+        inside = up_w < eta * lo_z
+        if not (membership(cell.base, U[inside], 1e-9) == OUTSIDE).any():
             break
         eta /= 2.0
     else:
@@ -434,16 +442,6 @@ def extend_on_cell(fld: FieldSpec, stratum: Stratum, z_desc: SetDescriptor,
                       box=scene.box)
     omega = build_cutoff(spec)
     return CellTerm(stratum.id, cell, normal, omega, eta, skeleton)
-
-
-def _support_fits(cell: GraphCell, z_desc: SetDescriptor, scene: Scene,
-                  eta: float, X: np.ndarray) -> bool:
-    """Sample certificate: no row of ``X`` certified inside the eta-cone
-    may project outside the closed parameter domain."""
-    member, _ = cutoff_mod.cone_membership_batch(
-        geometry.descriptor_of(cell), z_desc, eta, X, scene.box)
-    U = X[member == cutoff_mod.IN][:, list(cell.perm[:cell.intrinsic_dim])]
-    return not (membership(cell.base, U, 1e-9) == OUTSIDE).any()
 
 
 _SHELL_RADII = 2.0 ** -np.arange(2, 14)

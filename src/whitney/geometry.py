@@ -281,6 +281,17 @@ class DistanceTable:
             sq = sq + gap * gap
         return np.maximum(0.0, np.sqrt(sq) - self.radii)
 
+    def floor(self, X: np.ndarray) -> np.ndarray:
+        """At most ``lo`` on the rows of ``X``, with no net scan: the exact
+        distances, and ``|x - c| - r - s`` over each net's balls."""
+        lo = self.exact(X).min(axis=1, initial=np.inf)
+        for _, net, _ in self.nets:
+            reach = net.ball_radius + net.ball_slack
+            for rows, d in _distance_blocks(X, net.points[net.ball_start]):
+                np.minimum(lo[rows], np.subtract(d, reach, out=d).min(axis=1),
+                           out=lo[rows])
+        return lo
+
     def __call__(self, X: np.ndarray):
         lo = up = self.exact(X).min(axis=1, initial=np.inf)
         for cell, net, frontier in self.nets:
@@ -361,9 +372,15 @@ class PieceNet(Record):
     ``slack[i] = cov[i] * (1 + L)`` is the ambient covering radius of the
     i-th point, ``cov[i]`` its parameter-space one (see
     :func:`cell_param_net`) and ``L`` a sampled bound on the slope of the
-    graph map."""
+    graph map.  Ball ``k``, the run of points from ``ball_start[k]`` to the
+    next start in one cell of a grid with ``_BALL_GRID`` cells along the
+    net's longest side, lies within ``ball_radius[k]`` of its first point
+    and ``ball_slack[k]`` is its largest slack."""
     points: np.ndarray
     slack: np.ndarray
+    ball_start: np.ndarray
+    ball_radius: np.ndarray
+    ball_slack: np.ndarray
 
     __eq__, __hash__ = object.__eq__, object.__hash__
 
@@ -382,6 +399,9 @@ class PieceNet(Record):
         return np.maximum(0.0, lo, out=lo), up, nearest
 
 
+_BALL_GRID = 16
+
+
 @functools.lru_cache(maxsize=32)
 def piece_net(cell: GraphCell, box: float) -> PieceNet:
     """The embedded net of ``cell``, built once per ``(cell, box)`` and
@@ -389,9 +409,19 @@ def piece_net(cell: GraphCell, box: float) -> PieceNet:
     params, cov = cell_param_net(cell.base, box)
     points = cell.embed_rows(params)
     slack = cov * (1.0 + _net_lipschitz(cell, params))
-    for a in (points, slack):
+    low = points.min(axis=0)
+    side = float((points.max(axis=0) - low).max()) / _BALL_GRID or 1.0
+    cells = np.floor((points - low) / side)
+    start = np.flatnonzero(np.r_[True, np.any(cells[1:] != cells[:-1], 1)])
+    first = np.repeat(start, np.diff(np.r_[start, len(points)]))
+    gap = _row_norms(points - points[first])
+    # widened so that rounding cannot lift |x - c| - r above a distance
+    arrays = (points, slack, start,
+              np.maximum.reduceat(gap, start) * (1.0 + 1e-9),
+              np.maximum.reduceat(slack, start))
+    for a in arrays:
         a.setflags(write=False)
-    return PieceNet(points, slack)
+    return PieceNet(*arrays)
 
 
 def _as_box(cell: OpenCell, box: float):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from whitney import cli
 from whitney.cli import main
 from whitney.errors import SceneFormatError
 from whitney.sceneio import load_scene, parse_scene
@@ -450,6 +451,28 @@ def test_scene_roundtrip():
 
 
 # --- extend --------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    "0:1:0", "0:1:-0.25", "0:1:nan", "0:1:inf",      # step
+    "-inf:1:0.25", "0:inf:0.25", "nan:1:0.25",       # bounds
+    "1:0:0.25",                                      # b < a
+])
+def test_extend_refuses_a_malformed_grid_before_extending(spec, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    """A grid step that is not positive and finite, a bound that is not
+    finite, or ``b < a`` is an input error naming the spec (exit 2), found
+    before any extension is built and before the run directory exists."""
+    def no_extension(*args, **kwargs):
+        raise AssertionError("extend_field called before the grid parsed")
+
+    monkeypatch.setattr(cli, "extend_field", no_extension)
+    out = tmp_path / "run"
+    assert run("extend", scene_path("halfline"), "-o", out,
+               f"--grid={spec}") == 2
+    assert repr(spec) in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_extend_halfline_grid(tmp_path):
     out = tmp_path / "run"

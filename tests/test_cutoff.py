@@ -8,7 +8,9 @@ from whitney import cutoff as co
 from whitney import expr
 from whitney import geometry as geo
 
-from conftest import one_row
+from whitney.extension import extend_field
+
+from conftest import load_corpus_scene, one_row
 
 
 def point_desc(*coords):
@@ -334,31 +336,52 @@ def test_distance_kernels_work_in_row_blocks_under_one_mebibyte():
 
 # --- cone membership ---------------------------------------------------------
 
+def _profile_rows(omega):
+    """Wrap ``omega.transition`` so the list returned collects the rows
+    the cutoff sends through its profile."""
+    seen, transition = [], omega.transition
+    omega.transition = lambda X: seen.extend(X.tolist()) or transition(X)
+    return seen
+
+
 def test_cone_membership_arithmetic():
+    """The cutoff's certificates, on points, where every bracket is exact
+    up to the soft minimum's floor: a row far outside the cone and a row on
+    Z read exactly 0, a row on W exactly 1, and only the row inside the
+    transition band goes through the profile."""
     w, z = point_desc(1.0), point_desc(0.0)
+    omega = co.build_cutoff(co.CutoffSpec(w, z, 0.2, 2, box=4.0))
+    assert (omega.eta_int, omega.rho_int) == (0.2, 0.1)
     X = np.asarray([[0.9], [0.5], [1.0], [0.0]])
-    member, up_z = co.cone_membership_batch(w, z, 0.2, X)
-    assert member[0] == co.IN                                 # 0.1 < 0.18
-    assert member[1] == co.OUT                                # 0.5 >= 0.1
-    member, _ = co.cone_membership_batch(w, z, 1e-6, X[2:3])
-    assert member[0] == co.IN                                 # on W
-    assert up_z[3] == 0.0                                     # on Z
+    lo_w, up_w = omega.d_w.bracket(X)
+    lo_z, up_z = omega.d_z.bracket(X)
+    assert up_w.tolist() == [1.0 - 0.9, 0.5, 0.0, 1.0]
+    assert lo_z[3] == up_z[3] == 0.0 and np.all(lo_w <= up_w)
+    seen = _profile_rows(omega)
+    vals = omega(X)
+    assert seen == [[0.9]]                         # 0.1 < 0.111 < 0.2
+    assert 0.0 < vals[0] < 1.0 and vals[1:].tolist() == [0.0, 1.0, 0.0]
 
 
 def test_cone_membership_indeterminate_between_brackets():
     # net-backed piece: lower and upper brackets differ, and a ratio
-    # threaded between them cannot be certified either way
+    # threaded between them cannot be certified either way, so the row
+    # goes through the profile
     par = geo.GraphCell(geo.Interval(0.0, 1.0),
                         (expr.polynomial(1, {(2,): 1}),), (0, 1))
-    w = geo.descriptor_of(par)
-    z = point_desc(5.0, 5.0)
-    x = (0.5, 0.35)
-    (lo_w,), (up_w,) = geo.distance_brackets(w, [x])
-    (lo_z,), (up_z,) = geo.distance_brackets(z, [x])
-    assert lo_w < up_w
-    eta_mid = (lo_w + up_w) / (lo_z + up_z)
-    member, _ = co.cone_membership_batch(w, z, eta_mid, [x])
-    assert member[0] == co.INDETERMINATE
+    w, z = geo.descriptor_of(par), point_desc(5.0, 5.0)
+    x = np.asarray([[0.5, 0.35]])
+    d_w, d_z = co.regularized_distance(w), co.regularized_distance(z)
+    (lo_w,), (up_w,) = d_w.bracket(x)
+    (lo_z,), (up_z,) = d_z.bracket(x)
+    assert lo_w < d_w._eval(x)[0] <= up_w and lo_z <= d_z._eval(x)[0] <= up_z
+    c = min(d_w.c1, d_z.c1)
+    omega = co.build_cutoff(co.CutoffSpec(w, z, (lo_w + up_w) / 2 / up_z / c,
+                                          2))
+    assert lo_w < omega.eta_int * up_z and omega.rho_int * lo_z < up_w
+    seen = _profile_rows(omega)
+    omega(x)
+    assert seen == x.tolist()
 
 
 def test_single_constant_graph_w_is_one_segment_column():
@@ -517,9 +540,10 @@ def test_verify_cutoff_passes_and_nests():
     assert omega.rho_prime < spec.eta
     rng = np.random.default_rng(0)
     xs = rng.uniform(0.05, 2.0, size=(2000, 1))
-    member, _ = co.cone_membership_batch(spec.w_desc, spec.z_desc, spec.eta,
-                                         xs)
-    assert not np.any(member[omega(xs) == 1.0] == co.OUT)
+    lo_w, _ = geo.distance_brackets(spec.w_desc, xs)
+    _, up_z = geo.distance_brackets(spec.z_desc, xs)
+    outside = lo_w >= spec.eta * up_z
+    assert outside.any() and not np.any(outside[omega(xs) == 1.0])
 
 
 def test_verify_cutoff_flags_misscaled_support():
@@ -562,3 +586,77 @@ def test_driver_cell_cutoffs_meet_the_contract():
                            seed=21)
     assert rep.passed, rep
     assert rep.plateau_checked > 0
+
+
+# --- bracket-decided rows ----------------------------------------------------
+
+def _term_cutoffs(f):
+    """The cutoff of every term of an extension, its skeleton's included."""
+    while f is not None:
+        yield from (t.omega for t in f.terms)
+        f = f.sub
+
+
+@pytest.mark.parametrize("name", ["points", "halfline", "parabola", "square",
+                                  "fullspace"])
+def test_every_bundled_cutoff_is_its_profile_bit_for_bit(name):
+    """At seeds 0 and 9 every term cutoff of a bundled scene equals
+    ``profile(transition(X))`` bit for bit, on seeded rows within 1.5 times
+    the box, on samples of every stratum (W or Z of each term), at frontier
+    points and on the net points, and every regularized distance there
+    lies within its bracket."""
+    scene = load_corpus_scene(name).scene
+    for seed in (0, 9):
+        cutoffs = list(_term_cutoffs(extend_field(scene, seed=seed)))
+        X = [np.random.default_rng(seed).uniform(
+            -1.5 * scene.box, 1.5 * scene.box, (3000, scene.n))]
+        for s in scene.strata:
+            params = geo.stratum_samples(s.cell, 16, scene.box)
+            X.append(s.cell.embed_rows(np.asarray(params, dtype=float)))
+            if isinstance(s.cell, geo.GraphCell):
+                X.append(geo.frontier_samples(s.cell, scene.box))
+        X.extend(net.points for omega in cutoffs
+                 for d in (omega.d_w, omega.d_z) for net in d.nets)
+        X = np.vstack(X)
+        for omega in cutoffs:
+            got = omega(X)
+            want = omega.profile(omega.transition(X))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            for d in (omega.d_w, omega.d_z):
+                lo, up = d.bracket(X)
+                value = d._eval(X)
+                assert np.all(lo <= value) and np.all(value <= up)
+
+
+def test_brackets_cover_every_column_kind():
+    """The bundled scenes' regularized distances hold exact, segment and
+    net columns, and the empty set, so the bit-for-bit test above meets
+    every kind of bracket."""
+    kinds = set()
+    for name in ("points", "halfline", "parabola", "square", "fullspace"):
+        f = extend_field(load_corpus_scene(name).scene)
+        for omega in _term_cutoffs(f):
+            for d in (omega.d_w, omega.d_z):
+                kinds |= {kind for kind, has in (
+                    ("exact", d.table is not None),
+                    ("segment", d.segments is not None),
+                    ("net", bool(d.nets)),
+                    ("empty", (d.table, d.segments, d.nets) == (None, None,
+                                                                []))) if has}
+    assert kinds == {"exact", "segment", "net", "empty"}
+
+
+def test_arc_cutoff_runs_its_soft_minimum_on_few_grid_rows():
+    """On the default 51 x 51 ``extend`` grid of parabola (seed 9) the arc's
+    cutoff sends fewer than 5% of the 2,601 rows through its soft minimum;
+    its brackets decide the rest."""
+    scene = load_corpus_scene("parabola").scene
+    term = extend_field(scene, seed=9).terms[0]
+    assert term.stratum_id == "arc"
+    axis = np.linspace(-scene.box, scene.box, 51)
+    P = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")],
+                 axis=1)
+    seen = _profile_rows(term.omega)
+    vals = term.omega(P)
+    assert len(P) == 2601 and len(seen) < 0.05 * len(P)
+    assert 0 < np.count_nonzero(vals) <= len(seen)

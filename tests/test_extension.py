@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from whitney import geometry as geo
 from whitney.cutoff import CutoffSpec, build_cutoff
 from whitney.errors import (ConsistencyViolation, SequenceLeavesCone,
                             SingularPoint, StratificationInvalid)
-from whitney.extension import (_SUBTRACT_STEP, CellTerm, Scene, Stratum,
-                               _jet_polynomial, check_stratum_consistency,
+from whitney.extension import (_ETA0, _LEAK_SAMPLES, _SUBTRACT_STEP,
+                               CellTerm, Scene, Stratum, _jet_polynomial,
+                               _leak_samples, check_stratum_consistency,
                                extend_field, extend_on_cell,
                                flatness_rate_probe)
 from whitney.jets import FieldSpec, multi_indices
@@ -138,14 +141,15 @@ def test_support_discipline():
     z = scene.descriptor_for(["origin"])
     term = extend_on_cell(scene.fields["ray"], scene.stratum("ray"), z,
                           scene)
-    from whitney.cutoff import cone_membership_batch, OUT
     rng = np.random.default_rng(4)
     X = rng.uniform(-3, 3, (60, 1))
     X = X[np.abs(X[:, 0]) >= 1e-6]
     w_desc = geo.descriptor_of(scene.stratum("ray").cell)
-    member, _ = cone_membership_batch(w_desc, z, term.eta, X)
-    assert np.any(member == OUT)
-    assert np.all(term.evaluate(X[member == OUT])[0] == 0.0)
+    lo_w, _ = geo.distance_brackets(w_desc, X)
+    _, up_z = geo.distance_brackets(z, X)
+    outside = lo_w >= term.eta * up_z
+    assert np.any(outside)
+    assert np.all(term.evaluate(X[outside])[0] == 0.0)
 
 
 def test_square_edge_cutoffs_vanish_around_their_endpoint_normals():
@@ -702,3 +706,62 @@ def test_leibniz_flatness_product():
     pts = [(2.0 ** -j,) for j in range(3, 14)]
     rep = flatness_rate_probe(prod, z, scene.stratum("ray").cell, 0.5, 1, pts)
     assert all(rep.flat.values())
+
+
+BASELINE = (Path(__file__).resolve().parent.parent / "perfbench"
+            / "baseline.json")
+
+
+@pytest.mark.parametrize("workload, name", [
+    ("square", "square"), ("parabola", "parabola"),
+    ("halfline_dense", "halfline"), ("points", "points")])
+def test_assembly_traces_match_the_bench_baseline_at_every_seed(workload,
+                                                                name):
+    """``assembly_trace()`` at each of the 64 seeds the bench maps its own
+    seeds to: every term's kind, stratum, hash, q and eta are the ones
+    ``perfbench/baseline.json`` records (read here, never written)."""
+    ref = json.loads(BASELINE.read_text())["assembly"][workload]
+    scene = load_corpus_scene(name).scene
+    terms = [(t["kind"], t["stratum"], t["hash"], t["q"])
+             for t in ref["terms"]]
+    assert len(ref["eta_of_seed"]) == 64
+    for seed, which in enumerate(ref["eta_of_seed"]):
+        got = [(t["kind"], t["stratum"], t["hash"], t["cutoff"]["q"],
+                t["eta"])
+               for t in extend_field(scene, seed=seed).assembly_trace()]
+        want = [t + (eta,) for t, eta in zip(terms, ref["etas"][which])]
+        assert got == want, f"seed {seed}"
+
+
+def test_arc_leak_check_reads_w_on_few_rows_with_the_same_in_rows(
+        monkeypatch):
+    """On parabola's arc at seed 9, where eta halves once, W's distance
+    table sees only the leak rows its floor keeps, fewer than half of the
+    2,384; the floor is at most the table's lower bracket on every row, so
+    every row the full brackets certify inside the cone at eta 0.5 or 0.25
+    is among them."""
+    scene = load_corpus_scene("parabola").scene
+    arc, z = scene.stratum("arc"), scene.descriptor_for(["p0", "p1"])
+    table = geo.distance_table(geo.descriptor_of(arc.cell), scene.box)
+    seen, call = [], geo.DistanceTable.__call__
+
+    def counted(self, X):
+        if self is table:
+            seen.append(X.copy())
+        return call(self, X)
+
+    monkeypatch.setattr(geo.DistanceTable, "__call__", counted)
+    term = extend_on_cell(scene.fields["arc"], arc, z, scene, seed=9)
+    monkeypatch.undo()
+    X = _leak_samples(arc.cell, z, scene, _LEAK_SAMPLES, 9)
+    lo_w, up_w = table(X)
+    lo_z, _ = geo.distance_brackets(z, X, scene.box)
+    floor = table.floor(X)
+    kept = floor < _ETA0 * lo_z
+    assert len(X) == 2384 and term.eta == 0.25
+    assert np.all(floor <= lo_w)
+    assert len(seen) == 1 and np.array_equal(seen[0], X[kept])
+    assert np.count_nonzero(kept) < len(X) / 2
+    for eta in (0.5, 0.25):
+        inside = up_w < eta * lo_z
+        assert inside.any() and not np.any(inside & ~kept)

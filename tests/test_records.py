@@ -51,10 +51,16 @@ def test_scene_loaded_twice_shares_distance_and_net_cache_entries():
     assert geo.piece_net.cache_info().hits > hits
 
 
+def _net(points, slack):
+    """A one-ball :class:`geo.PieceNet` over the given rows."""
+    return geo.PieceNet(points, slack, np.zeros(1, dtype=int), np.zeros(1),
+                        slack[:1])
+
+
 def test_array_holders_compare_by_identity():
     points, slack = np.zeros((2, 2)), np.ones(2)
-    net = geo.PieceNet(points, slack)
-    assert net == net and net != geo.PieceNet(points, slack)
+    net = _net(points, slack)
+    assert net == net and net != _net(points, slack)
     assert hash(net) == object.__hash__(net)
     ends = [((0.0, 0.0), (1.0, 0.0))]
     seg = co._Segments.of(ends, 4.0)
@@ -87,7 +93,7 @@ def _one_of_each() -> list:
         sf, sf.plan, scene, stratum, stratum.cell, stratum.cell.base,
         scene.stratum("c00").cell, scene.fields["bottom"], fn, fn.root,
         geo.Slab(geo.Interval(0.0, 1.0), None, fn), geo.Ball((0.0,), 1.0),
-        spec.w_desc, geo.PieceNet(np.zeros((1, 1)), np.zeros(1)),
+        spec.w_desc, _net(np.zeros((1, 1)), np.zeros(1)),
         geo.LipschitzReport(0.0, 1.0), geo.SandwichReport(0, []),
         spec, omega.profile, omega.d_w.segments,
         co.CutoffReport(0, 0, 0, 0, {}, {}, True),
@@ -111,6 +117,33 @@ def test_every_record_is_immutable():
                 setattr(r, name, None)
         with pytest.raises(AttributeError):
             delattr(r, r._fields[0])
+
+
+def test_piece_net_balls_are_read_only_runs_that_cover_their_points():
+    """Each ball of a cached net is a run of consecutive points: its start
+    indices rise from 0, every point lies within its ball's radius of the
+    ball's first point, with its slack at most the ball's, and every array
+    is read-only.  A ball holds more than four points on average, on the arc
+    (715 points) and on a 2-d net."""
+    arc = load_corpus_scene("parabola").scene.stratum("arc").cell
+    under = geo.identity_graph_cell(geo.Slab(
+        geo.Interval(0.0, 1.0), None, expr.polynomial(1, {(2,): 1})))
+    for cell in (arc, under):
+        net = geo.piece_net(cell, 3.0)
+        assert net._fields == ("points", "slack", "ball_start",
+                               "ball_radius", "ball_slack")
+        start = net.ball_start
+        assert start[0] == 0 and np.all(np.diff(start) > 0)
+        assert 4 * len(start) < len(net.points)
+        first = start[np.searchsorted(start, np.arange(len(net.points)),
+                                      "right") - 1]
+        gap = np.linalg.norm(net.points - net.points[first], axis=1)
+        ball = np.searchsorted(start, first)
+        assert np.all(gap <= net.ball_radius[ball])
+        assert np.all(net.slack <= net.ball_slack[ball])
+        for name in net._fields:
+            with pytest.raises(ValueError):
+                getattr(net, name)[:1] = 0
 
 
 def test_list_default_is_fresh_per_record():
