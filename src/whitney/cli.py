@@ -8,11 +8,12 @@ mandatory in every report, defaulting to 0.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import json
+import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .sceneio import dump_deterministic, load_scene, parse_seed
 from .verify import rate_fit, whitney_residual
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_ENGINE = 0, 1, 2, 3
+MAX_GRID_POINTS = 10 ** 7       # checked before a grid is allocated
 
 
 def _file_sha(path: Path) -> str:
@@ -74,9 +76,12 @@ def _parse_grid(specs, n: int, box: float):
         if not (np.isfinite([a, b, step]).all() and a <= b and step > 0.0):
             raise InputError(f"bad grid spec {spec!r}: a <= b must be "
                              "finite and the step positive and finite")
-        count = int(round((b - a) / step)) + 1
-        axes.append(np.linspace(a, b, count))
-    return axes
+        axes.append((a, b, float(np.rint((b - a) / step)) + 1.0))  # or inf
+    total = math.prod(count for _, _, count in axes)
+    if total > MAX_GRID_POINTS:
+        raise InputError(f"grid of {total:.0f} points is over the cap of "
+                         f"{MAX_GRID_POINTS} points")
+    return [np.linspace(a, b, int(count)) for a, b, count in axes]
 
 
 def cmd_extend(args) -> int:
@@ -202,28 +207,23 @@ def _whitney_probes(scene, cfg):
     if probes is None:
         probes = [{"target": t, "direction": d}
                   for t, d in zip(cfg["targets"], cfg["directions"])]
+    s = np.asarray(scales)[:, None]
     for probe in probes:
         if "stratum" in probe:
-            cell = scene.stratum(probe["stratum"]).cell
             u0 = np.asarray(probe["param_target"], dtype=float)
             du = np.asarray(probe["param_direction"], dtype=float)
-            s = np.asarray(scales)[:, None]
-            X = [tuple(x) for x in cell.embed_rows(
-                np.vstack([u0 + du * s, u0 + du * (s / 2)])).tolist()]
-            far, near = X[:len(scales)], X[len(scales):]
-            anchor = tuple(float(v) for v in probe["anchor"])
-            radial = list(zip(far, near))
-            anchored = [(x, anchor) for x in far]
-            target = anchor
+            X = scene.stratum(probe["stratum"]).cell.embed_rows(
+                np.vstack([u0 + du * s, u0 + du * (s / 2)]))
+            anchor = probe["anchor"]
         else:
             t = np.asarray(probe["target"], dtype=float)
             d = np.asarray(probe["direction"], dtype=float)
-            line = lambda s: tuple(float(v) for v in t + d * s)
-            radial = [(line(s), line(s / 2)) for s in scales]
-            anchored = [(line(s), tuple(float(v) for v in t))
-                        for s in scales]
-            target = tuple(float(v) for v in t)
-        yield target, {"radial": radial, "anchored": anchored}
+            X, anchor = np.vstack([t + d * s, t + d * (s / 2)]), t
+        X = [tuple(x) for x in X.tolist()]
+        far, near = X[:len(scales)], X[len(scales):]
+        target = tuple(float(v) for v in anchor)
+        yield target, {"radial": list(zip(far, near)),
+                       "anchored": [(x, target) for x in far]}
 
 
 def _run_whitney_check(scene, plan) -> list[dict]:
@@ -236,18 +236,16 @@ def _run_whitney_check(scene, plan) -> list[dict]:
         for beta in multi_indices(scene.n, scene.p):
             exponent = scene.p - sum(beta)
             for family, pairs in families.items():
+                entry = {"target": list(target), "beta": list(beta),
+                         "family": family}
                 try:
                     samples = whitney_residual(jets_at, target, beta, pairs)
                     fit = rate_fit([(r.separation, r.residual)
                                     for r in samples], exponent)
-                    results.append({"target": list(target),
-                                    "beta": list(beta), "family": family,
-                                    "slope": fit.slope,
-                                    "verdict": fit.verdict})
+                    entry.update(slope=fit.slope, verdict=fit.verdict)
                 except WhitneyError as exc:
-                    results.append({"target": list(target),
-                                    "beta": list(beta), "family": family,
-                                    "verdict": "FAIL", "error": str(exc)})
+                    entry.update(verdict="FAIL", error=str(exc))
+                results.append(entry)
     return results
 
 
@@ -369,37 +367,68 @@ def cmd_plotdata(args) -> int:
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="whitney",
-        description="Extend jet fields off stratified scenes and verify "
-                    "the construction's contracts.")
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
+# Each command's handler, positionals and options; an option is (flags,
+# dest, type, required), and type ``list`` collects its repeats.
+COMMANDS = {
+    "validate": (cmd_validate, ("scene",), ()),
+    "extend": (cmd_extend, ("scene",),
+               ((("-o", "--output"), "output", str, True),
+                (("--seed",), "seed", int, False),
+                (("--grid",), "grid", list, False))),
+    "verify": (cmd_verify, ("scene", "artifact"), ()),
+    "plotdata": (cmd_plotdata, ("report",),
+                 ((("--select",), "select", str, True),
+                  (("-o", "--output"), "output", str, False))),
+}
 
-    v = sub.add_parser("validate", help="schema + stratification checks")
-    v.add_argument("scene")
-    v.set_defaults(fn=cmd_validate)
 
-    e = sub.add_parser("extend", help="build the extension, sample a grid")
-    e.add_argument("scene")
-    e.add_argument("-o", "--output", required=True)
-    e.add_argument("--seed", type=int, default=None)
-    e.add_argument("--grid", action="append",
-                   help="a:b:step, repeat per axis")
-    e.set_defaults(fn=cmd_extend)
+def _usage(name: str) -> str:
+    """The usage line of command ``name``, or of the program."""
+    if name not in COMMANDS:
+        return f"usage: whitney [-h] [--version] {{{','.join(COMMANDS)}}} ..."
+    _, positionals, options = COMMANDS[name]
+    return " ".join([f"usage: whitney {name} [-h]"] + [
+        f"{flags[0]} {dest.upper()}" if required
+        else f"[{flags[0]} {dest.upper()}{' ...' * (kind is list)}]"
+        for flags, dest, kind, required in options] + list(positionals))
 
-    c = sub.add_parser("verify", help="run the scene's verification plan")
-    c.add_argument("scene")
-    c.add_argument("artifact", help="run directory from 'extend'")
-    c.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("plotdata", help="emit tabular data from a run")
-    p.add_argument("report", help="run directory")
-    p.add_argument("--select", required=True)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_plotdata)
-    return ap
+def _parse_args(name: str, argv: list):
+    """``(handler, args)`` of command ``name`` and its arguments ``argv``
+    by :data:`COMMANDS`; options go before or after the positionals, as
+    ``--opt value`` or ``--opt=value``.  A usage error raises
+    :class:`InputError`."""
+    if name not in COMMANDS:
+        raise InputError(f"argument command: invalid choice: {name!r}"
+                         if name else "the following arguments are "
+                                      "required: command")
+    fn, positionals, options = COMMANDS[name]
+    by_flag = {flag: opt for opt in options for flag in opt[0]}
+    given, got, rest = [], {opt: [] for opt in options}, iter(argv)
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if not arg.startswith("-") and len(given) < len(positionals):
+            given.append(arg)
+            continue
+        if flag not in by_flag:             # or a positional too many
+            raise InputError(f"unrecognized arguments: {arg}")
+        got[by_flag[flag]].append(value if eq else next(rest, None))
+        if got[by_flag[flag]][-1] is None:
+            raise InputError(f"argument {flag}: expected one argument")
+    args = dict(zip(positionals, given))
+    missing = list(positionals[len(given):])
+    for (flags, dest, kind, required), values in got.items():
+        missing += ["/".join(flags)] * (required and not values)
+        try:
+            args[dest] = (values if kind is list
+                          else kind(values[-1]) if values else None)
+        except ValueError:
+            raise InputError(f"argument {'/'.join(flags)}: invalid int "
+                             f"value: {values[-1]!r}")
+    if missing:
+        raise InputError("the following arguments are required: "
+                         + ", ".join(missing))
+    return fn, SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
@@ -409,9 +438,18 @@ def main(argv=None) -> int:
     # interpreter shutdown, which take about 10 ms of a command's wall time
     if not gc.get_freeze_count():
         gc.freeze()
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else ""
+    if name == "--version" or "-h" in argv or "--help" in argv:
+        print(__version__ if name == "--version" else _usage(name))
+        return EXIT_OK
     try:
-        return args.fn(args)
+        fn, args = _parse_args(name, argv[1:])
+    except InputError as exc:
+        print(f"{_usage(name)}\nwhitney: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        return fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -12,6 +12,7 @@ so the assembled function is total on all of R^n.
 """
 from __future__ import annotations
 
+import functools
 import json
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -134,23 +135,29 @@ class Scene(Record):
 
     def _disjointness_check(self, singular: set) -> list[str]:
         """Samples of each stratum must lie on no other stratum; the
-        ``singular`` strata, already reported, are skipped."""
-        out = []
+        ``singular`` strata, already reported, are skipped.  Each stratum
+        tests the samples of all in one membership call."""
+        out, rows, at = [], [], 0       # problems, or (stratum, its rows)
         for s in self.strata:
             if s.id in singular:
                 continue
             try:
                 params = geometry.stratum_samples(s.cell, 16, self.box)
-                X = s.cell.embed_rows(np.asarray(params, dtype=float))
+                rows.append(s.cell.embed_rows(np.asarray(params, float)))
+                out.append((s, slice(at, at + len(rows[-1]))))
+                at += len(rows[-1])
             except SingularPoint as exc:
                 out.append(f"stratum {s.id!r}: singular graph map ({exc})")
-                continue
-            for other in self.strata:
-                if other.id != s.id and (
-                        membership(other.cell, X, 1e-9) == INSIDE).any():
-                    out.append(f"strata {s.id!r} and {other.id!r} overlap")
-                    break
-        return out
+        X = np.concatenate(rows) if rows else np.empty((0, self.n))
+        inside = [(o, membership(o.cell, X, 1e-9) == INSIDE)
+                  for o in self.strata]
+        for k, item in enumerate(out):
+            if isinstance(item, tuple):
+                s, mine = item
+                other = next((o for o, hit in inside
+                              if o.id != s.id and hit[mine].any()), None)
+                out[k] = other and f"strata {s.id!r} and {other.id!r} overlap"
+        return [problem for problem in out if problem]
 
     def _consistency_check(self, singular: set) -> list[str]:
         """One problem per graph stratum outside ``singular`` whose field
@@ -458,13 +465,22 @@ def _leak_samples(cell: GraphCell, z_desc: SetDescriptor, scene: Scene,
                                     scene.box)
     centers = geometry.frontier_samples(cell, scene.box)
     n_shell = len(centers) * len(_SHELL_RADII) * _SHELL_POINTS
-    draws = SeededStream(seed).random((n_samples + n_shell, scene.n))
+    draws = _uniform_draws(seed, n_samples + n_shell, scene.n)
     shells = draws[n_samples:].reshape(len(centers), len(_SHELL_RADII),
                                        _SHELL_POINTS, scene.n)
     shells = (centers[:, None, None, :]
               + _SHELL_RADII[:, None, None] * (shells - 0.5) * 2.0)
     return np.vstack([lo + (hi - lo) * draws[:n_samples],
                       shells.reshape(n_shell, scene.n)])
+
+
+@functools.lru_cache(maxsize=8)
+def _uniform_draws(seed: int, rows: int, n: int) -> np.ndarray:
+    """``SeededStream(seed).random((rows, n))``, drawn once per shape and
+    shared read-only: the cells of one scene mostly draw alike."""
+    draws = SeededStream(seed).random((rows, n))
+    draws.setflags(write=False)
+    return draws
 
 
 # ---------------------------------------------------------------------------

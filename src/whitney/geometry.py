@@ -373,9 +373,9 @@ class PieceNet(Record):
     i-th point, ``cov[i]`` its parameter-space one (see
     :func:`cell_param_net`) and ``L`` a sampled bound on the slope of the
     graph map.  Ball ``k``, the run of points from ``ball_start[k]`` to the
-    next start in one cell of a grid with ``_BALL_GRID`` cells along the
-    net's longest side, lies within ``ball_radius[k]`` of its first point
-    and ``ball_slack[k]`` is its largest slack."""
+    next start, is one cell of a grid with ``_BALL_GRID`` cells along the
+    net's longest side; it lies within ``ball_radius[k]`` of its first
+    point and ``ball_slack[k]`` is its largest slack."""
     points: np.ndarray
     slack: np.ndarray
     ball_start: np.ndarray
@@ -412,6 +412,11 @@ def piece_net(cell: GraphCell, box: float) -> PieceNet:
     low = points.min(axis=0)
     side = float((points.max(axis=0) - low).max()) / _BALL_GRID or 1.0
     cells = np.floor((points - low) / side)
+    # one ball per grid cell: cells by first appearance, net order within
+    _, seen, which = np.unique(cells @ (_BALL_GRID + 1.0) ** np.arange(
+        cells.shape[1]), return_index=True, return_inverse=True)
+    order = np.argsort(seen[which], kind="stable")
+    points, slack, cells = points[order], slack[order], cells[order]
     start = np.flatnonzero(np.r_[True, np.any(cells[1:] != cells[:-1], 1)])
     first = np.repeat(start, np.diff(np.r_[start, len(points)]))
     gap = _row_norms(points - points[first])

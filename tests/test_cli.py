@@ -9,7 +9,7 @@ import pytest
 
 from whitney import cli
 from whitney.cli import main
-from whitney.errors import SceneFormatError
+from whitney.errors import InputError, SceneFormatError
 from whitney.sceneio import load_scene, parse_scene
 
 from conftest import SCENES_DIR, scene_path
@@ -474,6 +474,35 @@ def test_extend_refuses_a_malformed_grid_before_extending(spec, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scene,spec,count", [
+    ("halfline", "0:1:1e-12", 1000000000001),       # np.linspace's size
+    ("square", "0:1:1e-5", 100001 ** 2),             # np.meshgrid's size
+])
+def test_extend_refuses_an_oversized_grid_before_allocating(
+        scene, spec, count, tmp_path, capsys, monkeypatch):
+    """A grid of more than ``MAX_GRID_POINTS`` points is an input error
+    naming its count (exit 2), found from the specs alone: before any
+    array is allocated, any extension is built or the run directory
+    exists."""
+    def no_extension(*args, **kwargs):
+        raise AssertionError("extend_field called before the grid parsed")
+
+    monkeypatch.setattr(cli, "extend_field", no_extension)
+    out = tmp_path / "run"
+    assert run("extend", scene_path(scene), "-o", out, f"--grid={spec}") == 2
+    err = capsys.readouterr().err
+    assert f"grid of {count} points" in err
+    assert f"cap of {cli.MAX_GRID_POINTS} points" in err
+    assert not out.exists()
+
+
+def test_grid_cap_counts_the_product_of_the_axes(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 16)
+    assert [len(a) for a in cli._parse_grid(["0:3:1"], 2, 3.0)] == [4, 4]
+    with pytest.raises(InputError, match="grid of 20 points"):
+        cli._parse_grid(["0:3:1", "0:4:1"], 2, 3.0)
+
+
 def test_extend_halfline_grid(tmp_path):
     out = tmp_path / "run"
     assert run("extend", scene_path("halfline"), "-o", out,
@@ -666,6 +695,98 @@ def test_verify_rejects_a_negative_recorded_seed(tmp_path, capsys):
     assert ("report.json seed: must be a non-negative integer, got -1"
             in capsys.readouterr().err)
     assert not (out / "verify_report.json").exists()
+
+
+# --- argument parsing ------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,named", [
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["extend", "<halfline>", "-o", "<out>", "--colour", "red"],
+     "unrecognized arguments: --colour"),
+    (["extend", "<halfline>"], "required: -o/--output"),
+    (["extend", "<halfline>", "-o", "<out>", "--seed", "abc"],
+     "argument --seed: invalid int value: 'abc'"),
+    (["extend", "<halfline>", "-o", "<out>", "--grid"],
+     "argument --grid: expected one argument"),
+    (["extend", "<halfline>", "--out", "<out>"],       # no abbreviations
+     "unrecognized arguments: --out"),
+    (["verify", "<halfline>"], "required: artifact"),
+    (["validate", "<halfline>", "extra"], "unrecognized arguments: extra"),
+    ([], "required: command"),
+])
+def test_usage_errors_exit_2_naming_the_argument(argv, named, tmp_path,
+                                                  capsys):
+    """A usage error prints the command's usage line and ``whitney:
+    error: ...`` naming the argument to stderr, exits 2 and runs
+    nothing."""
+    out = tmp_path / "run"
+    fill = {"<halfline>": str(scene_path("halfline")), "<out>": str(out)}
+    assert run(*[fill.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    usage, error = captured.err.splitlines()
+    command = argv[0] if argv and argv[0] in cli.COMMANDS else None
+    assert usage.startswith(f"usage: whitney {command} [-h]" if command
+                            else "usage: whitney [-h] [--version]")
+    assert error.startswith("whitney: error: ") and named in error
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv,first", [
+    (["-h"], "usage: whitney [-h] [--version] "
+             "{validate,extend,verify,plotdata} ..."),
+    (["--help"], "usage: whitney [-h]"),
+    (["extend", "-h"], "usage: whitney extend [-h] -o OUTPUT [--seed SEED] "
+                       "[--grid GRID ...] scene"),
+    (["verify", "<halfline>", "--help"], "usage: whitney verify [-h] scene "
+                                         "artifact"),
+    (["plotdata", "-h"], "usage: whitney plotdata [-h] --select SELECT "
+                         "[-o OUTPUT] report"),
+    (["--version"], cli.__version__),
+])
+def test_help_and_version_exit_0(argv, first, capsys):
+    fill = {"<halfline>": str(scene_path("halfline"))}
+    assert run(*[fill.get(a, a) for a in argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0].startswith(first)
+    assert captured.err == ""
+
+
+def test_options_parse_in_any_order_and_form():
+    """Options go before or after the positionals, as ``--opt value`` or
+    ``--opt=value``; a value may start with ``-``; ``--grid`` repeats and
+    ``--seed`` is an int."""
+    fn, args = cli._parse_args("extend", [
+        "-o", "out", "--grid", "-1:1:0.5", "scene.json", "--seed=7",
+        "--grid=0:2:1"])
+    assert fn is cli.cmd_extend
+    assert vars(args) == {"scene": "scene.json", "output": "out", "seed": 7,
+                          "grid": ["-1:1:0.5", "0:2:1"]}
+    _, args = cli._parse_args("extend", ["s.json", "--output=o"])
+    assert (args.seed, args.grid) == (None, [])
+    fn, args = cli._parse_args("plotdata", ["run", "--select", "extension"])
+    assert fn is cli.cmd_plotdata
+    assert vars(args) == {"report": "run", "select": "extension",
+                          "output": None}
+
+
+def test_bench_argument_forms_parse_as_before():
+    """The argument forms of ``perfbench/run.py`` (their outputs are rows of
+    ``tests/golden_outputs.json``) give the values argparse gave."""
+    _, args = cli._parse_args("extend", ["s.json", "-o", "d", "--seed", "5",
+                                         "--grid=-4:4:0.001"])
+    assert vars(args) == {"scene": "s.json", "output": "d", "seed": 5,
+                          "grid": ["-4:4:0.001"]}
+    fn, args = cli._parse_args("verify", ["s.json", "d"])
+    assert fn is cli.cmd_verify
+    assert vars(args) == {"scene": "s.json", "artifact": "d"}
+
+
+def test_extend_takes_a_spaced_negative_grid(tmp_path):
+    out = tmp_path / "run"
+    assert run("extend", scene_path("halfline"), "-o", out,
+               "--grid", "-1:1:0.5") == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["grid"] == ["-1.0:1.0:5"]
 
 
 # --- plotdata ----------------------------------------------------------------------

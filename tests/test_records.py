@@ -14,24 +14,54 @@ import pytest
 from whitney import cutoff as co
 from whitney import expr
 from whitney import geometry as geo
-from whitney import jets, sceneio, verify
+from whitney import extension, jets, sceneio, verify
 from whitney.errors import Record
 from whitney.extension import FlatnessReport
+from whitney.rng import SeededStream
 
 from conftest import bundled_cutoff_specs, load_corpus_scene
 
 
 def test_command_path_imports_no_dataclasses():
-    """Building records generates no code: importing ``whitney.cli`` in a
-    fresh interpreter leaves ``dataclasses`` unloaded."""
+    """Building records generates no code, and the command table needs no
+    parser library: importing ``whitney.cli`` in a fresh interpreter
+    leaves ``dataclasses``, ``argparse`` and ``gettext`` unloaded."""
     script = ("import json, sys\n"
               "import whitney.cli\n"
-              "print(json.dumps('dataclasses' in sys.modules))\n")
+              "print(json.dumps([m in sys.modules for m in\n"
+              "                  ('dataclasses', 'argparse', 'gettext')]))\n")
     done = subprocess.run([sys.executable, "-c", script], check=True,
                           capture_output=True, text=True,
                           env=dict(os.environ,
                                    PYTHONPATH=os.pathsep.join(sys.path)))
-    assert json.loads(done.stdout.splitlines()[-1]) is False
+    assert json.loads(done.stdout.splitlines()[-1]) == [False] * 3
+
+
+def test_extension_draws_once_and_validation_tests_each_stratum_once(
+        monkeypatch):
+    """On square at seed 1, ``extend_field`` makes one seeded draw (its
+    four edges draw alike), and validation makes at most one membership
+    call per stratum (its own calls: ``membership`` recurses down a
+    cell's slab tower)."""
+    scene = load_corpus_scene("square").scene
+    calls = {"random": 0, "membership": 0}
+    random, membership = SeededStream.random, geo.membership
+
+    def counted_random(self, shape):
+        calls["random"] += 1
+        return random(self, shape)
+
+    def counted_membership(*args, **kwargs):
+        calls["membership"] += 1
+        return membership(*args, **kwargs)
+
+    monkeypatch.setattr(SeededStream, "random", counted_random)
+    monkeypatch.setattr(extension, "membership", counted_membership)
+    assert scene.validate() == []
+    assert 0 < calls["membership"] <= len(scene.strata)
+    extension._uniform_draws.cache_clear()
+    extension.extend_field(scene, seed=1)
+    assert calls["random"] == 1
 
 
 def test_scene_loaded_twice_shares_distance_and_net_cache_entries():
@@ -124,7 +154,8 @@ def test_piece_net_balls_are_read_only_runs_that_cover_their_points():
     indices rise from 0, every point lies within its ball's radius of the
     ball's first point, with its slack at most the ball's, and every array
     is read-only.  A ball holds more than four points on average, on the arc
-    (715 points) and on a 2-d net."""
+    (715 points) and on a 2-d net, and each ball is one cell of the net's
+    17 x 17 ball grid, so the 2-d net has at most 289 balls."""
     arc = load_corpus_scene("parabola").scene.stratum("arc").cell
     under = geo.identity_graph_cell(geo.Slab(
         geo.Interval(0.0, 1.0), None, expr.polynomial(1, {(2,): 1})))
@@ -135,6 +166,7 @@ def test_piece_net_balls_are_read_only_runs_that_cover_their_points():
         start = net.ball_start
         assert start[0] == 0 and np.all(np.diff(start) > 0)
         assert 4 * len(start) < len(net.points)
+        assert len(start) <= (geo._BALL_GRID + 1) ** net.points.shape[1]
         first = start[np.searchsorted(start, np.arange(len(net.points)),
                                       "right") - 1]
         gap = np.linalg.norm(net.points - net.points[first], axis=1)
