@@ -195,6 +195,53 @@ def test_validate_reports_strata_it_cannot_check():
     assert exc.value.problems == problems
 
 
+def _zero_field(sid, n, arity):
+    return FieldSpec(n, 1, sid, arity,
+                     {a: C(0, arity) for a in multi_indices(n, 1)})
+
+
+def _points_scene(*strata, fields=None):
+    """A 1-d scene of point strata ``(id, x, boundary ids)``, each with the
+    jets of 0 unless ``fields`` names which carry one."""
+    ids = [sid for sid, _, _ in strata] if fields is None else fields
+    return Scene(1, 1, 2, tuple(Stratum(sid, geo.PointCell((x,)), bounds)
+                                for sid, x, bounds in strata),
+                 {sid: _zero_field(sid, 1, 1) for sid in ids}, box=4.0)
+
+
+STRUCTURAL_PROBLEMS = {
+    "duplicate-ids": (
+        lambda: _points_scene(("a", 0.0, ()), ("a", 1.0, ())),
+        ["duplicate stratum ids"]),
+    "no-strata": (
+        lambda: Scene(1, 1, 2, (), {}, box=4.0),
+        ["scene has no strata"]),
+    "no-field": (
+        lambda: _points_scene(("x", 0.0, ()), fields=()),
+        ["stratum 'x' has no field"]),
+    "unknown-boundary": (
+        lambda: _points_scene(("a", 0.0, ("b",))),
+        ["stratum 'a' declares unknown boundary 'b'"]),
+    "boundary-not-lower": (
+        lambda: _points_scene(("a", 0.0, ("b",)), ("b", 1.0, ())),
+        ["boundary 'b' of 'a' is not lower-dimensional"]),
+    # a line of the plane whose permutation names one of its two axes
+    "bad-permutation": (
+        lambda: Scene(2, 1, 2, (Stratum("line", geo.GraphCell(
+            geo.Interval(None, None), (), (0,)), ()),),
+            {"line": _zero_field("line", 2, 1)}, box=4.0),
+        ["stratum 'line': bad permutation"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURAL_PROBLEMS))
+def test_validate_reports_structural_problems(case):
+    """Each structural hypothesis of a hand-built scene is checked and
+    reported in its own words, and is the scene's only problem."""
+    build, problems = STRUCTURAL_PROBLEMS[case]
+    assert build().validate() == problems
+
+
 def complete_cube_scene():
     """The closed unit cube: the 3-cell, 6 faces, 12 edges and 8 corners,
     each carrying the jets of 0 and declaring the strata in its closure."""
