@@ -9,7 +9,6 @@ mandatory in every report, defaulting to 0.
 from __future__ import annotations
 
 import gc
-import json
 import math
 import sys
 from pathlib import Path
@@ -24,7 +23,7 @@ from .extension import extend_field, flatness_rate_probe
 from .geometry import INSIDE, OUTSIDE, PointCell
 from .jets import PointJet, multi_indices
 from .rng import sha256
-from .sceneio import dump_deterministic, load_scene, parse_seed
+from .sceneio import dump_deterministic, load_scene, parse_seed, read_json
 from .verify import rate_fit, whitney_residual
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_ENGINE = 0, 1, 2, 3
@@ -90,6 +89,11 @@ def cmd_extend(args) -> int:
     seed = (sf.plan.seed if args.seed is None
             else parse_seed(args.seed, "--seed"))
     axes = _parse_grid(args.grid, scene.n, scene.box)
+    outdir = Path(args.output)
+    nearest = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise InputError(f"cannot write under {outdir}: {nearest} is not a "
+                         "directory")
     try:
         f = extend_field(scene, seed=seed)     # validates the scene first
     except StratificationInvalid as exc:
@@ -101,7 +105,6 @@ def cmd_extend(args) -> int:
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
 
-    outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     z_ids = [s.id for s in scene.strata if s.dim < scene.dim]
     lo, up = geometry.distance_brackets(scene.descriptor_for(z_ids), pts,
@@ -254,10 +257,9 @@ def _run_flatness(scene, f, plan) -> list[dict]:
     for item in plan.flatness:
         sid = item["stratum"]
         stratum = scene.stratum(sid)
-        target = np.asarray(item["target"], dtype=float)
-        direction = np.asarray(item["direction"], dtype=float)
-        points = [tuple(target + direction * 2.0 ** (-j))
-                  for j in range(item["j0"], item["j1"] + 1)]
+        points = (np.asarray(item["target"], dtype=float)
+                  + np.asarray(item["direction"], dtype=float)
+                  * 2.0 ** -np.arange(item["j0"], item["j1"] + 1)[:, None])
         z_ids = [s.id for s in scene.strata if s.id != sid]
         z_desc = scene.descriptor_for(z_ids)
         report = flatness_rate_probe(
@@ -277,15 +279,16 @@ def cmd_verify(args) -> int:
     report_path = rundir / "report.json"
     if not report_path.exists():
         raise InputError(f"no report.json under {rundir}")
-    run_report = json.loads(report_path.read_text())
-    if run_report.get("schema") != "jetfield-run/1":
+    run_report = read_json(report_path)
+    if (not isinstance(run_report, dict)
+            or run_report.get("schema") != "jetfield-run/1"):
         raise InputError("artifact schema mismatch")
     if run_report.get("scene_sha") != _file_sha(Path(args.scene)):
         raise InputError("artifact was produced from a different scene file")
 
     seed = parse_seed(run_report.get("seed"), "report.json seed")
     f = extend_field(scene, seed=seed)
-    if f.assembly_trace() != run_report["assembly"]:
+    if f.assembly_trace() != run_report.get("assembly"):
         raise InputError("assembly trace mismatch; artifact out of date")
 
     wanted = set(plan.checks)
@@ -346,7 +349,7 @@ def cmd_plotdata(args) -> int:
         vpath = rundir / "verify_report.json"
         if not vpath.exists():
             raise InputError("flatness selector needs a verify report")
-        data = json.loads(vpath.read_text())
+        data = read_json(vpath)
         rows = ["scale_index,normalized"]
         for item in data.get("flatness", []):
             if ",".join(str(k) for k in item["kappa"]) == key:

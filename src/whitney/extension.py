@@ -44,6 +44,9 @@ class Stratum(Record):
         return self.cell.intrinsic_dim
 
 
+_VALIDATE_SAMPLES = 24       # parameter samples per stratum in validate
+
+
 class Scene(Record):
     n: int
     p: int
@@ -77,40 +80,78 @@ class Scene(Record):
         return max((s.dim for s in self.strata), default=0)
 
     def validate(self) -> list[str]:
-        """Structural validation and the chain-rule check of every graph
-        stratum's field; returns a list of human-readable problems (empty
-        means the scene looks sound).  A stratum reported with a singular
-        graph map skips the later checks."""
+        """Structural validation, then the disjointness, chain-rule and
+        flat checks on one array of ``_VALIDATE_SAMPLES`` parameter samples
+        per stratum, embedded once; returns a list of human-readable
+        problems (empty means the scene looks sound).  A stratum reported
+        without a field, with a bad permutation or with a graph map
+        singular on its frontier or samples skips the later checks."""
         problems = []
         ids = [s.id for s in self.strata]
         if len(set(ids)) != len(ids):
             problems.append("duplicate stratum ids")
         if not self.strata:
             problems.append("scene has no strata")
-        known = set(ids)
-        singular = set()
+        sampled = []                    # (stratum, parameter rows, points)
         for s in self.strata:
             if s.id not in self.fields:
                 problems.append(f"stratum {s.id!r} has no field")
             for b in s.boundary_ids:
-                if b not in known:
+                if b not in ids:
                     problems.append(
                         f"stratum {s.id!r} declares unknown boundary {b!r}")
                 elif self.stratum(b).dim >= s.dim:
                     problems.append(
                         f"boundary {b!r} of {s.id!r} is not lower-dimensional")
-            if isinstance(s.cell, GraphCell):
-                if sorted(s.cell.perm) != list(range(self.n)):
-                    problems.append(f"stratum {s.id!r}: bad permutation")
+            graph = isinstance(s.cell, GraphCell)
+            if graph and sorted(s.cell.perm) != list(range(self.n)):
+                problems.append(f"stratum {s.id!r}: bad permutation")
+            elif s.id in self.fields:
                 try:
-                    problems.extend(self._closure_check(s))
+                    if graph:
+                        problems.extend(self._closure_check(s))
+                    U = geometry.stratum_samples(s.cell, _VALIDATE_SAMPLES,
+                                                 self.box)
+                    sampled.append((s, U, s.cell.embed_rows(U)))
                 except SingularPoint as exc:
                     problems.append(f"stratum {s.id!r}: singular graph map "
                                     f"({exc})")
-                    singular.add(s.id)
-        problems.extend(self._disjointness_check(singular))
-        problems.extend(self._consistency_check(singular))
-        problems.extend(self._flat_check(singular))
+        # no stratum's samples lie on another: one membership call each
+        X = np.concatenate([np.empty((0, self.n))]
+                           + [Xs for _, _, Xs in sampled])
+        owner = np.repeat([s.id for s, _, _ in sampled],
+                          [len(Xs) for _, _, Xs in sampled])
+        overlaps = {}                   # stratum -> first other it meets
+        for o in self.strata:
+            for sid in owner[membership(o.cell, X, 1e-9) == INSIDE].tolist():
+                if sid != o.id:
+                    overlaps.setdefault(sid, o.id)
+        problems += [f"strata {s.id!r} and {overlaps[s.id]!r} overlap"
+                     for s, _, _ in sampled if s.id in overlaps]
+        for s, U, _ in sampled:
+            if isinstance(s.cell, GraphCell):
+                try:
+                    check_stratum_consistency(self.fields[s.id], s.cell, U)
+                except WhitneyError as exc:
+                    problems.append(f"field consistency on {s.id!r}: {exc}")
+        # a flat stratum's coefficients are exactly 0 at its samples (a
+        # point's read u = 0): the first that is not is reported, and where
+        for s, U, Xs in sampled:
+            if s.id not in self.flat_on:
+                continue
+            try:
+                for alpha in multi_indices(self.n, self.p):
+                    v = expr.evaluate_rows_or_raise(
+                        self.fields[s.id].coeffs[alpha],
+                        U if U.shape[1] else np.zeros((1, 1)))
+                    i = int(np.argmax(v != 0.0))
+                    if v[i] != 0.0:
+                        x = tuple(round(float(c), 6) for c in Xs[i])
+                        raise ConsistencyViolation(
+                            f"coefficient {alpha} is {v[i]:.3e}, not 0, "
+                            f"at {x}")
+            except WhitneyError as exc:
+                problems.append(f"flat stratum {s.id!r}: {exc}")
         return problems
 
     def _closure_check(self, s: Stratum) -> list[str]:
@@ -132,74 +173,6 @@ class Scene(Record):
         x = tuple(round(float(v), 6) for v in frontier[worst])
         return [f"stratification not closed: frontier point {x} of "
                 f"{s.id!r} {what}"]
-
-    def _disjointness_check(self, singular: set) -> list[str]:
-        """Samples of each stratum must lie on no other stratum; the
-        ``singular`` strata, already reported, are skipped.  Each stratum
-        tests the samples of all in one membership call."""
-        out, rows, at = [], [], 0       # problems, or (stratum, its rows)
-        for s in self.strata:
-            if s.id in singular:
-                continue
-            try:
-                params = geometry.stratum_samples(s.cell, 16, self.box)
-                rows.append(s.cell.embed_rows(np.asarray(params, float)))
-                out.append((s, slice(at, at + len(rows[-1]))))
-                at += len(rows[-1])
-            except SingularPoint as exc:
-                out.append(f"stratum {s.id!r}: singular graph map ({exc})")
-        X = np.concatenate(rows) if rows else np.empty((0, self.n))
-        inside = [(o, membership(o.cell, X, 1e-9) == INSIDE)
-                  for o in self.strata]
-        for k, item in enumerate(out):
-            if isinstance(item, tuple):
-                s, mine = item
-                other = next((o for o, hit in inside
-                              if o.id != s.id and hit[mine].any()), None)
-                out[k] = other and f"strata {s.id!r} and {other.id!r} overlap"
-        return [problem for problem in out if problem]
-
-    def _consistency_check(self, singular: set) -> list[str]:
-        """One problem per graph stratum outside ``singular`` whose field
-        fails :func:`check_stratum_consistency` at any of its parameter
-        samples, or cannot be checked there."""
-        out = []
-        for s in self.strata:
-            if isinstance(s.cell, GraphCell) and s.id not in singular:
-                try:
-                    samples = geometry.stratum_samples(s.cell, 24, self.box)
-                    check_stratum_consistency(self.fields[s.id], s.cell,
-                                              samples)
-                except WhitneyError as exc:
-                    out.append(f"field consistency on {s.id!r}: {exc}")
-        return out
-
-    def _flat_check(self, singular: set) -> list[str]:
-        """Every field coefficient of a stratum declared flat must be
-        exactly 0 at the stratum's samples (a point's sample is the point,
-        where its coefficients read u = 0); one problem per stratum names
-        the first coefficient that is not, and where."""
-        out = []
-        for s in self.strata:
-            if s.id not in self.flat_on - singular:
-                continue
-            try:
-                U = np.asarray(geometry.stratum_samples(s.cell, 16, self.box),
-                               dtype=float)
-                X = s.cell.embed_rows(U)
-                U = U if U.shape[1] else np.zeros((1, 1))
-                for alpha in multi_indices(self.n, self.p):
-                    v = expr.evaluate_rows_or_raise(
-                        self.fields[s.id].coeffs[alpha], U)
-                    if np.any(v != 0.0):
-                        i = int(np.argmax(v != 0.0))
-                        x = tuple(round(float(c), 6) for c in X[i])
-                        raise ConsistencyViolation(
-                            f"coefficient {alpha} is {v[i]:.3e}, not 0, "
-                            f"at {x}")
-            except WhitneyError as exc:
-                out.append(f"flat stratum {s.id!r}: {exc}")
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +326,7 @@ def check_stratum_consistency(fld: FieldSpec, cell: GraphCell,
                               samples: Sequence) -> float:
     """Chain-rule compatibility of a field over the graph cell
     ``{(u, phi(u))}``: for every ``|gamma| < p``, tangential axis ``i < m``
-    and sample ``u``,
+    and row ``u`` of the ``(N, m)`` parameter samples,
 
         D_{u_i} F^gamma = F^{gamma+e_i} + sum_j D_{u_i} phi_j F^{gamma+e_{m+j}}.
 
@@ -367,6 +340,7 @@ def check_stratum_consistency(fld: FieldSpec, cell: GraphCell,
     """
     m, n = cell.intrinsic_dim, fld.n
     unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    rows = [tuple(u) for u in np.asarray(samples).tolist()]
     worst = 0.0
     for gamma in multi_indices(n, fld.p - 1):
         for i in range(m):
@@ -376,7 +350,7 @@ def check_stratum_consistency(fld: FieldSpec, cell: GraphCell,
             normal = [(expr.differentiate(phi, along),
                        fld.coeffs[mi_add(gamma, unit[m + j])])
                       for j, phi in enumerate(cell.graph)]
-            for u in samples:
+            for u in rows:
                 try:
                     lhs = expr.evaluate(d_fn, u)
                     rhs = expr.evaluate(tangent, u) + sum(
@@ -386,14 +360,14 @@ def check_stratum_consistency(fld: FieldSpec, cell: GraphCell,
                     raise SingularPoint(
                         f"stratum {fld.stratum_id!r}: chain rule for "
                         f"coefficient {gamma} along axis {i} is singular "
-                        f"at u={tuple(u)} ({exc})") from exc
+                        f"at u={u} ({exc})") from exc
                 resid = float(abs(lhs - rhs) / (1 + abs(rhs)))
                 worst = max(worst, resid)
                 if resid > _CONSISTENCY_TOL:
                     raise ConsistencyViolation(
                         f"stratum {fld.stratum_id!r}: chain rule for "
                         f"coefficient {gamma} along axis {i} deviates by "
-                        f"{resid:.3e} at u={tuple(u)}")
+                        f"{resid:.3e} at u={u}")
     return worst
 
 
@@ -558,15 +532,15 @@ class FlatnessReport(Record):
 
 def flatness_rate_probe(h: Callable, z_desc: SetDescriptor,
                         cell: GraphCell, cone_constant: float, p: int,
-                        points: Sequence, theta: float = 1e-2,
+                        points, theta: float = 1e-2,
                         box: float = geometry.DEFAULT_BOX_HALFWIDTH
                         ) -> FlatnessReport:
-    """Normalized derivative decay of ``h`` along an approach sequence:
-    for each |kappa| <= p the values ``|D^kappa h(x_j)| * d(x_j,Z)^(|kappa|-p)``
-    must eventually fall below ``theta``.  ``h`` takes a row batch, like
-    every evaluator; one :func:`verify.sampled_derivatives` call samples
-    every kappa at every point, with the step ``d(x_j,Z)/20`` clamped to
-    [1e-8, 1e-3].
+    """Normalized derivative decay of ``h`` along an approach sequence,
+    the ``(N, n)`` rows ``points``: for each |kappa| <= p the values
+    ``|D^kappa h(x_j)| * d(x_j,Z)^(|kappa|-p)`` must eventually fall below
+    ``theta``.  ``h`` takes a row batch, like every evaluator; one
+    :func:`verify.sampled_derivatives` call samples every kappa at every
+    point, with the step ``d(x_j,Z)/20`` clamped to [1e-8, 1e-3].
 
     The sequence must approach within a cone ``d(x, cell) <= C d(x, Z)``.
     Points whose two distances agree (the approach hugging Z, with the
@@ -575,13 +549,12 @@ def flatness_rate_probe(h: Callable, z_desc: SetDescriptor,
     guard uses ``max(C, 1)`` with a small relative slack rather than
     rejecting such radial approaches.
     """
-    n = len(points[0])
     X = np.asarray(points, dtype=float)
     c_eff = max(cone_constant, 1.0) * (1.0 + 1e-6)
     _, up_w = geometry.distance_brackets(geometry.descriptor_of(cell), X, box)
     lo_z, up_z = geometry.distance_brackets(z_desc, X, box)
     ratios = up_w / np.maximum(lo_z, 1e-300)
-    for x, dz, ratio in zip(points, up_z, ratios):
+    for x, dz, ratio in zip(X.tolist(), up_z, ratios):
         if dz <= 0:
             raise SequenceLeavesCone("sequence point lies on Z")
         if ratio > c_eff:
@@ -590,7 +563,7 @@ def flatness_rate_probe(h: Callable, z_desc: SetDescriptor,
                 f"> {c_eff:.3f}")
     dzs = (0.5 * (lo_z + up_z)).tolist()
 
-    kappas = multi_indices(n, p)
+    kappas = multi_indices(X.shape[1], p)
     steps = np.asarray([max(min(1e-3, dz / 20.0), 1e-8) for dz in dzs])
     derivs = verify.sampled_derivatives(h, [(X, kappa, steps)
                                             for kappa in kappas])

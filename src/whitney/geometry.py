@@ -621,24 +621,23 @@ def _interval_net(lo, hi, lower_finite, upper_finite, coarse, ratio, floor):
 
 
 def stratum_samples(cell, k: int, box: float = DEFAULT_BOX_HALFWIDTH,
-                    rng=None):
-    """Parameter tuples on a stratum (``()`` on a point): on each level of
-    its tower, midpoints and approaches at ``2^-j`` of the span to each
-    finite end or wall; ``k`` midpoints and ``j = 3..10`` on an interval,
-    else ``side^d <= 4k`` samples in all, the ``side // 4`` deepest
-    approaches (1 to 8) going to each wall.  An ``rng`` whose
-    ``random(shape)`` gives uniform doubles (a
+                    rng=None) -> np.ndarray:
+    """``(N, m)`` float parameter rows on a stratum of dimension ``m`` (one
+    empty row on a point): on each level of its tower, midpoints and
+    approaches at ``2^-j`` of the span to each finite end or wall; ``k``
+    midpoints and ``j = 3..10`` on an interval, else ``side^d <= 4k``
+    samples in all, the ``side // 4`` deepest approaches (1 to 8) going to
+    each wall.  An ``rng`` whose ``random(shape)`` gives uniform doubles (a
     :class:`whitney.rng.SeededStream`) jitters them, the interval first."""
     if isinstance(cell, PointCell):
-        return [()]
+        return np.empty((1, 0))
     dim = open_cell_dim(cell.base)
     count, depth = k, 8
     if dim > 1:
         side = int((4 * k) ** (1.0 / dim) + 1e-9)
         depth = min(8, max(1, side // 4))
         count = max(1, side - 2 * depth)
-    U = _tower_samples(cell.base, box, count, range(11 - depth, 11), rng)
-    return [tuple(u) for u in U.tolist()]
+    return _tower_samples(cell.base, box, count, range(11 - depth, 11), rng)
 
 
 def _tower_samples(cell: OpenCell, box: float, count: int, exponents, rng):
@@ -734,8 +733,7 @@ def frontier_samples(cell: GraphCell,
     """Rows of points on the frontier of a graph cell: 8 samples of each of
     its :func:`frontier_pieces` (a limit point is its own sample)."""
     return np.vstack([np.empty((0, cell.ambient_dim))] + [
-        piece.embed_rows(np.asarray(stratum_samples(piece, 8, box),
-                                    dtype=float))
+        piece.embed_rows(stratum_samples(piece, 8, box))
         for piece in frontier_pieces(cell, box)])
 
 
@@ -755,8 +753,8 @@ def lipschitz_estimate(graph: Sequence[ExprFn],
     slope factor ``1/sqrt(1 + M^2)`` used by the distance sandwich."""
     if not graph:
         return LipschitzReport(0.0, 1.0)
-    pts = stratum_samples(identity_graph_cell(base), 400)
-    jac, _, singular = _jacobian_rows(graph, np.asarray(pts, dtype=float))
+    jac, _, singular = _jacobian_rows(
+        graph, stratum_samples(identity_graph_cell(base), 400))
     worst = float(np.linalg.norm(jac[~singular], 2, axis=(1, 2))
                   .max(initial=0.0))
     return LipschitzReport(worst, 1.0 / math.sqrt(1.0 + worst * worst))

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import expr, geometry
-from .errors import Record, SceneFormatError, UnsupportedNode
+from .errors import InputError, Record, SceneFormatError, UnsupportedNode
 from .expr import ExprFn
 from .extension import Scene, Stratum
 from .geometry import GraphCell, Interval, PointCell, Slab
@@ -287,13 +287,19 @@ def parse_field(obj: dict, n: int, p: int, stratum_id: str, param_arity: int,
     return FieldSpec(n, p, stratum_id, param_arity, coeffs)
 
 
-def load_scene(path) -> SceneFile:
-    path = Path(path)
+def read_json(path):
+    """The JSON value in the file ``path``; a file that cannot be read or
+    is not JSON raises :class:`InputError` naming it."""
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SceneFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_scene(raw)
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror})") from exc
+    except ValueError as exc:          # not JSON, or not text
+        raise InputError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def load_scene(path) -> SceneFile:
+    return parse_scene(read_json(path))
 
 
 def parse_scene(raw: dict) -> SceneFile:

@@ -284,8 +284,8 @@ def check_extension(f: Callable, scene, tol: float = 1e-4,
     for stratum in scene.strata:
         fld = scene.fields[stratum.id]
         cell = stratum.cell
-        U = np.asarray(geometry.stratum_samples(
-            cell, samples_per_stratum, scene.box, rng=rng), dtype=float)
+        U = geometry.stratum_samples(cell, samples_per_stratum, scene.box,
+                                     rng=rng)
         X = cell.embed_rows(U)
         if not U.shape[1]:              # a point's coefficients read u = 0
             U = np.zeros((len(U), 1))

@@ -697,6 +697,88 @@ def test_verify_rejects_a_negative_recorded_seed(tmp_path, capsys):
     assert not (out / "verify_report.json").exists()
 
 
+# --- unreadable inputs -----------------------------------------------------------
+
+def _halfline_run(tmp_path):
+    out = tmp_path / "run"
+    assert run("extend", scene_path("halfline"), "-o", out,
+               "--grid=0:1:0.5") == 0
+    return scene_path("halfline"), out
+
+
+def test_a_missing_scene_is_an_input_error(tmp_path, capsys):
+    """Each command names a scene file it cannot read, exits 2 and leaves
+    no run directory."""
+    missing, out = tmp_path / "missing.json", tmp_path / "run"
+    for argv in (("validate", missing), ("extend", missing, "-o", out),
+                 ("verify", missing, out)):
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {missing}: cannot read (No such file or "
+            "directory)\n")
+    assert not out.exists()
+
+
+def test_verify_names_a_report_that_is_not_json(tmp_path, capsys):
+    scene, out = _halfline_run(tmp_path)
+    (out / "report.json").write_text("{not json")
+    assert run("verify", scene, out) == 2
+    assert capsys.readouterr().err.startswith(
+        f"input error: {out / 'report.json'}: not valid JSON (")
+    assert not (out / "verify_report.json").exists()
+
+
+def test_verify_refuses_a_report_that_is_no_object(tmp_path, capsys):
+    scene, out = _halfline_run(tmp_path)
+    (out / "report.json").write_text("[1, 2]")
+    assert run("verify", scene, out) == 2
+    assert capsys.readouterr().err == "input error: artifact schema mismatch\n"
+    assert not (out / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("key, named", [
+    ("seed", "report.json seed: must be a non-negative integer, got None"),
+    ("assembly", "assembly trace mismatch"),
+])
+def test_verify_refuses_a_report_without_seed_or_assembly(tmp_path, capsys,
+                                                          key, named):
+    scene, out = _halfline_run(tmp_path)
+    report = json.loads((out / "report.json").read_text())
+    del report[key]
+    (out / "report.json").write_text(json.dumps(report))
+    assert run("verify", scene, out) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "verify_report.json").exists()
+
+
+def test_plotdata_names_a_verify_report_that_is_not_json(tmp_path, capsys):
+    _, out = _halfline_run(tmp_path)
+    (out / "verify_report.json").write_text("{")
+    assert run("plotdata", out, "--select", "flatness:kappa=1") == 2
+    assert capsys.readouterr().err.startswith(
+        f"input error: {out / 'verify_report.json'}: not valid JSON (")
+
+
+@pytest.mark.parametrize("where", ["", "sub"])
+def test_extend_refuses_an_output_under_a_file_before_extending(
+        tmp_path, capsys, monkeypatch, where):
+    """``-o`` naming a file, or a path under one, is refused before the
+    extension is built, and the file is left as it was."""
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("extend_field ran")
+
+    monkeypatch.setattr(cli, "extend_field", unreachable)
+    out = taken / where
+    assert run("extend", scene_path("halfline"), "-o", out) == 2
+    assert capsys.readouterr().err == (
+        f"input error: cannot write under {out}: {taken} is not a "
+        "directory\n")
+    assert taken.read_text() == "keep"
+
+
 # --- argument parsing ------------------------------------------------------------
 
 @pytest.mark.parametrize("argv,named", [

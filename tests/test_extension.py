@@ -242,6 +242,15 @@ def test_validate_reports_structural_problems(case):
     assert build().validate() == problems
 
 
+def test_validate_reports_a_graph_stratum_without_a_field_once():
+    """A graph stratum with no field is reported, and the checks that read
+    its field skip it rather than fail."""
+    scene = halfline_scene()
+    scene = Scene(1, 1, 2, scene.strata, {"origin": scene.fields["origin"]},
+                  scene.flat_on, box=scene.box)
+    assert scene.validate() == ["stratum 'ray' has no field"]
+
+
 def complete_cube_scene():
     """The closed unit cube: the 3-cell, 6 faces, 12 edges and 8 corners,
     each carrying the jets of 0 and declaring the strata in its closure."""

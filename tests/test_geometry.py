@@ -421,6 +421,21 @@ def reference_interval_samples(lo, hi, lower, upper, k, rng):
     return [(float(t),) for t in sorted(inner)]
 
 
+def test_stratum_samples_are_float_rows_of_the_stratum_dimension():
+    """A point gives one empty row, an interval ``(N, 1)`` and a slab
+    ``(N, 2)`` rows, as float arrays, seeded or not."""
+    from whitney.rng import SeededStream
+    cells = [(geo.PointCell((1.0, 2.0)), 0),
+             (geo.identity_graph_cell(geo.Interval(0.0, None)), 1),
+             (geo.identity_graph_cell(UNDER_PARABOLA), 2)]
+    for cell, m in cells:
+        for rng in (None, SeededStream(3)):
+            U = geo.stratum_samples(cell, 16, 3.0, rng=rng)
+            assert isinstance(U, np.ndarray) and U.dtype == np.float64
+            assert U.ndim == 2 and U.shape[1] == m
+            assert len(U) == 1 if m == 0 else len(U) > 1
+
+
 @pytest.mark.parametrize("k", [8, 16, 24, 100])
 @pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (0.0, None),
                                           (None, 2.5), (None, None)])
@@ -430,11 +445,12 @@ def test_interval_samples_keep_the_1d_rule(lower, upper, k):
     lo, hi = geo.interval_bounds(cell.base, 4.0)
     for seed in range(64):
         mine, ref = SeededStream(seed), SeededStream(seed)
-        assert geo.stratum_samples(cell, k, 4.0, rng=mine) == \
-            reference_interval_samples(lo, hi, lower is not None,
-                                       upper is not None, k, ref)
+        U = geo.stratum_samples(cell, k, 4.0, rng=mine)
+        assert [tuple(u) for u in U.tolist()] == reference_interval_samples(
+            lo, hi, lower is not None, upper is not None, k, ref)
         assert mine.random(2).tolist() == ref.random(2).tolist()
-    assert geo.stratum_samples(cell, k, 4.0) == reference_interval_samples(
+    U = geo.stratum_samples(cell, k, 4.0)
+    assert [tuple(u) for u in U.tolist()] == reference_interval_samples(
         lo, hi, lower is not None, upper is not None, k, None)
 
 

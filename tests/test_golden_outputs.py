@@ -45,6 +45,17 @@ def _cases():
         yield f"defect {name}", [["validate", scene],
                                  ["extend", scene, "-o", "<run>"],
                                  ["verify", scene, "<run>"]]
+    missing = "<scenes>/missing.json"
+    yield "input missing scene", [["validate", missing],
+                                  ["extend", missing, "-o", "<run>"],
+                                  ["verify", missing, "<run>"]]
+    # the samples written over report.json leave a report that is not JSON
+    points = "<scenes>/points.json"
+    yield "input report.json not JSON", [
+        ["extend", points, "-o", "<run>"],
+        ["plotdata", "<run>", "--select", "extension",
+         "-o", "<run>/report.json"],
+        ["verify", points, "<run>"]]
 
 
 def _run_case(commands) -> list[dict]:

@@ -42,10 +42,17 @@ def test_extension_draws_once_and_validation_tests_each_stratum_once(
     """On square at seed 1, ``extend_field`` makes one seeded draw (its
     four edges draw alike), and validation makes at most one membership
     call per stratum (its own calls: ``membership`` recurses down a
-    cell's slab tower)."""
+    cell's slab tower) and one 24-sample ``stratum_samples`` call per
+    stratum, the closure check's frontier draws counted apart."""
     scene = load_corpus_scene("square").scene
-    calls = {"random": 0, "membership": 0}
+    frontier_pieces = sum(len(geo.frontier_pieces(s.cell, scene.box))
+                          for s in scene.strata
+                          if isinstance(s.cell, geo.GraphCell))
+    calls = {"random": 0, "membership": 0, "samples": [], "frontier": 0,
+             "in_frontier": False}
     random, membership = SeededStream.random, geo.membership
+    stratum_samples, frontier_samples = (geo.stratum_samples,
+                                         geo.frontier_samples)
 
     def counted_random(self, shape):
         calls["random"] += 1
@@ -55,10 +62,28 @@ def test_extension_draws_once_and_validation_tests_each_stratum_once(
         calls["membership"] += 1
         return membership(*args, **kwargs)
 
+    def counted_samples(cell, k, *args, **kwargs):
+        if calls["in_frontier"]:
+            calls["frontier"] += 1
+        else:
+            calls["samples"].append((cell, k))
+        return stratum_samples(cell, k, *args, **kwargs)
+
+    def counted_frontier(*args, **kwargs):
+        calls["in_frontier"] = True
+        try:
+            return frontier_samples(*args, **kwargs)
+        finally:
+            calls["in_frontier"] = False
+
     monkeypatch.setattr(SeededStream, "random", counted_random)
     monkeypatch.setattr(extension, "membership", counted_membership)
+    monkeypatch.setattr(geo, "stratum_samples", counted_samples)
+    monkeypatch.setattr(geo, "frontier_samples", counted_frontier)
     assert scene.validate() == []
     assert 0 < calls["membership"] <= len(scene.strata)
+    assert calls["samples"] == [(s.cell, 24) for s in scene.strata]
+    assert calls["frontier"] == frontier_pieces > 0
     extension._uniform_draws.cache_clear()
     extension.extend_field(scene, seed=1)
     assert calls["random"] == 1
